@@ -205,11 +205,9 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Connection/I-O failures; `ConnectionRefused` when the server's
-    /// accept queue answered with a v1 BUSY instead of admitting the
-    /// session (back off and retry, as for a one-shot BUSY); or
-    /// `InvalidData` when the peer does not speak the session protocol
-    /// (a pre-session server rejects the version byte).
+    /// Connection/I-O failures, or `InvalidData` when the peer does not
+    /// speak the session protocol (a pre-session server rejects the
+    /// version byte).
     pub fn open_session(&self, window: u32) -> io::Result<Session> {
         let mut stream = TcpStream::connect(&self.addr)?;
         // Pipelined small frames + Nagle + delayed ACK = 40ms stalls;
@@ -219,25 +217,16 @@ impl Client {
         stream.set_write_timeout(self.timeout)?;
         write_frame(&mut stream, &SessionFrame::Hello { window }.encode())?;
         let body = read_frame(&mut stream)?;
-        match SessionReply::decode(&body) {
-            Ok(SessionReply::HelloAck { window }) => Ok(Session {
+        match SessionReply::decode(&body)? {
+            SessionReply::HelloAck { window } => Ok(Session {
                 stream,
                 window,
                 next_id: 0,
             }),
-            Ok(other) => Err(io::Error::new(
+            other => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("expected HelloAck, got {other:?}"),
             )),
-            // Not a session reply: a full accept queue answers with a
-            // plain v1 BUSY before the handshake is even read.
-            Err(e) => match Response::decode(&body) {
-                Ok(Response::Busy) => Err(io::Error::new(
-                    io::ErrorKind::ConnectionRefused,
-                    "server busy: accept queue full",
-                )),
-                _ => Err(e),
-            },
         }
     }
 

@@ -264,8 +264,8 @@ impl ClusterClient {
             .collect())
     }
 
-    /// One shard group's batch, with ring-successor failover and a
-    /// paced retry against a shard that is merely saturated.
+    /// One shard group's batch, with ring-successor failover and one
+    /// paced retry against a primary that refused the connection.
     fn batch_group(
         &self,
         primary: usize,
@@ -287,9 +287,9 @@ impl ClusterClient {
             match self.shards[shard].batch(reqs, window) {
                 Ok(r) => return Ok(r),
                 Err(e) if e.kind() == io::ErrorKind::ConnectionRefused && hop == 0 => {
-                    // The primary answered BUSY at the accept edge: it
-                    // is alive but saturated. One paced retry before
-                    // abandoning its warm caches.
+                    // The primary's host refused the TCP connect: the
+                    // shard is down or not listening yet (a restart).
+                    // One paced retry before abandoning its warm caches.
                     backoff.sleep();
                     match self.shards[shard].batch(reqs, window) {
                         Ok(r) => return Ok(r),

@@ -5,19 +5,28 @@
 //! all accepted sockets are multiplexed through `poll(2)` (see
 //! [`crate::reactor`]), with per-connection read buffers reassembling
 //! length-prefixed frames and per-connection bounded write buffers
-//! draining as sockets accept bytes. Decoded requests — one-shot v1 and
-//! tagged session frames alike — are handed to a fixed pool of executor
-//! threads over a channel; finished replies come back through a
-//! completion queue plus a wake byte, and the reactor serializes them
-//! onto the right socket. An idle connection therefore costs a file
-//! descriptor and two buffers, not threads: the thread budget is
-//! `1 + executors`, independent of connection count.
+//! draining as sockets accept bytes. Decoded requests are handed to a
+//! fixed pool of executor threads over a channel; finished replies come
+//! back through a completion queue plus a wake byte, and the reactor
+//! serializes them onto the right socket. An idle connection therefore
+//! costs a file descriptor and two buffers, not threads: the thread
+//! budget is `1 + executors`, independent of connection count.
+//!
+//! Each connection runs one two-state machine. It *awaits* its first
+//! frame, which picks the protocol, and then *serves* with a granted
+//! window, an in-flight count and a draining flag. A v2 `Hello` grants
+//! the negotiated window; a v1 one-shot is served as a session of
+//! window 1 whose reply is untagged and which drains after its only
+//! request. A first-frame error or timeout is an error reply and a
+//! connection draining with nothing in flight. Admission, dispatch and
+//! completion are one path for both protocols; only the reply tag and
+//! the one-shot queue rules below depend on which one a request came in.
 //!
 //! Backpressure is layered and all of it lives in the reactor:
 //!
-//! * v1 admission — more than `queue_depth` decoded one-shot requests
-//!   waiting for executors answers [`Response::Busy`] at decode time
-//!   (counted under both `serve.busy` and `serve.conn.busy`); an
+//! * one-shot admission — more than `queue_depth` decoded one-shot
+//!   requests waiting for executors answers [`Response::Busy`] at decode
+//!   time (counted under both `serve.busy` and `serve.conn.busy`); an
 //!   admitted request that waits in the channel past the configured
 //!   timeout is answered with a timeout error rather than served stale;
 //! * session windows — frames beyond the granted in-flight window get a
@@ -74,9 +83,8 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Executor threads; 0 means one per available core. (The pool is
-    /// shared by one-shot and session requests; see
-    /// [`ServerConfig::session_workers`].)
+    /// Executor threads; 0 means one per available core. The pool is
+    /// shared by one-shot and session requests and never smaller than 2.
     pub workers: usize,
     /// Bounded admission depth for one-shot requests; decoded requests
     /// beyond this many waiting for executors get [`Response::Busy`].
@@ -99,12 +107,6 @@ pub struct ServerConfig {
     /// the granted window are answered per-frame with
     /// [`Response::Busy`] (the connection survives).
     pub session_window: u32,
-    /// Floor on the executor pool when session traffic is expected; the
-    /// pool is `max(workers, session_workers)` threads. 0 defers to
-    /// `workers`. (Historically the per-session executor count; the
-    /// pool is shared now, but the knob keeps its spirit: how much
-    /// session parallelism the daemon should sustain.)
-    pub session_workers: usize,
     /// Threads for the per-routine parallel CFG fan-out inside one
     /// request. 1 pins analysis sequential; 0 adapts — each request
     /// gets roughly `cores / active requests` threads, so a lone
@@ -129,7 +131,6 @@ impl Default for ServerConfig {
             cache_dir: None,
             disk_bytes: 256 << 20,
             session_window: 32,
-            session_workers: 0,
             analysis_threads: 0,
             write_hwm: 4 << 20,
         }
@@ -147,11 +148,10 @@ impl ServerConfig {
         }
     }
 
-    /// The executor pool size: the larger of the worker and
-    /// session-worker knobs, floored at 2 so one slow request can never
-    /// wedge `ping` on a single-core box.
+    /// The executor pool size: the worker knob floored at 2, so one slow
+    /// request can never wedge `ping` on a single-core box.
     fn executor_pool(&self) -> usize {
-        self.effective_workers().max(self.session_workers).max(2)
+        self.effective_workers().max(2)
     }
 }
 
@@ -167,17 +167,15 @@ struct Token {
     gen: u64,
 }
 
-/// One unit of work handed to the executor pool.
-enum Work {
-    /// A one-shot v1 request; `enqueued` drives the stale-in-queue
-    /// timeout.
-    V1 {
-        token: Token,
-        req: Request,
-        enqueued: Instant,
-    },
-    /// A tagged session request.
-    Session { token: Token, id: u64, req: Request },
+/// One request handed to the executor pool. `id` is the session tag
+/// echoed on the reply; `None` marks a one-shot, whose reply is untagged
+/// and which obeys the one-shot queue rules (admission counting, and the
+/// stale-in-queue timeout measured from `enqueued`).
+struct Work {
+    token: Token,
+    id: Option<u64>,
+    req: Request,
+    enqueued: Instant,
 }
 
 /// A finished reply traveling back from an executor to the reactor:
@@ -340,29 +338,28 @@ const CLOSE_DRAIN: Duration = Duration::from_millis(500);
 enum ConnState {
     /// No complete first frame yet; `accepted` drives the first-frame
     /// deadline.
-    Greeting { accepted: Instant },
-    /// A one-shot exchange; `pending` is the submitted-but-unanswered
-    /// job count (0 or 1).
-    V1 { pending: usize },
-    /// A pipelined session.
-    Session {
+    Awaiting { accepted: Instant },
+    /// Admitting requests. A v2 session is granted the window its
+    /// `Hello` negotiated; a v1 one-shot is a session of window 1 whose
+    /// reply is untagged and which drains after its only request.
+    Serving {
         granted: u32,
         in_flight: usize,
-        /// Goodbye received, peer EOF, stream error, or server shutdown:
-        /// no new frames are admitted and the connection closes once
-        /// `in_flight` drains.
+        /// No new frames are admitted and the connection closes once
+        /// `in_flight` drains: set by Goodbye, a one-shot's request,
+        /// peer EOF, a stream or first-frame error, and server shutdown.
+        /// Input is still read but ignored, so closing with unread
+        /// bytes never resets queued replies away.
         draining: bool,
+        /// Opened by a v2 `Hello`; its requests and its close count
+        /// under `serve.session.*`.
+        session: bool,
     },
 }
 
 struct ConnEntry {
     conn: Conn,
     state: ConnState,
-    /// Keep reading (so close doesn't RST queued replies away) but
-    /// ignore the bytes.
-    discard_input: bool,
-    /// For Greeting/V1: close once all replies are queued and flushed.
-    close_when_done: bool,
     /// Reads withheld by the write-buffer high-water mark.
     paused: bool,
     /// Write side FIN'd; drop at EOF or at this deadline.
@@ -372,18 +369,46 @@ struct ConnEntry {
 }
 
 impl ConnEntry {
-    /// All protocol work finished — nothing pending, no reply to wait
-    /// for — so the connection may begin its graceful close.
-    fn work_done(&self) -> bool {
-        match self.state {
-            ConnState::Greeting { .. } => self.close_when_done,
-            ConnState::V1 { pending } => self.close_when_done && pending == 0,
-            ConnState::Session {
-                in_flight,
-                draining,
-                ..
-            } => draining && in_flight == 0,
+    fn draining(&self) -> bool {
+        matches!(self.state, ConnState::Serving { draining: true, .. })
+    }
+
+    /// Stops admitting frames. A connection still awaiting its first
+    /// frame becomes one that is draining with nothing in flight.
+    fn drain(&mut self) {
+        match &mut self.state {
+            ConnState::Awaiting { .. } => {
+                self.state = ConnState::Serving {
+                    granted: 0,
+                    in_flight: 0,
+                    draining: true,
+                    session: false,
+                };
+            }
+            ConnState::Serving { draining, .. } => *draining = true,
         }
+    }
+
+    /// All protocol work finished — draining with no reply still owed —
+    /// so the connection may begin its graceful close.
+    fn work_done(&self) -> bool {
+        matches!(
+            self.state,
+            ConnState::Serving {
+                draining: true,
+                in_flight: 0,
+                ..
+            }
+        )
+    }
+}
+
+/// Encodes a reply for its connection's protocol: untagged for a
+/// one-shot, tagged with the request id on a session.
+fn reply_frame(id: Option<u64>, response: Response) -> Vec<u8> {
+    match id {
+        None => response.encode(),
+        Some(id) => SessionReply::Tagged { id, response }.encode(),
     }
 }
 
@@ -471,17 +496,9 @@ impl<'a> Reactor<'a> {
     fn begin_shutdown(&mut self) {
         self.shutting_down = true;
         self.listener = None;
+        // Replies already owed still get delivered.
         for entry in self.conns.iter_mut().flatten() {
-            entry.discard_input = true;
-            match entry.state {
-                // Never sent a complete request: nothing owed, close.
-                ConnState::Greeting { .. } => entry.close_when_done = true,
-                // The pending reply (if any) still gets delivered.
-                ConnState::V1 { .. } => entry.close_when_done = true,
-                ConnState::Session {
-                    ref mut draining, ..
-                } => *draining = true,
-            }
+            entry.drain();
         }
     }
 
@@ -504,7 +521,7 @@ impl<'a> Reactor<'a> {
         for (slot, entry) in self.conns.iter().enumerate() {
             let Some(entry) = entry else { continue };
             let mut events = 0i16;
-            if !entry.conn.read_closed && (entry.discard_input || !entry.paused) {
+            if !entry.conn.read_closed && (entry.draining() || !entry.paused) {
                 events |= POLLIN;
             }
             if entry.conn.wants_write() {
@@ -539,17 +556,15 @@ impl<'a> Reactor<'a> {
             if let Some(d) = entry.closing {
                 consider(d);
             }
-            if entry.discard_input {
+            if entry.draining() {
                 continue;
             }
             match entry.state {
-                ConnState::Greeting { accepted } if !entry.close_when_done => {
-                    consider(accepted + timeout);
-                }
-                ConnState::Session { .. } if entry.conn.mid_frame() => {
+                ConnState::Awaiting { accepted } => consider(accepted + timeout),
+                ConnState::Serving { .. } if entry.conn.mid_frame() => {
                     consider(entry.conn.last_progress + timeout);
                 }
-                _ => {}
+                ConnState::Serving { .. } => {}
             }
         }
         soonest
@@ -567,28 +582,21 @@ impl<'a> Reactor<'a> {
                     entry.dead = true;
                 }
             }
-            if !entry.dead && !entry.discard_input {
+            if !entry.dead && !entry.draining() {
                 match entry.state {
-                    ConnState::Greeting { accepted }
-                        if !entry.close_when_done && now >= accepted + timeout =>
-                    {
-                        eel_obs::counter!("serve.errors").add(1);
-                        self.queue_reply(
+                    ConnState::Awaiting { accepted } if now >= accepted + timeout => {
+                        self.reject(
                             &mut entry,
-                            &Response::Err("bad request: timed out waiting for request".into())
-                                .encode(),
+                            None,
+                            "bad request: timed out waiting for request".into(),
                         );
-                        entry.close_when_done = true;
-                        entry.discard_input = true;
                     }
-                    ConnState::Session {
-                        ref mut draining, ..
-                    } if entry.conn.mid_frame() && now >= entry.conn.last_progress + timeout => {
-                        // A frame stalled mid-transfer: the stream's
-                        // framing is unrecoverable. Finish in-flight
-                        // work, then close.
-                        *draining = true;
-                        entry.discard_input = true;
+                    // A frame stalled mid-transfer: the stream's framing
+                    // is unrecoverable. Finish in-flight work, then close.
+                    ConnState::Serving { .. }
+                        if entry.conn.mid_frame() && now >= entry.conn.last_progress + timeout =>
+                    {
+                        entry.drain();
                     }
                     _ => {}
                 }
@@ -623,33 +631,31 @@ impl<'a> Reactor<'a> {
     fn insert_conn(&mut self, conn: Conn) {
         let entry = ConnEntry {
             conn,
-            state: ConnState::Greeting {
+            state: ConnState::Awaiting {
                 accepted: Instant::now(),
             },
-            discard_input: false,
-            close_when_done: false,
             paused: false,
             closing: None,
             dead: false,
         };
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.conns[s] = Some(entry);
-                s
-            }
+        match self.free.pop() {
+            Some(s) => self.conns[s] = Some(entry),
             None => {
                 self.conns.push(Some(entry));
                 self.gens.push(0);
-                self.conns.len() - 1
             }
-        };
-        let _ = slot;
+        }
         self.open_conns += 1;
         eel_obs::gauge("serve.reactor.conns").set(self.open_conns as i64);
     }
 
     fn drop_conn(&mut self, slot: usize, entry: ConnEntry) {
-        if let ConnState::Session { in_flight, .. } = entry.state {
+        if let ConnState::Serving {
+            in_flight,
+            session: true,
+            ..
+        } = entry.state
+        {
             // Jobs still running for this connection will complete and
             // be discarded by the token generation check.
             self.total_inflight -= in_flight;
@@ -722,7 +728,7 @@ impl<'a> Reactor<'a> {
     }
 
     fn handle_readable(&mut self, entry: &mut ConnEntry, token: Token) {
-        if entry.discard_input {
+        if entry.draining() {
             let _ = entry.conn.discard();
             return;
         }
@@ -733,218 +739,143 @@ impl<'a> Reactor<'a> {
                         break;
                     }
                 }
-                if entry.conn.read_closed && !entry.discard_input {
-                    self.peer_eof(entry);
+                // Clean EOF at a frame boundary: a client hanging up
+                // without Goodbye is unremarkable.
+                if entry.conn.read_closed && !entry.draining() {
+                    entry.drain();
                 }
             }
-            Err(e) => self.input_error(entry, &e),
-        }
-    }
-
-    /// Clean EOF at a frame boundary: a client hanging up without
-    /// Goodbye is unremarkable.
-    fn peer_eof(&mut self, entry: &mut ConnEntry) {
-        entry.discard_input = true;
-        match entry.state {
-            ConnState::Greeting { .. } => entry.close_when_done = true,
-            ConnState::V1 { .. } => entry.close_when_done = true,
-            ConnState::Session {
-                ref mut draining, ..
-            } => *draining = true,
-        }
-    }
-
-    /// The read stream is broken: mid-frame EOF, an oversized length
-    /// prefix, or a socket error. Greeting connections get the v1-style
-    /// error reply; everything else finishes what it owes and closes.
-    fn input_error(&mut self, entry: &mut ConnEntry, e: &io::Error) {
-        entry.discard_input = true;
-        match entry.state {
-            ConnState::Greeting { .. } => {
-                eel_obs::counter!("serve.errors").add(1);
-                self.queue_reply(
-                    &mut *entry,
-                    &Response::Err(format!("bad request: {e}")).encode(),
-                );
-                entry.close_when_done = true;
-            }
-            ConnState::V1 { .. } => entry.close_when_done = true,
-            ConnState::Session {
-                ref mut draining, ..
-            } => *draining = true,
+            // The read stream is broken: mid-frame EOF, an oversized
+            // length prefix, or a socket error. Before the first frame
+            // that earns an error reply; after it, the connection
+            // finishes what it owes and closes.
+            Err(e) => match entry.state {
+                ConnState::Awaiting { .. } => {
+                    self.reject(entry, None, format!("bad request: {e}"));
+                }
+                ConnState::Serving { .. } => entry.drain(),
+            },
         }
     }
 
     /// Advances one connection's protocol state machine by one inbound
     /// frame. Returns false when no further frames should be processed
-    /// from this batch (mode decided, connection draining, …).
+    /// from this batch (the connection is draining).
     fn process_frame(&mut self, entry: &mut ConnEntry, token: Token, body: &[u8]) -> bool {
         match entry.state {
-            ConnState::Greeting { .. } => self.greeting_frame(entry, token, body),
-            // One-shot connections consume exactly one frame; anything
-            // extra is discarded.
-            ConnState::V1 { .. } => false,
-            ConnState::Session { .. } => self.session_frame(entry, token, body),
+            ConnState::Awaiting { .. } => self.first_frame(entry, token, body),
+            ConnState::Serving { .. } => self.session_frame(entry, token, body),
         }
+        !entry.draining()
     }
 
-    /// The connection's first frame picks its mode: the session version
-    /// byte opens a pipelined session, anything else is a one-shot v1
-    /// exchange (including unknown versions, which `Request::decode`
+    /// The connection's first frame picks its protocol: the session
+    /// version byte must be a `Hello`; anything else is a one-shot v1
+    /// request (including unknown versions, which `Request::decode`
     /// rejects with a clean error a v1 client can render).
-    fn greeting_frame(&mut self, entry: &mut ConnEntry, token: Token, body: &[u8]) -> bool {
+    fn first_frame(&mut self, entry: &mut ConnEntry, token: Token, body: &[u8]) {
         if body.first() == Some(&SESSION_VERSION) {
             match SessionFrame::decode(body) {
                 Ok(SessionFrame::Hello { window }) => {
                     let cap = self.shared.config.session_window;
                     let requested = if window == 0 { cap } else { window };
                     let granted = requested.clamp(1, cap.max(1));
-                    entry.state = ConnState::Session {
+                    entry.state = ConnState::Serving {
                         granted,
                         in_flight: 0,
                         draining: false,
+                        session: true,
                     };
                     eel_obs::counter!("serve.session.opened").add(1);
                     self.queue_reply(entry, &SessionReply::HelloAck { window: granted }.encode());
-                    true
                 }
-                _ => {
-                    eel_obs::counter!("serve.errors").add(1);
-                    self.queue_reply(
-                        entry,
-                        &SessionReply::Tagged {
-                            id: 0,
-                            response: Response::Err("session must open with Hello".into()),
-                        }
-                        .encode(),
-                    );
-                    entry.close_when_done = true;
-                    entry.discard_input = true;
-                    false
-                }
+                _ => self.reject(entry, Some(0), "session must open with Hello".into()),
             }
         } else {
             match Request::decode(body) {
                 Ok(req) => {
-                    if self.shared.queued_jobs.load(Ordering::SeqCst)
-                        >= self.shared.config.queue_depth
-                    {
-                        // Admission overflow: explicit backpressure
-                        // instead of an unbounded backlog, at the cost
-                        // of one decoded frame.
-                        eel_obs::counter!("serve.busy").add(1);
-                        eel_obs::counter!("serve.conn.busy").add(1);
-                        self.queue_reply(entry, &Response::Busy.encode());
-                        entry.close_when_done = true;
-                        entry.discard_input = true;
-                        return false;
-                    }
-                    let depth = self.shared.queued_jobs.fetch_add(1, Ordering::SeqCst) + 1;
-                    eel_obs::gauge("serve.queue.depth").set(depth as i64);
-                    entry.state = ConnState::V1 { pending: 1 };
-                    entry.discard_input = true;
-                    self.outstanding += 1;
-                    let _ = self.job_tx.send(Work::V1 {
-                        token,
-                        req,
-                        enqueued: Instant::now(),
-                    });
-                    false
+                    entry.state = ConnState::Serving {
+                        granted: 1,
+                        in_flight: 0,
+                        draining: false,
+                        session: false,
+                    };
+                    self.admit(entry, token, None, req);
+                    entry.drain();
                 }
-                Err(e) => {
-                    eel_obs::counter!("serve.errors").add(1);
-                    self.queue_reply(entry, &Response::Err(format!("bad request: {e}")).encode());
-                    entry.close_when_done = true;
-                    entry.discard_input = true;
-                    false
-                }
+                Err(e) => self.reject(entry, None, format!("bad request: {e}")),
             }
         }
     }
 
-    fn session_frame(&mut self, entry: &mut ConnEntry, token: Token, body: &[u8]) -> bool {
-        let ConnState::Session {
-            granted, in_flight, ..
-        } = entry.state
-        else {
-            return false;
-        };
+    /// A frame on a serving session connection.
+    fn session_frame(&mut self, entry: &mut ConnEntry, token: Token, body: &[u8]) {
         match SessionFrame::decode(body) {
             Ok(SessionFrame::Request { id, request }) => {
-                if in_flight >= granted as usize {
-                    // Window overflow: per-frame BUSY, connection
-                    // survives. Mirrors the v1 admission BUSY.
-                    eel_obs::counter!("serve.session.busy").add(1);
-                    self.queue_reply(
-                        entry,
-                        &SessionReply::Tagged {
-                            id,
-                            response: Response::Busy,
-                        }
-                        .encode(),
-                    );
-                    return true;
-                }
-                eel_obs::counter!("serve.session.requests").add(1);
-                if let ConnState::Session {
-                    ref mut in_flight, ..
-                } = entry.state
-                {
-                    *in_flight += 1;
-                }
-                self.total_inflight += 1;
-                eel_obs::gauge("serve.session.inflight").set(self.total_inflight as i64);
-                self.outstanding += 1;
-                let _ = self.job_tx.send(Work::Session {
-                    token,
-                    id,
-                    req: request,
-                });
-                true
+                self.admit(entry, token, Some(id), request)
             }
-            Ok(SessionFrame::Goodbye) => {
-                if let ConnState::Session {
-                    ref mut draining, ..
-                } = entry.state
-                {
-                    *draining = true;
-                }
-                entry.discard_input = true;
-                false
-            }
-            Ok(SessionFrame::Hello { .. }) => {
-                self.queue_reply(
-                    entry,
-                    &SessionReply::Tagged {
-                        id: 0,
-                        response: Response::Err("duplicate Hello".into()),
-                    }
-                    .encode(),
-                );
-                true
-            }
-            Err(e) => {
-                // A malformed frame poisons the stream (framing may be
-                // lost); answer, finish in-flight work, close.
-                eel_obs::counter!("serve.errors").add(1);
-                self.queue_reply(
-                    entry,
-                    &SessionReply::Tagged {
-                        id: 0,
-                        response: Response::Err(format!("bad session frame: {e}")),
-                    }
-                    .encode(),
-                );
-                if let ConnState::Session {
-                    ref mut draining, ..
-                } = entry.state
-                {
-                    *draining = true;
-                }
-                entry.discard_input = true;
-                false
-            }
+            Ok(SessionFrame::Goodbye) => entry.drain(),
+            Ok(SessionFrame::Hello { .. }) => self.queue_reply(
+                entry,
+                &reply_frame(Some(0), Response::Err("duplicate Hello".into())),
+            ),
+            // A malformed frame poisons the stream (framing may be lost);
+            // answer, finish in-flight work, close.
+            Err(e) => self.reject(entry, Some(0), format!("bad session frame: {e}")),
         }
+    }
+
+    /// Answers a protocol error and starts draining the connection.
+    fn reject(&mut self, entry: &mut ConnEntry, id: Option<u64>, msg: String) {
+        eel_obs::counter!("serve.errors").add(1);
+        self.queue_reply(entry, &reply_frame(id, Response::Err(msg)));
+        entry.drain();
+    }
+
+    /// Hands one decoded request to the executors, or answers BUSY at
+    /// decode time. Every request must fit the connection's granted
+    /// window; a one-shot (`id: None`) must also find room in the
+    /// daemon-wide `queue_depth` admission queue. Either BUSY is
+    /// explicit backpressure instead of an unbounded backlog, and a
+    /// session survives it.
+    fn admit(&mut self, entry: &mut ConnEntry, token: Token, id: Option<u64>, req: Request) {
+        let ConnState::Serving {
+            granted,
+            ref mut in_flight,
+            session,
+            ..
+        } = entry.state
+        else {
+            return;
+        };
+        if *in_flight >= granted as usize {
+            eel_obs::counter!("serve.session.busy").add(1);
+            self.queue_reply(entry, &reply_frame(id, Response::Busy));
+            return;
+        }
+        if id.is_none() {
+            if self.shared.queued_jobs.load(Ordering::SeqCst) >= self.shared.config.queue_depth {
+                eel_obs::counter!("serve.busy").add(1);
+                eel_obs::counter!("serve.conn.busy").add(1);
+                self.queue_reply(entry, &reply_frame(id, Response::Busy));
+                return;
+            }
+            let depth = self.shared.queued_jobs.fetch_add(1, Ordering::SeqCst) + 1;
+            eel_obs::gauge("serve.queue.depth").set(depth as i64);
+        }
+        *in_flight += 1;
+        if session {
+            eel_obs::counter!("serve.session.requests").add(1);
+            self.total_inflight += 1;
+            eel_obs::gauge("serve.session.inflight").set(self.total_inflight as i64);
+        }
+        self.outstanding += 1;
+        let _ = self.job_tx.send(Work {
+            token,
+            id,
+            req,
+            enqueued: Instant::now(),
+        });
     }
 
     fn drain_completions(&mut self) {
@@ -963,19 +894,17 @@ impl<'a> Reactor<'a> {
             let Some(mut entry) = self.conns[d.token.slot].take() else {
                 continue;
             };
-            match entry.state {
-                ConnState::V1 { ref mut pending } => {
-                    *pending -= 1;
-                    entry.close_when_done = true;
-                }
-                ConnState::Session {
-                    ref mut in_flight, ..
-                } => {
-                    *in_flight -= 1;
+            if let ConnState::Serving {
+                ref mut in_flight,
+                session,
+                ..
+            } = entry.state
+            {
+                *in_flight -= 1;
+                if session {
                     self.total_inflight -= 1;
                     eel_obs::gauge("serve.session.inflight").set(self.total_inflight as i64);
                 }
-                ConnState::Greeting { .. } => {}
             }
             self.queue_reply(&mut entry, &d.frame);
             self.put_back(d.token.slot, entry);
@@ -1010,44 +939,40 @@ fn executor_loop(shared: &Shared, job_rx: &Mutex<mpsc::Receiver<Work>>) {
             let rx = job_rx.lock().expect("job lock poisoned");
             rx.recv()
         };
-        let Ok(work) = work else { return };
-        let done = match work {
-            Work::V1 {
-                token,
-                req,
-                enqueued,
-            } => {
-                let depth = shared.queued_jobs.fetch_sub(1, Ordering::SeqCst) - 1;
-                eel_obs::gauge("serve.queue.depth").set(depth as i64);
-                let waited = enqueued.elapsed();
-                let resp = if waited >= shared.config.timeout {
-                    eel_obs::counter!("serve.timeouts").add(1);
-                    Response::Err(format!(
-                        "request timed out after {}ms in queue",
-                        waited.as_millis()
-                    ))
-                } else {
-                    let resp = handle_request(shared, &req);
-                    if matches!(resp, Response::Err(_)) {
-                        eel_obs::counter!("serve.errors").add(1);
-                    }
-                    resp
-                };
-                Done {
-                    token,
-                    frame: resp.encode(),
-                }
+        let Ok(Work {
+            token,
+            id,
+            req,
+            enqueued,
+        }) = work
+        else {
+            return;
+        };
+        let mut stale = None;
+        if id.is_none() {
+            // One-shot queue rules: leave the admission count, and never
+            // serve a request that waited out its budget.
+            let depth = shared.queued_jobs.fetch_sub(1, Ordering::SeqCst) - 1;
+            eel_obs::gauge("serve.queue.depth").set(depth as i64);
+            let waited = enqueued.elapsed();
+            if waited >= shared.config.timeout {
+                eel_obs::counter!("serve.timeouts").add(1);
+                stale = Some(Response::Err(format!(
+                    "request timed out after {}ms in queue",
+                    waited.as_millis()
+                )));
             }
-            Work::Session { token, id, req } => {
-                let response = handle_request(shared, &req);
-                if matches!(response, Response::Err(_)) {
-                    eel_obs::counter!("serve.errors").add(1);
-                }
-                Done {
-                    token,
-                    frame: SessionReply::Tagged { id, response }.encode(),
-                }
+        }
+        let response = stale.unwrap_or_else(|| {
+            let response = handle_request(shared, &req);
+            if matches!(response, Response::Err(_)) {
+                eel_obs::counter!("serve.errors").add(1);
             }
+            response
+        });
+        let done = Done {
+            token,
+            frame: reply_frame(id, response),
         };
         shared
             .completions

@@ -50,7 +50,6 @@ fn request(op: &str, wef: &[u8]) -> Request {
 fn fast_response_overtakes_slow_one() {
     let server = Server::start(ServerConfig {
         workers: 2,
-        session_workers: 2,
         ..ServerConfig::default()
     })
     .expect("start server");
@@ -105,7 +104,6 @@ fn window_overflow_is_busy_per_frame_and_connection_survives() {
     let server = Server::start(ServerConfig {
         workers: 2,
         session_window: 1,
-        session_workers: 1,
         ..ServerConfig::default()
     })
     .expect("start server");
@@ -176,7 +174,6 @@ fn window_overflow_is_busy_per_frame_and_connection_survives() {
 fn mid_session_shutdown_answers_in_flight_requests() {
     let server = Server::start(ServerConfig {
         workers: 2,
-        session_workers: 2,
         ..ServerConfig::default()
     })
     .expect("start server");
