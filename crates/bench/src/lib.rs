@@ -20,7 +20,7 @@ use eel_tools::{active_memory, blizzard, elsie, qpt1, qpt2};
 /// collector for the report's phase-timing section.
 fn obs_timed<T>(name: &'static str, f: impl FnOnce() -> T) -> (T, f64) {
     let was = eel_obs::mode();
-    if was == eel_obs::Mode::Off {
+    if matches!(was, eel_obs::Mode::Off | eel_obs::Mode::Metrics) {
         eel_obs::set_mode(eel_obs::Mode::Summary);
     }
     let out = {

@@ -21,7 +21,6 @@ use crate::analysis::jumptable::resolve_indirect;
 use crate::executable::RoutineId;
 use eel_exe::Image;
 use eel_isa::{Cond, JumpKind, Op};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// What the builder learned beyond the CFG itself.
 pub(crate) struct BuildOutput {
@@ -41,7 +40,6 @@ pub(crate) struct BuildOutput {
 }
 
 /// How a scanned control-transfer site behaves.
-#[derive(Clone, Debug)]
 enum CtiSucc {
     /// Conditional or unconditional PC-relative branch.
     Branch {
@@ -52,18 +50,8 @@ enum CtiSucc {
         /// Fall-through address (`None` for `ba`).
         fall: Option<u32>,
     },
-    /// Direct call; control resumes after the delay slot.
-    Call {
-        /// Original target (also recorded in `call_sites`).
-        #[allow(dead_code)]
-        target: u32,
-    },
-    /// Indirect call (through a register); `literal` when the slice
-    /// resolved the callee (also recorded in `indirect_calls`).
-    IndirectCall {
-        #[allow(dead_code)]
-        literal: Option<u32>,
-    },
+    /// Direct or indirect call (see `call_sites` / `indirect_calls`).
+    Call,
     /// Subroutine return.
     Return,
     /// Indirect jump with its resolution.
@@ -78,15 +66,17 @@ enum Target {
     Out(u32),
 }
 
-#[derive(Clone, Debug)]
 struct CtiRec {
-    #[allow(dead_code)]
-    insn: Insn,
     /// The delay-slot instruction, unless the transfer sits at the very
     /// end of the extent.
     delay: Option<Insn>,
     succ: CtiSucc,
 }
+
+// Per-word scan state, one byte per word of the extent.
+const LEADER: u8 = 1;
+const SCANNED: u8 = 2;
+const COVERED: u8 = 4;
 
 pub(crate) fn build_cfg(
     image: &Image,
@@ -96,11 +86,29 @@ pub(crate) fn build_cfg(
     jump_analysis: bool,
 ) -> Result<BuildOutput, EelError> {
     let (start, end) = extent;
-    let mut leaders: BTreeSet<u32> = entries.iter().copied().collect();
+    // Discovery keeps extents inside text (and validation keeps the entry
+    // point there), which bounds the dense per-word state by text size.
+    if start < image.text_addr || end > image.text_end() {
+        return Err(EelError::BadAddress {
+            addr: start,
+            expected: "a routine extent inside the text segment",
+        });
+    }
+    // Per-word state starts at the extent's first aligned word. Misaligned
+    // and out-of-extent addresses have no slot: never leaders or blocks.
+    let base = start.next_multiple_of(4);
+    let words = (end.saturating_sub(base) as usize).div_ceil(4);
+    let slot =
+        |a: u32| (a >= base && a < end && a.is_multiple_of(4)).then(|| ((a - base) / 4) as usize);
+    let mut flags: Vec<u8> = vec![0; words];
+    // Words inside `data_ranges`; the `ctis` index of each word's transfer.
+    let mut in_table: Vec<bool> = vec![false; words];
+    let mut cti_at: Vec<Option<u32>> = vec![None; words];
+    let mut ctis: Vec<CtiRec> = Vec::new();
     let mut worklist: Vec<u32> = entries.to_vec();
-    let mut scanned: BTreeSet<u32> = BTreeSet::new();
-    let mut covered: BTreeSet<u32> = BTreeSet::new();
-    let mut ctis: HashMap<u32, CtiRec> = HashMap::new();
+    for i in entries.iter().filter_map(|&e| slot(e)) {
+        flags[i] |= LEADER;
+    }
     let mut data_ranges: Vec<DataRange> = Vec::new();
     let mut escape_targets: Vec<u32> = Vec::new();
     let mut indirect_jumps: Vec<IndirectJumpInfo> = Vec::new();
@@ -122,8 +130,11 @@ pub(crate) fn build_cfg(
 
     let scan_obs = eel_obs::span("core.cfg.scan");
     while let Some(leader) = worklist.pop() {
-        if !scanned.insert(leader) {
-            continue;
+        if let Some(i) = slot(leader) {
+            if flags[i] & SCANNED != 0 {
+                continue;
+            }
+            flags[i] |= SCANNED;
         }
         let mut pc = leader;
         loop {
@@ -135,21 +146,20 @@ pub(crate) fn build_cfg(
                 }
                 break;
             }
-            if data_ranges.iter().any(|r| pc >= r.start && pc < r.end) {
+            // A misaligned word has nothing to decode.
+            let Some(i) = slot(pc) else { break };
+            if in_table[i] {
                 break; // ran into a dispatch table
             }
-            if pc != leader && leaders.contains(&pc) {
-                break; // merged into another block
-            }
-            if pc != leader && covered.contains(&pc) {
-                // Ran into code another scan already covered; its CTIs and
-                // coverage are recorded, so stop here. (Block splitting at
-                // branch targets is handled by the leader set.)
+            // Stop on reaching another block's leader, or code another
+            // scan already covered (its CTIs and coverage are recorded;
+            // block splitting at branch targets is handled by leaders).
+            if pc != leader && flags[i] & (LEADER | COVERED) != 0 {
                 break;
             }
             let Some(word) = image.word_at(pc) else { break };
             let insn = eel_isa::decode(word);
-            covered.insert(pc);
+            flags[i] |= COVERED;
             if insn.category() == eel_isa::Category::Invalid {
                 // Reachable invalid instruction: the routine contains data
                 // (§3.1 stage 4). Dead-end the block.
@@ -181,33 +191,34 @@ pub(crate) fn build_cfg(
                 }
                 // The slot word belongs to this transfer even when
                 // annulled-always (it just never executes).
-                covered.insert(delay_addr);
+                flags[i + 1] |= COVERED;
             }
 
-            let push_leader = |a: u32, worklist: &mut Vec<u32>, leaders: &mut BTreeSet<u32>| {
-                if in_extent(a) && leaders.insert(a) {
-                    worklist.push(a);
+            let mut push_leader = |a: u32, worklist: &mut Vec<u32>| {
+                if let Some(j) = slot(a) {
+                    if flags[j] & LEADER == 0 {
+                        flags[j] |= LEADER;
+                        worklist.push(a);
+                    }
                 }
             };
 
             let succ = match insn.op {
+                // FP branches are never emitted; they are treated as
+                // two-way branches on an unknown condition.
                 Op::Branch {
                     cond,
                     annul,
                     disp22,
-                    fp,
+                    ..
                 } => {
-                    if fp {
-                        // We never emit FP branches; treat conservatively
-                        // as a two-way branch on an unknown condition.
-                    }
                     let target_addr = pc.wrapping_add((disp22 as u32) << 2);
                     let taken = if cond == Cond::Never {
                         None
                     } else {
                         let t = classify(target_addr);
                         match t {
-                            Target::In(a) => push_leader(a, &mut worklist, &mut leaders),
+                            Target::In(a) => push_leader(a, &mut worklist),
                             Target::Out(a) => escape_targets.push(a),
                         }
                         Some(t)
@@ -215,7 +226,7 @@ pub(crate) fn build_cfg(
                     let fall = if cond == Cond::Always {
                         None
                     } else {
-                        push_leader(pc + 8, &mut worklist, &mut leaders);
+                        push_leader(pc + 8, &mut worklist);
                         Some(pc + 8)
                     };
                     CtiSucc::Branch {
@@ -226,16 +237,13 @@ pub(crate) fn build_cfg(
                     }
                 }
                 Op::Call { disp30 } => {
+                    // Out of the extent, or a recursive call to an entry
+                    // of this routine: an escape either way.
                     let target = pc.wrapping_add((disp30 as u32) << 2);
                     call_sites.push((pc, target));
-                    if !in_extent(target) {
-                        escape_targets.push(target);
-                    } else {
-                        // Recursive call to an entry of this routine.
-                        escape_targets.push(target);
-                    }
-                    push_leader(pc + 8, &mut worklist, &mut leaders);
-                    CtiSucc::Call { target }
+                    escape_targets.push(target);
+                    push_leader(pc + 8, &mut worklist);
+                    CtiSucc::Call
                 }
                 Op::Jmpl { .. } => match insn.jump_kind() {
                     Some(JumpKind::Return) => CtiSucc::Return,
@@ -245,19 +253,15 @@ pub(crate) fn build_cfg(
                         } else {
                             JumpResolution::Unknown
                         };
-                        let literal = match &resolution {
-                            JumpResolution::Literal { target, .. } => {
-                                escape_targets.push(*target);
-                                Some(*target)
-                            }
-                            _ => None,
-                        };
+                        if let JumpResolution::Literal { target, .. } = &resolution {
+                            escape_targets.push(*target);
+                        }
                         indirect_calls.push(IndirectJumpInfo {
                             addr: pc,
                             resolution,
                         });
-                        push_leader(pc + 8, &mut worklist, &mut leaders);
-                        CtiSucc::IndirectCall { literal }
+                        push_leader(pc + 8, &mut worklist);
+                        CtiSucc::Call
                     }
                     _ => {
                         let resolution = if jump_analysis {
@@ -276,17 +280,20 @@ pub(crate) fn build_cfg(
                                     start: *table_addr,
                                     end: table_end.min(end),
                                 });
+                                // Tables are word-aligned (`resolve_indirect`).
+                                let table = (*table_addr..table_end.min(end)).step_by(4);
+                                for k in table.filter_map(slot) {
+                                    in_table[k] = true;
+                                }
                                 for &t in targets {
                                     match classify(t) {
-                                        Target::In(a) => {
-                                            push_leader(a, &mut worklist, &mut leaders)
-                                        }
+                                        Target::In(a) => push_leader(a, &mut worklist),
                                         Target::Out(a) => escape_targets.push(a),
                                     }
                                 }
                             }
                             JumpResolution::Literal { target, .. } => match classify(*target) {
-                                Target::In(a) => push_leader(a, &mut worklist, &mut leaders),
+                                Target::In(a) => push_leader(a, &mut worklist),
                                 Target::Out(a) => escape_targets.push(a),
                             },
                             JumpResolution::Unknown => incomplete = true,
@@ -300,7 +307,8 @@ pub(crate) fn build_cfg(
                 },
                 _ => unreachable!("is_delayed covers branch/call/jmpl"),
             };
-            ctis.insert(pc, CtiRec { insn, delay, succ });
+            cti_at[i] = Some(ctis.len() as u32);
+            ctis.push(CtiRec { delay, succ });
             break;
         }
     }
@@ -316,7 +324,7 @@ pub(crate) fn build_cfg(
         entry: BlockId(0),
         exit: BlockId(0),
         entry_addrs: entries.to_vec(),
-        data_ranges: data_ranges.clone(),
+        data_ranges,
         indirect_jumps,
         indirect_calls,
         call_sites,
@@ -329,60 +337,55 @@ pub(crate) fn build_cfg(
     cfg.entry = entry;
     cfg.exit = exit;
 
-    // Map leader → block id, building normal blocks in address order.
-    let mut block_of: BTreeMap<u32, BlockId> = BTreeMap::new();
-    let leaders_sorted: Vec<u32> = leaders
-        .iter()
-        .copied()
-        .filter(|a| covered.contains(a))
-        .collect();
-    for &leader in &leaders_sorted {
-        let id = push_block(&mut cfg, BlockKind::Normal, leader, true);
-        block_of.insert(leader, id);
-    }
-
-    // Fill instructions and record each block's ending CTI (if any).
-    #[derive(Clone, Copy)]
+    // Covered leaders start normal blocks, in address order. Fill each
+    // with its instructions and record how it ends.
     enum Ending {
-        Cti(u32),
+        Cti(u32, usize),
         FallTo(u32),
         DeadEnd,
     }
+    let is_block = |f: u8| f & (LEADER | COVERED) == LEADER | COVERED;
+    let mut block_at: Vec<Option<BlockId>> = vec![None; words];
     let mut endings: Vec<(BlockId, Ending)> = Vec::new();
-    for (i, &leader) in leaders_sorted.iter().enumerate() {
-        let bid = block_of[&leader];
-        let next_leader = leaders_sorted.get(i + 1).copied();
+    let mut insns: Vec<InsnAt> = Vec::new();
+    for i in (0..words).filter(|&i| is_block(flags[i])) {
+        let leader = base + 4 * i as u32;
+        let bid = push_block(&mut cfg, BlockKind::Normal, leader, true);
+        block_at[i] = Some(bid);
         let mut pc = leader;
         let ending = loop {
-            if Some(pc) == next_leader && pc != leader {
+            let Some(j) = slot(pc) else {
+                break Ending::DeadEnd;
+            };
+            if pc != leader && is_block(flags[j]) {
                 break Ending::FallTo(pc);
             }
-            if !in_extent(pc)
-                || data_ranges.iter().any(|r| pc >= r.start && pc < r.end)
-                || !covered.contains(&pc)
-            {
+            if in_table[j] || flags[j] & COVERED == 0 {
                 break Ending::DeadEnd;
             }
-            let word = image.word_at(pc).unwrap_or(0);
-            let insn = eel_isa::decode(word);
-            cfg.blocks[bid.0].insns.push(InsnAt {
+            let insn = eel_isa::decode(image.word_at(pc).unwrap_or(0));
+            insns.push(InsnAt {
                 addr: Some(pc),
                 insn,
             });
-            if ctis.contains_key(&pc) {
-                break Ending::Cti(pc);
+            if let Some(k) = cti_at[j] {
+                break Ending::Cti(pc, k as usize);
             }
             if insn.category() == eel_isa::Category::Invalid {
                 break Ending::DeadEnd;
             }
             pc += 4;
         };
+        // One exact-size allocation per block instead of growth steps.
+        cfg.blocks[bid.0].insns = insns.as_slice().to_vec();
+        insns.clear();
         endings.push((bid, ending));
     }
+    let block_of = |a: u32| slot(a).and_then(|i| block_at[i]);
 
     // Entry edges.
     for &e in entries {
-        if let Some(&b) = block_of.get(&e) {
+        if let Some(b) = block_of(e) {
             add_edge(&mut cfg, entry, b, EdgeKind::Fall, true);
         }
     }
@@ -392,25 +395,22 @@ pub(crate) fn build_cfg(
         match ending {
             Ending::DeadEnd => {}
             Ending::FallTo(a) => {
-                if let Some(&to) = block_of.get(&a) {
+                if let Some(to) = block_of(a) {
                     add_edge(&mut cfg, bid, to, EdgeKind::Fall, true);
                 }
             }
-            Ending::Cti(addr) => {
-                let rec = ctis[&addr].clone();
-                connect_cti(&mut cfg, &block_of, bid, addr, &rec, exit, in_extent);
+            Ending::Cti(addr, k) => {
+                connect_cti(&mut cfg, &block_of, bid, addr, &ctis[k], exit, in_extent);
             }
         }
     }
 
     // ---- trailing unreachable region (hidden routine candidate) --------
-    let last_used = covered
+    let last_used = flags
         .iter()
-        .next_back()
-        .copied()
-        .map(|a| a + 4) // `covered` includes delay-slot words
-        .unwrap_or(start);
-    let last_data = data_ranges.iter().map(|r| r.end).max().unwrap_or(start);
+        .rposition(|f| f & COVERED != 0)
+        .map_or(start, |i| base + 4 * i as u32 + 4); // delay slots are covered too
+    let last_data = cfg.data_ranges.iter().map(|r| r.end).max().unwrap_or(start);
     let mut tail = last_used.max(last_data).max(start);
     // Skip padding (invalid words) to the first plausible instruction.
     let mut trailing_unreachable = None;
@@ -482,10 +482,11 @@ fn delay_block(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Connects the block ending in the transfer at `addr`; `target_block`
+/// resolves an in-routine address to its block (present iff covered).
 fn connect_cti(
     cfg: &mut Cfg,
-    block_of: &BTreeMap<u32, BlockId>,
+    target_block: &impl Fn(u32) -> Option<BlockId>,
     bid: BlockId,
     addr: u32,
     rec: &CtiRec,
@@ -493,8 +494,6 @@ fn connect_cti(
     in_extent: impl Fn(u32) -> bool,
 ) {
     let delay = rec.delay;
-    // Resolve an in-routine address to its block (present iff covered).
-    let target_block = |a: u32| block_of.get(&a).copied();
 
     match &rec.succ {
         CtiSucc::Branch {
@@ -548,7 +547,7 @@ fn connect_cti(
                 }
             }
         }
-        CtiSucc::Call { .. } | CtiSucc::IndirectCall { .. } => {
+        CtiSucc::Call => {
             // block → delay (uneditable) → surrogate → return site.
             let dly = delay_block(cfg, bid, addr, delay, EdgeKind::CallFlow, false);
             if dly != bid {
@@ -573,7 +572,7 @@ fn connect_cti(
         }
         CtiSucc::IndirectJump { resolution } => match resolution {
             JumpResolution::Table { targets, .. } => {
-                let mut distinct: Vec<u32> = targets.clone();
+                let mut distinct = targets.clone();
                 distinct.sort_unstable();
                 distinct.dedup();
                 for t in distinct {

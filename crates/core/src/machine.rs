@@ -20,6 +20,7 @@
 
 use eel_exe::{Image, Machine};
 use eel_isa::{Cond, Op, Reg};
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// What a machine word does to control flow — the classification every
@@ -188,6 +189,37 @@ fn mips_reg_name(set: &str, index: u32) -> String {
     }
 }
 
+/// The operand fields MIPS disassembly spells, in output order.
+const MIPS_DISASM_FIELDS: [&str; 6] = ["rs", "rt", "rdf", "shamt", "imm16", "target"];
+
+/// Per instruction name, which [`MIPS_DISASM_FIELDS`] its symbolic reads
+/// or writes mention (bit `k` for field `k`). The semantics walk runs
+/// once per spec instead of once per disassembled word; names resolve to
+/// their first spec, as [`eel_spawn::Machine::symbolic_reads`] does.
+fn mips_field_uses() -> &'static HashMap<&'static str, u8> {
+    static USES: OnceLock<HashMap<&'static str, u8>> = OnceLock::new();
+    USES.get_or_init(|| {
+        let m = mips_machine();
+        let mut uses = HashMap::new();
+        for spec in m.instructions() {
+            uses.entry(spec.name.as_str()).or_insert_with(|| {
+                let mut regs = m.symbolic_reads(&spec.name);
+                regs.extend(m.symbolic_writes(&spec.name));
+                let mut mask = 0u8;
+                for (_, e) in &regs {
+                    for (k, field) in MIPS_DISASM_FIELDS.iter().enumerate() {
+                        if e.contains(field) {
+                            mask |= 1 << k;
+                        }
+                    }
+                }
+                mask
+            });
+        }
+        uses
+    })
+}
+
 impl MachineOps for MipsOps {
     fn machine(&self) -> Machine {
         Machine::Mips
@@ -263,12 +295,12 @@ impl MachineOps for MipsOps {
         // Operand spelling straight from the description's field values:
         // terse, but mechanical for any described machine.
         let mut ops: Vec<String> = Vec::new();
-        for field in ["rs", "rt", "rdf", "shamt", "imm16", "target"] {
-            let uses = m
-                .symbolic_reads(&d.spec.name)
-                .iter()
-                .chain(m.symbolic_writes(&d.spec.name).iter())
-                .any(|(_, e)| e.contains(field));
+        let mask = mips_field_uses()
+            .get(d.spec.name.as_str())
+            .copied()
+            .unwrap_or(0);
+        for (k, field) in MIPS_DISASM_FIELDS.into_iter().enumerate() {
+            let uses = mask & (1 << k) != 0;
             let v = m.field(field, word);
             match field {
                 "rs" | "rt" | "rdf" if uses => ops.push(format!("${v}")),
@@ -291,7 +323,7 @@ impl MachineOps for MipsOps {
                 _ => {}
             }
         }
-        if let Some(target) = m.static_target(&m.decode(word).unwrap(), pc) {
+        if let Some(target) = m.static_target(&d, pc) {
             ops.push(format!("-> {target:#x}"));
         }
         if !ops.is_empty() {

@@ -62,6 +62,10 @@ pub enum Mode {
     Json = 2,
     /// Record; render Chrome `trace_event` JSON.
     Chrome = 3,
+    /// Record counters, gauges and histograms only: spans are inert, so
+    /// a long-running process keeps no per-span state. Renders nothing.
+    /// Never parsed from `EEL_OBS`; a process selects it in code.
+    Metrics = 4,
 }
 
 impl Mode {
@@ -84,15 +88,22 @@ pub fn mode() -> Mode {
         1 => Mode::Summary,
         2 => Mode::Json,
         3 => Mode::Chrome,
+        4 => Mode::Metrics,
         _ => Mode::Off,
     }
 }
 
-/// True when recording is on. This is the only cost the instrumented hot
+/// True when metrics record. This is the only cost the instrumented hot
 /// paths pay when observability is disabled.
 #[inline]
 pub fn enabled() -> bool {
     MODE.load(Ordering::Relaxed) != 0
+}
+
+/// True when spans record (every recording mode but [`Mode::Metrics`]).
+#[inline]
+pub(crate) fn spans_enabled() -> bool {
+    matches!(MODE.load(Ordering::Relaxed), 1..=3)
 }
 
 /// Sets the mode programmatically (overrides the environment).

@@ -57,7 +57,7 @@ fn thread_id() -> u64 {
 /// Starts a span named by a static string; the usual entry point.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if !crate::enabled() {
+    if !crate::spans_enabled() {
         return SpanGuard { live: None };
     }
     start_span(name.to_string())
@@ -67,7 +67,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// only materialized when recording is on — pass a closure.
 #[inline]
 pub fn span_owned<F: FnOnce() -> String>(name: F) -> SpanGuard {
-    if !crate::enabled() {
+    if !crate::spans_enabled() {
         return SpanGuard { live: None };
     }
     start_span(name())

@@ -206,3 +206,25 @@ fn disabled_mode_records_nothing() {
     assert!(eel_obs::snapshot_spans().is_empty());
     assert_eq!(eel_obs::counter("test.disabled.counter").get(), 0);
 }
+
+#[test]
+fn metrics_mode_records_metrics_but_no_spans() {
+    let _g = obs_lock();
+    eel_obs::set_mode(Mode::Metrics);
+    eel_obs::reset();
+    {
+        let _s = eel_obs::span("not.kept");
+        let _o = eel_obs::span_owned(|| "not.kept.either".to_string());
+        eel_obs::counter("test.metrics_mode.counter").add(3);
+        eel_obs::histogram("test.metrics_mode.hist").record(5);
+    }
+    assert!(eel_obs::snapshot_spans().is_empty());
+    assert_eq!(eel_obs::counter("test.metrics_mode.counter").get(), 3);
+    assert_eq!(eel_obs::histogram("test.metrics_mode.hist").count(), 1);
+    assert_eq!(
+        Mode::parse("metrics"),
+        Mode::Off,
+        "not selectable from EEL_OBS"
+    );
+    eel_obs::set_mode(Mode::Off);
+}

@@ -12,9 +12,11 @@
 //! ready, then serves until a client sends `shutdown` (or the process is
 //! killed). `--cache-dir` enables the on-disk spill tier: results survive
 //! restarts and LRU evictions, pruned oldest-first past `--disk-bytes`.
-//! `EEL_OBS` selects the observability mode; when unset the server forces
-//! summary mode so the `metrics` op has data. Flags, sizing guidance, and
-//! the metrics reference live in `docs/OPERATIONS.md`.
+//! `EEL_OBS` selects the observability mode. When it is unset the server
+//! records metrics only (`eel_obs::Mode::Metrics`), so the `metrics` op
+//! has data and no span is kept; bounded per-request traces are to
+//! replace this. Flags, sizing guidance, and the metrics reference live
+//! in `docs/OPERATIONS.md`.
 
 use eel_serve::{Server, ServerConfig};
 use std::io::Write as _;

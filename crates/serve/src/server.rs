@@ -218,16 +218,17 @@ pub struct Server {
 impl Server {
     /// Binds and starts the reactor and executor threads.
     ///
-    /// If eel-obs is off, summary mode is switched on: a service without
+    /// If eel-obs is off, metrics mode is switched on: a service without
     /// its metrics is flying blind, and the `metrics` op must have
-    /// something to render.
+    /// something to render. Spans stay off in that mode, because nothing
+    /// drains them and a long-running daemon would keep every one.
     ///
     /// # Errors
     ///
     /// Propagates the bind failure.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
         if !eel_obs::enabled() {
-            eel_obs::set_mode(eel_obs::Mode::Summary);
+            eel_obs::set_mode(eel_obs::Mode::Metrics);
         }
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
@@ -1182,16 +1183,23 @@ fn cached_result(
     let (result, hit, evicted) = shared.results.get_or_compute_classed(key, || {
         // Memory missed; the disk tier gets a chance before we pay for a
         // computation. A disk hit is promoted into the LRU by virtue of
-        // being this closure's return value.
+        // being this closure's return value. Bodies are shrunk to fit
+        // before they enter the LRU, which charges each entry its length:
+        // spare capacity would be resident memory `--cache-bytes` never
+        // counts.
         if let Some(disk) = &shared.disk {
-            if let Some(body) = disk.load(hash, op_key) {
+            if let Some(mut body) = disk.load(hash, op_key) {
                 from_disk = true;
+                body.shrink_to_fit();
                 let cost = body.len();
                 return (Ok(Arc::new(body)), cost, class);
             }
         }
         eel_obs::counter(&format!("serve.ops.{metric_op}.computed")).add(1);
-        let computed = compute().map(Arc::new);
+        let computed = compute().map(|mut body| {
+            body.shrink_to_fit();
+            Arc::new(body)
+        });
         if let (Some(disk), Ok(body)) = (&shared.disk, &computed) {
             // Write-through: the entry survives a restart even if it is
             // never evicted. Errors stay memory-only — they may be
@@ -1286,4 +1294,27 @@ fn render_metrics() -> String {
         ));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cached_bodies_hold_no_spare_capacity() {
+        let server = Server::start(ServerConfig::default()).expect("start server");
+        let shared = &server.shared;
+        let resp = cached_result(shared, 7, "disasm", "disasm", || {
+            let mut body = Vec::with_capacity(4096);
+            body.extend_from_slice(b"short body");
+            Ok(body)
+        });
+        assert!(matches!(resp, Response::Ok { .. }));
+        let cached = shared.results.get(&(7, "disasm".to_string()));
+        let Some(Ok(body)) = cached else {
+            panic!("the body is cached")
+        };
+        assert_eq!(body.len(), 10);
+        assert_eq!(body.capacity(), body.len());
+    }
 }

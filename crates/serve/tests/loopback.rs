@@ -190,8 +190,9 @@ fn bounded_queue_overflows_to_busy() {
     let addr = server.local_addr();
     let client = Client::connect(addr.to_string());
 
-    // Four slow session jobs keep both executors busy back to back.
-    let mut wedge = wedge_executors(&client, &wedge_wefs(4));
+    // Sixteen slow session jobs keep both executors busy back to back
+    // well past the two sleeps below (~800ms on a 2-core release build).
+    let mut wedge = wedge_executors(&client, &wedge_wefs(16));
     std::thread::sleep(Duration::from_millis(150));
 
     // The filler is admitted (queue depth 1) and waits for an executor;
@@ -206,7 +207,7 @@ fn bounded_queue_overflows_to_busy() {
     assert_eq!(resp, Response::Busy, "full admission queue answers BUSY");
 
     // Drain the wedge; everything admitted still completes.
-    for _ in 0..4 {
+    for _ in 0..16 {
         let (_, resp) = wedge.recv().expect("wedge reply");
         expect_ok(resp);
     }
@@ -240,17 +241,17 @@ fn queued_request_past_deadline_times_out() {
     let server = Server::start(ServerConfig {
         workers: 2,
         queue_depth: 8,
-        timeout: Duration::from_millis(500),
+        timeout: Duration::from_millis(250),
         ..ServerConfig::default()
     })
     .expect("start server");
     let addr = server.local_addr();
     let client = Client::connect(addr.to_string()).with_timeout(Some(Duration::from_secs(30)));
 
-    // Eight slow session jobs sit ahead of the ping in the executor
-    // channel; by the time an executor dequeues the ping (~800ms in),
-    // its queue age is far past the 500ms budget.
-    let mut wedge = wedge_executors(&client, &wedge_wefs(8));
+    // Sixteen slow session jobs sit ahead of the ping in the executor
+    // channel; by the time an executor dequeues the ping (~800ms in on a
+    // 2-core release build), its queue age is far past the 250ms budget.
+    let mut wedge = wedge_executors(&client, &wedge_wefs(16));
     std::thread::sleep(Duration::from_millis(100));
 
     let resp = client.control("ping").expect("exchange completes");
@@ -259,7 +260,7 @@ fn queued_request_past_deadline_times_out() {
         other => panic!("expected queue-timeout error, got {other:?}"),
     }
 
-    for _ in 0..8 {
+    for _ in 0..16 {
         let (_, resp) = wedge.recv().expect("wedge reply");
         expect_ok(resp);
     }

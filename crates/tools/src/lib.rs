@@ -161,7 +161,7 @@ pub mod obs_cli {
         /// tools whose report *is* their primary output.
         pub fn finish_report(&self, tool: &str) -> Option<String> {
             match (self.trace.as_deref(), eel_obs::mode()) {
-                (_, eel_obs::Mode::Off) => None,
+                (_, eel_obs::Mode::Off | eel_obs::Mode::Metrics) => None,
                 (Some(path), _) => {
                     if let Err(e) = eel_obs::write_trace_file(path) {
                         eprintln!("{tool}: cannot write trace {}: {e}", path.display());
