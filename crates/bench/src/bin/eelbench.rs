@@ -1,4 +1,4 @@
-//! `eelbench` — end-to-end service benchmarks.
+//! `eelbench` — the repo's wall-clock benchmarks.
 //!
 //! ```text
 //! eelbench serve       [--images N] [--window N] [--out PATH]
@@ -6,124 +6,212 @@
 //! eelbench incremental [--twins N] [--out PATH]
 //! eelbench machines    [--out PATH]
 //! eelbench cluster     [--images N] [--out PATH]
+//! eelbench spawn       [--out PATH]
 //! ```
 //!
-//! The `serve` subcommand measures the two session-era optimizations
-//! against their baselines, on a live in-process eel-serve daemon:
+//! Every subcommand is a correctness smoke test first and a benchmark
+//! second: any mismatch it checks for exits nonzero before a number is
+//! written. Each writes one top-level section, named after itself, into
+//! `--out` (default `BENCH_serve.json`), replacing its previous section
+//! in place or appending a new one; every other section stays
+//! byte-identical, so the subcommands can be re-run in any order. Every
+//! section records the core count it ran on. A human summary goes to
+//! stderr and the new section to stdout. What each subcommand measures
+//! is documented on its function:
 //!
-//! 1. **Transport**: a warm-cache batch of N distinct progen images,
-//!    sent one-connection-per-request (v1) versus pipelined through a
-//!    single session connection (v2). Warm cache isolates the transport
-//!    cost the session amortizes: connect, frame, queue hop.
-//! 2. **Analysis kernel**: the largest suite image's `disasm` and
-//!    `instrument`, sequential versus the per-routine parallel fan-out
-//!    (`run_op_with`, 0 = one thread per core).
-//!
-//! Every pipelined result is asserted byte-identical to its
-//! per-connection twin, and every parallel result to its sequential
-//! twin — a correctness smoke test first, a benchmark second; any
-//! mismatch exits nonzero. Measurements land in `BENCH_serve.json`
-//! (see `--out`) and a human summary goes to stdout.
-//!
-//! The `edit` subcommand measures the write path: N distinct progen
-//! images each get the same counter-insertion script, cold (computed
-//! on the server) and then warm (the `(image, script)` key hits the
-//! memory cache). Warm bytes are asserted identical to cold bytes and
-//! every edited image must still parse as a WEF. The `"edit"` section
-//! is merged into the same `BENCH_serve.json`, replacing any previous
-//! edit section while leaving `serve` results in place.
-//!
-//! The `incremental` subcommand measures the per-routine fragment
-//! cache: the largest kernel image plus N near-duplicate twins (each
-//! differing from the base in one ALU immediate inside one routine,
-//! via `eel_progen::mutate_routine`). Every twin's `disasm` and
-//! `instrument` run cold (no fragment tier) and incrementally (a tier
-//! pre-warmed by the base image), asserted byte-identical, with the
-//! fragment hit rate recorded. The `"incremental"` section is merged
-//! into `BENCH_serve.json` like `"edit"`; run the subcommands in
-//! serve → edit → incremental order when regenerating the whole file.
-//!
-//! The `cluster` subcommand measures what consistent-hash sharding
-//! (`eel_serve::ClusterClient`) buys a cache-bound fleet: N distinct
-//! images whose `instrument` results overflow one daemon's fixed
-//! result-cache budget are driven through one shard and then through
-//! three shards with the **same per-shard budget**. One shard LRU-
-//! thrashes (every warm pass recomputes); three shards each own ~N/3
-//! of the keyspace, their aggregate capacity holds the working set,
-//! and warm passes hit memory — the cache-capacity aggregation effect
-//! that makes warm throughput scale with shard count even on one core.
-//! Every response is asserted byte-identical across topologies, and
-//! the `"cluster"` section is merged into `BENCH_serve.json` like the
-//! others.
-//!
-//! The `machines` subcommand measures the machine-dispatch seam: every
-//! suite workload compiled as a SPARC/MIPS twin pair, every cached op
-//! run through both pipelines (SPARC's editable-CFG path, MIPS's
-//! spawn-derived generic path), both twins run under the emulator with
-//! matching observable behavior, and the instrumented MIPS image
-//! re-run to confirm counters don't perturb it. Per-op latencies for
-//! both machines land in a `"machines"` section of the same file.
+//! - `serve`: session transport and the parallel analysis kernel;
+//! - `edit`: the serve write path, cold and warm;
+//! - `incremental`: the per-routine fragment cache on near-duplicates;
+//! - `machines`: both op pipelines over SPARC/MIPS twin pairs;
+//! - `cluster`: warm throughput of one shard against three;
+//! - `spawn`: the interpreted spawn machine layer against eel-isa.
 
 use eel_cc::Personality;
 use eel_serve::{
-    run_op_fragments, run_op_with, Client, FragmentTier, NoFragments, Payload, Request, Response,
-    Server, ServerConfig,
+    run_op_fragments, run_op_with, Client, FragmentTier, Payload, Request, Response, Server,
+    ServerConfig,
 };
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hint::black_box;
+use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// A subcommand's numeric flags, each with its default.
+type Flags = &'static [(&'static str, usize)];
+
+/// A subcommand's run: its flag values and the core count in, its
+/// section's fields (`"key": value` lines) out.
+type Run = fn(&[usize], usize) -> Result<Vec<String>, String>;
+
+/// Every subcommand: its name (also its section's name), flags and run.
+const BENCHES: &[(&str, Flags, Run)] = &[
+    ("serve", &[("--images", 64), ("--window", 16)], serve_bench),
+    ("edit", &[("--images", 16)], edit_bench),
+    ("incremental", &[("--twins", 8)], incremental_bench),
+    ("machines", &[], machines_bench),
+    ("cluster", &[("--images", 24)], cluster_bench),
+    ("spawn", &[], spawn_bench),
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("serve") => serve_bench(&args[1..]),
-        Some("edit") => edit_bench(&args[1..]),
-        Some("incremental") => incremental_bench(&args[1..]),
-        Some("machines") => machines_bench(&args[1..]),
-        Some("cluster") => cluster_bench(&args[1..]),
-        Some("-h") | Some("--help") => {
-            println!("usage: eelbench serve       [--images N] [--window N] [--out PATH]");
-            println!("       eelbench edit        [--images N] [--out PATH]");
-            println!("       eelbench incremental [--twins N] [--out PATH]");
-            println!("       eelbench machines    [--out PATH]");
-            println!("       eelbench cluster     [--images N] [--out PATH]");
-            ExitCode::SUCCESS
+    let name = args.first().map_or("", String::as_str);
+    let Some(&(name, flags, run)) = BENCHES.iter().find(|b| b.0 == name) else {
+        let mut usage = String::new();
+        for (i, (name, flags, _)) in BENCHES.iter().enumerate() {
+            let lead = if i == 0 { "usage:" } else { "      " };
+            usage.push_str(&format!("{lead} eelbench {name:<11}"));
+            for (flag, _) in *flags {
+                usage.push_str(&format!(" [{flag} N]"));
+            }
+            usage.push_str(" [--out PATH]\n");
         }
-        other => {
-            eprintln!(
-                "eelbench: unknown subcommand {other:?} (try: eelbench serve | edit | \
-                 incremental | machines | cluster)"
-            );
+        if name == "-h" || name == "--help" {
+            print!("{usage}");
+            return ExitCode::SUCCESS;
+        }
+        eprint!("eelbench: unknown subcommand {name:?}\n{usage}");
+        return ExitCode::FAILURE;
+    };
+    let result = parse_flags(&args[1..], flags).and_then(|(nums, out)| {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        let fields = run(&nums, cores).map_err(|e| format!("FAIL: {e}"))?;
+        let member = section(name, cores, &fields);
+        write_section(Path::new(&out), name, &member)
+            .map_err(|e| format!("cannot write {out}: {e}"))?;
+        println!("{member}");
+        eprintln!("eelbench: \"{name}\" written to {out}");
+        Ok(())
+    });
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("eelbench: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn serve_bench(args: &[String]) -> ExitCode {
-    let mut images = 64usize;
-    let mut window = 16u32;
+/// Parses `--flag value` pairs: `--out PATH` (default `BENCH_serve.json`)
+/// plus the subcommand's numeric `flags`. Returns the numbers in `flags`
+/// order, defaults filled in, and the output path.
+fn parse_flags(args: &[String], flags: &[(&str, usize)]) -> Result<(Vec<usize>, String), String> {
+    let mut nums: Vec<usize> = flags.iter().map(|&(_, default)| default).collect();
     let mut out = "BENCH_serve.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        let Some(value) = args.get(i) else {
-            eprintln!("eelbench: {flag} needs a value");
-            return ExitCode::FAILURE;
+    for pair in args.chunks(2) {
+        let [flag, value] = pair else {
+            return Err(format!("{} needs a value", pair[0]));
         };
-        match flag {
-            "--images" => images = value.parse().unwrap_or(64),
-            "--window" => window = value.parse().unwrap_or(16),
-            "--out" => out = value.clone(),
-            other => {
-                eprintln!("eelbench: unknown flag {other:?}");
-                return ExitCode::FAILURE;
-            }
+        if flag == "--out" {
+            out.clone_from(value);
+            continue;
         }
-        i += 1;
+        let slot = flags
+            .iter()
+            .position(|&(f, _)| f == flag)
+            .ok_or_else(|| format!("unknown flag {flag:?}"))?;
+        nums[slot] = value
+            .parse()
+            .map_err(|_| format!("{flag} needs a number, got {value:?}"))?;
     }
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
+    Ok((nums, out))
+}
+
+/// A `"key": value` field line; `value` is already JSON text.
+fn field(key: &str, value: impl std::fmt::Display) -> String {
+    format!("\"{key}\": {value}")
+}
+
+/// The section member text `"name": { "cores": N, fields... }`, laid out
+/// for a two-space-indented top-level object.
+fn section(name: &str, cores: usize, fields: &[String]) -> String {
+    let lines: Vec<String> = std::iter::once(field("cores", cores))
+        .chain(fields.iter().cloned())
+        .collect();
+    format!("\"{name}\": {{\n    {}\n  }}", lines.join(",\n    "))
+}
+
+/// Replaces the top-level member `name` of the JSON object in `path` with
+/// `member` (a `"name": value` text), or appends it. Every other member
+/// keeps its exact bytes and its place. A missing or empty file becomes a
+/// one-member object; anything that is not a JSON object is an error, so
+/// a stray path is never clobbered. Returns the new file text.
+fn write_section(path: &Path, name: &str, member: &str) -> std::io::Result<String> {
+    let old = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        Err(e) => return Err(e),
+    };
+    let mut members = top_level_members(&old)
+        .ok_or_else(|| std::io::Error::other("existing file is not a JSON object"))?;
+    match members.iter_mut().find(|(key, _)| *key == name) {
+        Some(slot) => slot.1 = member,
+        None => members.push((name, member)),
+    }
+    let body: Vec<&str> = members.iter().map(|&(_, text)| text).collect();
+    let text = format!("{{\n  {}\n}}\n", body.join(",\n  "));
+    std::fs::write(path, &text)?;
+    Ok(text)
+}
+
+/// Splits a JSON object's text into `(key, member)` pairs, where `member`
+/// is the exact source text of `"key": value`, trimmed. Blank text is the
+/// empty object; `None` if the text is not a JSON object.
+fn top_level_members(text: &str) -> Option<Vec<(&str, &str)>> {
+    let text = text.trim();
+    let inner = match text {
+        "" => "",
+        _ => text.strip_prefix('{')?.strip_suffix('}')?,
+    };
+    // Cut at the commas outside every string, object and array.
+    let (mut depth, mut in_string, mut escaped, mut start) = (0usize, false, false, 0);
+    let mut parts = Vec::new();
+    for (i, c) in inner.bytes().enumerate() {
+        match c {
+            _ if escaped => escaped = false,
+            b'\\' if in_string => escaped = true,
+            b'"' => in_string = !in_string,
+            _ if in_string => {}
+            b'{' | b'[' => depth += 1,
+            b'}' | b']' => depth = depth.checked_sub(1)?,
+            b',' if depth == 0 => {
+                parts.push(&inner[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    if depth != 0 || in_string {
+        return None;
+    }
+    parts.push(&inner[start..]);
+    if parts.len() == 1 && parts[0].trim().is_empty() {
+        return Some(Vec::new());
+    }
+    parts
+        .into_iter()
+        .map(|member| {
+            let member = member.trim();
+            let (key, rest) = member.strip_prefix('"')?.split_once('"')?;
+            let value = rest.trim_start().strip_prefix(':')?;
+            (!value.trim().is_empty()).then_some((key, member))
+        })
+        .collect()
+}
+
+/// The two session-era optimizations against their baselines, on a live
+/// in-process daemon: **transport**, a warm-cache batch of N distinct
+/// images sent one connection per request (v1) versus pipelined through
+/// one session (v2); and the **analysis kernel**, the largest generated
+/// image's `disasm` and `instrument`, sequential versus the per-routine
+/// parallel fan-out (`run_op_with`). Pipelined results must equal
+/// per-connection ones, parallel results sequential ones.
+fn serve_bench(nums: &[usize], cores: usize) -> Result<Vec<String>, String> {
+    let images = nums[0];
+    let window = u32::try_from(nums[1]).map_err(|_| "--window is too large".to_string())?;
 
     // -- Workloads: N distinct *small* seeded programs (distinct
     // hashes, so the batch exercises N separate cache entries). Small
@@ -132,8 +220,7 @@ fn serve_bench(args: &[String]) -> ExitCode {
     // so the payload must not drown it in memcpy — with warm-cache
     // ~800KB default-config images, byte shoveling dominates both modes
     // and pipelining 16 of them in flight just thrashes the socket
-    // buffers. Some seeds generate programs the compiler rejects
-    // (expression depth); skip those and keep drawing until full.
+    // buffers.
     eprintln!("eelbench: compiling {images} seeded images...");
     let small = eel_progen::GenConfig {
         functions: 0,
@@ -142,49 +229,21 @@ fn serve_bench(args: &[String]) -> ExitCode {
         globals: 1,
         arrays: 0,
     };
-    let mut wefs: Vec<Vec<u8>> = Vec::with_capacity(images);
-    let mut seed = 0u64;
-    while wefs.len() < images {
-        let program = eel_progen::random_program(seed, &small);
-        if let Ok(image) = eel_cc::compile_ast(&program, &eel_cc::Options::default()) {
-            wefs.push(image.to_bytes());
-        }
-        seed += 1;
-    }
+    let wefs = seeded_wefs(images, &small);
     // The kernel benchmark wants the most routines it can get: the
     // per-routine fan-out scales with routine count, and the suite
     // workloads are tiny. A functions=16 generated program compiles to
-    // ~1MB of text across ~19 routines. (functions >= 32 reliably
-    // trips the compiler's expression-depth limit, hence the bounded
-    // seed search with a suite fallback.)
-    let many = eel_progen::GenConfig {
+    // ~1MB of text across ~19 routines.
+    let largest = largest_image(&eel_progen::GenConfig {
         functions: 16,
         ..eel_progen::GenConfig::default()
-    };
-    let largest = (0..8)
-        .filter_map(|seed| {
-            let program = eel_progen::random_program(seed, &many);
-            eel_cc::compile_ast(&program, &eel_cc::Options::default()).ok()
-        })
-        .chain(
-            eel_progen::suite()
-                .iter()
-                .map(|w| eel_progen::compile(w, Personality::Gcc).expect("compile workload")),
-        )
-        .max_by_key(|image| image.text.len())
-        .expect("suite non-empty");
+    });
 
     // -- Transport: per-connection vs pipelined session, warm cache.
     let server = Server::start(ServerConfig::default()).expect("start server");
     let client = Client::connect(server.local_addr().to_string())
         .with_timeout(Some(Duration::from_secs(120)));
-    let requests: Vec<Request> = wefs
-        .iter()
-        .map(|wef| Request {
-            op: "stat".into(),
-            payload: Payload::Inline(wef.clone()),
-        })
-        .collect();
+    let requests = requests_for("stat", &wefs);
 
     eprintln!("eelbench: warming the result cache...");
     let warm: Vec<Vec<u8>> = requests
@@ -194,35 +253,32 @@ fn serve_bench(args: &[String]) -> ExitCode {
 
     // Best-of-3 per mode sheds scheduler noise; every repetition still
     // verifies its responses against the warm baseline.
-    const REPS: usize = 3;
-    eprintln!("eelbench: timing one-connection-per-request x{images}...");
-    let mut single_ms = f64::INFINITY;
-    for _ in 0..REPS {
-        let started = Instant::now();
-        let singles: Vec<Vec<u8>> = requests
-            .iter()
-            .map(|r| expect_body(client.request(r).expect("single request")))
-            .collect();
-        single_ms = single_ms.min(started.elapsed().as_secs_f64() * 1e3);
-        if singles != warm {
-            eprintln!("eelbench: FAIL: per-connection responses differ from warm baseline");
-            return ExitCode::FAILURE;
+    let best_of_3 = |mode: &str, run: &dyn Fn() -> Vec<Response>| -> Result<f64, String> {
+        eprintln!("eelbench: timing {mode} x{images}...");
+        let mut best = f64::INFINITY;
+        for _ in 0..3 {
+            let started = Instant::now();
+            let replies = run();
+            best = best.min(ms_since(started));
+            if replies
+                .into_iter()
+                .map(expect_body)
+                .ne(warm.iter().cloned())
+            {
+                return Err(format!("{mode} responses differ from the warm baseline"));
+            }
         }
-    }
-
-    eprintln!("eelbench: timing pipelined session (window {window}) x{images}...");
-    let mut session_ms = f64::INFINITY;
-    for _ in 0..REPS {
-        let started = Instant::now();
-        let batched = client.batch(&requests, window).expect("batch");
-        session_ms = session_ms.min(started.elapsed().as_secs_f64() * 1e3);
-        let batched: Vec<Vec<u8>> = batched.into_iter().map(expect_body).collect();
-        if batched != warm {
-            eprintln!("eelbench: FAIL: pipelined responses differ from per-connection responses");
-            return ExitCode::FAILURE;
-        }
-    }
-    let (_, _) = (server.shutdown(), server.wait());
+        Ok(best)
+    };
+    let single_ms = best_of_3("one connection per request", &|| {
+        let send = |r| client.request(r).expect("single request");
+        requests.iter().map(send).collect()
+    })?;
+    let session_ms = best_of_3(&format!("pipelined session (window {window})"), &|| {
+        client.batch(&requests, window).expect("batch")
+    })?;
+    server.shutdown();
+    server.wait();
     let session_speedup = single_ms / session_ms;
     eprintln!(
         "eelbench: transport: per-connection {single_ms:.1}ms, session {session_ms:.1}ms \
@@ -231,14 +287,25 @@ fn serve_bench(args: &[String]) -> ExitCode {
 
     // -- Analysis kernel: sequential vs parallel on the largest image.
     let text_bytes = largest.text.len();
-    let analysis =
-        eel_core::Analysis::compute(std::sync::Arc::new(largest)).expect("analyze largest");
+    let analysis = eel_core::Analysis::compute(Arc::new(largest)).expect("analyze largest");
     // `0` (auto) would resolve to one thread on a one-core box and
     // never enter the fan-out; force at least two threads so the
     // parallel machinery (spawn, speculative builds, memo stitch) is
     // what actually gets measured.
     let par_threads = cores.max(2);
-    let mut kernel = Vec::new();
+    let mut fields = vec![
+        field("images", images),
+        field("window", window),
+        field(
+            "transport",
+            format!(
+                "{{ \"per_connection_ms\": {single_ms:.2}, \"session_ms\": {session_ms:.2}, \
+                 \"speedup\": {session_speedup:.2} }}"
+            ),
+        ),
+        field("kernel_text_bytes", text_bytes),
+        field("parallel_threads", par_threads),
+    ];
     for op in ["disasm", "instrument"] {
         // Untimed warmup, then best-of-N to shed scheduler noise.
         const RUNS: usize = 5;
@@ -248,82 +315,35 @@ fn serve_bench(args: &[String]) -> ExitCode {
         for _ in 0..RUNS {
             let started = Instant::now();
             let sequential = run_op_with(op, &analysis, 1).expect(op);
-            seq_ms = seq_ms.min(started.elapsed().as_secs_f64() * 1e3);
+            seq_ms = seq_ms.min(ms_since(started));
             let started = Instant::now();
             let parallel = run_op_with(op, &analysis, par_threads).expect(op);
-            par_ms = par_ms.min(started.elapsed().as_secs_f64() * 1e3);
+            par_ms = par_ms.min(ms_since(started));
             if parallel != expected || sequential != expected {
-                eprintln!("eelbench: FAIL: {op} parallel output differs from sequential");
-                return ExitCode::FAILURE;
+                return Err(format!("{op} parallel output differs from sequential"));
             }
         }
+        let speedup = seq_ms / par_ms;
         eprintln!(
             "eelbench: kernel: {op} sequential {seq_ms:.2}ms, parallel({par_threads} threads) \
-             {par_ms:.2}ms ({:.2}x on {cores} cores)",
-            seq_ms / par_ms
+             {par_ms:.2}ms ({speedup:.2}x on {cores} cores)"
         );
-        kernel.push((op, seq_ms, par_ms));
-    }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!("  \"cores\": {cores},\n"));
-    json.push_str(&format!("  \"images\": {images},\n"));
-    json.push_str(&format!("  \"window\": {window},\n"));
-    json.push_str("  \"transport\": {\n");
-    json.push_str(&format!(
-        "    \"per_connection_ms\": {single_ms:.2},\n    \"session_ms\": {session_ms:.2},\n    \
-         \"speedup\": {session_speedup:.2}\n  }},\n"
-    ));
-    json.push_str("  \"kernel\": {\n");
-    json.push_str(&format!("    \"text_bytes\": {text_bytes},\n"));
-    json.push_str(&format!("    \"parallel_threads\": {par_threads},\n"));
-    let parts: Vec<String> = kernel
-        .iter()
-        .map(|(op, seq, par)| {
+        fields.push(field(
+            op,
             format!(
-                "    \"{op}\": {{ \"sequential_ms\": {seq:.2}, \"parallel_ms\": {par:.2}, \
-                 \"speedup\": {:.2} }}",
-                seq / par
-            )
-        })
-        .collect();
-    json.push_str(&parts.join(",\n"));
-    json.push_str("\n  }\n}\n");
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("eelbench: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
+                "{{ \"sequential_ms\": {seq_ms:.2}, \"parallel_ms\": {par_ms:.2}, \
+                 \"speedup\": {speedup:.2} }}"
+            ),
+        ));
     }
-    println!("{json}");
-    eprintln!("eelbench: results written to {out}");
-    ExitCode::SUCCESS
+    Ok(fields)
 }
 
 /// Cold/warm write-path latency: the same counter-insertion script over
 /// N distinct images, computed once and then served from the
 /// `(image_hash, script_hash)` cache key.
-fn edit_bench(args: &[String]) -> ExitCode {
-    let mut images = 16usize;
-    let mut out = "BENCH_serve.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        let Some(value) = args.get(i) else {
-            eprintln!("eelbench: {flag} needs a value");
-            return ExitCode::FAILURE;
-        };
-        match flag {
-            "--images" => images = value.parse().unwrap_or(16),
-            "--out" => out = value.clone(),
-            other => {
-                eprintln!("eelbench: unknown flag {other:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
-
+fn edit_bench(nums: &[usize], _cores: usize) -> Result<Vec<String>, String> {
+    let images = nums[0];
     // Distinct seeded programs → distinct image hashes → every cold
     // request is a genuine computation, not a dedupe join.
     eprintln!("eelbench: compiling {images} seeded images...");
@@ -334,94 +354,73 @@ fn edit_bench(args: &[String]) -> ExitCode {
         globals: 1,
         arrays: 0,
     };
-    let mut wefs: Vec<Vec<u8>> = Vec::with_capacity(images);
-    let mut seed = 0u64;
-    while wefs.len() < images {
-        let program = eel_progen::random_program(seed, &config);
-        if let Ok(image) = eel_cc::compile_ast(&program, &eel_cc::Options::default()) {
-            wefs.push(image.to_bytes());
-        }
-        seed += 1;
-    }
+    let wefs = seeded_wefs(images, &config);
     let script = "counter main\napply\n";
 
     let server = Server::start(ServerConfig::default()).expect("start server");
     let client = Client::connect(server.local_addr().to_string())
         .with_timeout(Some(Duration::from_secs(120)));
 
-    eprintln!("eelbench: timing cold edit requests x{images}...");
-    let started = Instant::now();
-    let cold: Vec<Vec<u8>> = wefs
-        .iter()
-        .map(|wef| expect_body(client.edit(wef.clone(), script).expect("cold edit")))
-        .collect();
-    let cold_ms = started.elapsed().as_secs_f64() * 1e3;
+    let timed_pass = |label: &str| {
+        eprintln!("eelbench: timing {label} edit requests x{images}...");
+        let started = Instant::now();
+        let bodies: Vec<Vec<u8>> = wefs
+            .iter()
+            .map(|wef| expect_body(client.edit(wef.clone(), script).expect(label)))
+            .collect();
+        (bodies, ms_since(started))
+    };
+    let (cold, cold_ms) = timed_pass("cold");
     for (wef, edited) in wefs.iter().zip(&cold) {
         if eel_exe::Image::from_bytes(edited).is_err() {
-            eprintln!("eelbench: FAIL: edited image does not parse as a WEF");
-            return ExitCode::FAILURE;
+            return Err("edited image does not parse as a WEF".into());
         }
         if wef == edited {
-            eprintln!("eelbench: FAIL: edit returned the unedited image");
-            return ExitCode::FAILURE;
+            return Err("edit returned the unedited image".into());
         }
     }
 
-    eprintln!("eelbench: timing warm edit requests x{images}...");
-    let started = Instant::now();
-    let warm: Vec<Vec<u8>> = wefs
-        .iter()
-        .map(|wef| expect_body(client.edit(wef.clone(), script).expect("warm edit")))
-        .collect();
-    let warm_ms = started.elapsed().as_secs_f64() * 1e3;
+    let (warm, warm_ms) = timed_pass("warm");
     if warm != cold {
-        eprintln!("eelbench: FAIL: warm edit responses differ from cold responses");
-        return ExitCode::FAILURE;
+        return Err("warm edit responses differ from cold responses".into());
     }
-    let (_, _) = (server.shutdown(), server.wait());
+    server.shutdown();
+    server.wait();
 
     let speedup = cold_ms / warm_ms;
     eprintln!(
         "eelbench: edit: cold {cold_ms:.1}ms, warm {warm_ms:.1}ms ({speedup:.2}x) over {images} \
          images"
     );
+    Ok(vec![
+        field("images", images),
+        field("cold_ms", format!("{cold_ms:.2}")),
+        field("warm_ms", format!("{warm_ms:.2}")),
+        field("speedup", format!("{speedup:.2}")),
+    ])
+}
 
-    // Every mode records the machine size so a re-recorded section is
-    // comparable with the others in the same file.
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let section = format!(
-        "  \"edit\": {{\n    \"cores\": {cores},\n    \"images\": {images},\n    \
-         \"cold_ms\": {cold_ms:.2},\n    \"warm_ms\": {warm_ms:.2},\n    \
-         \"speedup\": {speedup:.2}\n  }}\n"
-    );
-    // Merge into the serve results file: drop any previous edit section,
-    // then splice this one in before the closing brace.
-    let json = match std::fs::read_to_string(&out) {
-        Ok(mut base) if base.trim_end().ends_with('}') => {
-            if let Some(pos) = base.find(",\n  \"edit\"") {
-                base.truncate(pos);
-                format!("{base},\n{section}}}\n")
-            } else if base.trim_start().starts_with("{\n  \"edit\"") {
-                // The file holds nothing but a previous edit run.
-                format!("{{\n{section}}}\n")
-            } else {
-                let end = base.trim_end().len() - 1;
-                base.truncate(end);
-                base.truncate(base.trim_end().len());
-                format!("{base},\n{section}}}\n")
-            }
-        }
-        _ => format!("{{\n{section}}}\n"),
-    };
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("eelbench: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
+/// A plain in-memory fragment tier: the benchmarks measure the analysis
+/// fragment reuse saves and the working set it occupies, not any
+/// particular storage backend.
+#[derive(Default)]
+struct MemTier(RefCell<HashMap<(u64, String), Vec<u8>>>);
+
+impl MemTier {
+    /// Total bytes of the distinct fragments stored.
+    fn bytes(&self) -> usize {
+        self.0.borrow().values().map(Vec::len).sum()
     }
-    println!("{json}");
-    eprintln!("eelbench: results written to {out}");
-    ExitCode::SUCCESS
+}
+
+impl FragmentTier for MemTier {
+    fn load(&self, key: u64, op: &str) -> Option<Vec<u8>> {
+        self.0.borrow().get(&(key, op.to_string())).cloned()
+    }
+    fn store(&self, key: u64, op: &str, bytes: &[u8]) {
+        let entry = (key, op.to_string());
+        self.0.borrow_mut().insert(entry, bytes.to_vec());
+    }
 }
 
 /// The fragment cache's headline number: analyzing a near-duplicate
@@ -430,69 +429,19 @@ fn edit_bench(args: &[String]) -> ExitCode {
 /// short-circuit; `Analysis::compute` (image load + §3.1 discovery)
 /// runs outside the timed region for both modes, exactly like the
 /// `serve` kernel benchmark.
-fn incremental_bench(args: &[String]) -> ExitCode {
-    use std::collections::HashMap;
-    use std::sync::{Arc, Mutex};
-
-    let mut twins = 8usize;
-    let mut out = "BENCH_serve.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        let Some(value) = args.get(i) else {
-            eprintln!("eelbench: {flag} needs a value");
-            return ExitCode::FAILURE;
-        };
-        match flag {
-            "--twins" => twins = value.parse().unwrap_or(8).max(1),
-            "--out" => out = value.clone(),
-            other => {
-                eprintln!("eelbench: unknown flag {other:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
-
-    /// A plain in-memory tier: the benchmark measures the analysis
-    /// saved by fragment reuse, not any particular storage backend.
-    struct MemTier(Mutex<HashMap<(u64, String), Vec<u8>>>);
-    impl FragmentTier for MemTier {
-        fn load(&self, key: u64, op: &str) -> Option<Vec<u8>> {
-            self.0.lock().unwrap().get(&(key, op.to_string())).cloned()
-        }
-        fn store(&self, key: u64, op: &str, bytes: &[u8]) {
-            self.0
-                .lock()
-                .unwrap()
-                .insert((key, op.to_string()), bytes.to_vec());
-        }
-    }
-
+fn incremental_bench(nums: &[usize], _cores: usize) -> Result<Vec<String>, String> {
+    let twins = nums[0].max(1);
     // The base: many medium routines, the shape the fragment cache
     // targets — a near-duplicate rebuild invalidates one routine out of
     // dozens, like a one-function change in a real program. (A handful
     // of giant routines would instead measure mostly the unavoidable
     // rebuild of whichever routine the twin mutates.)
     eprintln!("eelbench: compiling the base image...");
-    let many = eel_progen::GenConfig {
+    let base = largest_image(&eel_progen::GenConfig {
         functions: 64,
         stmts_per_fn: 4,
         ..eel_progen::GenConfig::default()
-    };
-    let base = (0..8)
-        .filter_map(|seed| {
-            let program = eel_progen::random_program(seed, &many);
-            eel_cc::compile_ast(&program, &eel_cc::Options::default()).ok()
-        })
-        .chain(
-            eel_progen::suite()
-                .iter()
-                .map(|w| eel_progen::compile(w, Personality::Gcc).expect("compile workload")),
-        )
-        .max_by_key(|image| image.text.len())
-        .expect("suite non-empty");
+    });
     let text_bytes = base.text.len();
 
     eprintln!("eelbench: mutating {twins} near-duplicate twins...");
@@ -506,21 +455,24 @@ fn incremental_bench(args: &[String]) -> ExitCode {
     let routines = twin_analyses[0].routine_keys().len();
     let base_analysis = eel_core::Analysis::compute(Arc::new(base)).expect("analyze base");
 
-    let mut sections = Vec::new();
+    let mut fields = vec![
+        field("twins", twins),
+        field("routines", routines),
+        field("text_bytes", text_bytes),
+    ];
     for op in ["disasm", "instrument"] {
         // Warm the tier from the base image — the fleet's "previous
         // build" whose fragments the twins reuse.
-        let tier = MemTier(Mutex::new(HashMap::new()));
+        let tier = MemTier::default();
         let (_, base_stats) = run_op_fragments(op, &base_analysis, 1, &tier).expect(op);
 
         eprintln!("eelbench: {op}: cold analysis of {twins} twins...");
-        let mut cold_bodies = Vec::with_capacity(twins);
         let started = Instant::now();
-        for a in &twin_analyses {
-            let (body, _) = run_op_fragments(op, a, 1, &NoFragments).expect(op);
-            cold_bodies.push(body);
-        }
-        let cold_ms = started.elapsed().as_secs_f64() * 1e3;
+        let cold_bodies: Vec<Vec<u8>> = twin_analyses
+            .iter()
+            .map(|a| run_op_with(op, a, 1).expect(op))
+            .collect();
+        let cold_ms = ms_since(started);
 
         eprintln!("eelbench: {op}: incremental analysis of {twins} twins...");
         let (mut hits, mut total) = (0u64, 0u64);
@@ -530,11 +482,10 @@ fn incremental_bench(args: &[String]) -> ExitCode {
             hits += u64::from(stats.hits);
             total += u64::from(stats.total);
             if body != *cold {
-                eprintln!("eelbench: FAIL: {op} incremental output differs from cold");
-                return ExitCode::FAILURE;
+                return Err(format!("{op} incremental output differs from cold"));
             }
         }
-        let incr_ms = started.elapsed().as_secs_f64() * 1e3;
+        let incr_ms = ms_since(started);
         let speedup = cold_ms / incr_ms;
         let hit_rate = hits as f64 / total.max(1) as f64;
         eprintln!(
@@ -543,76 +494,25 @@ fn incremental_bench(args: &[String]) -> ExitCode {
             base_stats.total - base_stats.hits,
             base_stats.total
         );
-        sections.push(format!(
-            "    \"{op}\": {{ \"cold_ms\": {cold_ms:.2}, \"incremental_ms\": {incr_ms:.2}, \
-             \"speedup\": {speedup:.2}, \"fragment_hit_rate\": {hit_rate:.3} }}"
+        fields.push(field(
+            op,
+            format!(
+                "{{ \"cold_ms\": {cold_ms:.2}, \"incremental_ms\": {incr_ms:.2}, \
+                 \"speedup\": {speedup:.2}, \"fragment_hit_rate\": {hit_rate:.3} }}"
+            ),
         ));
     }
-
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let section = format!(
-        "  \"incremental\": {{\n    \"cores\": {cores},\n    \"twins\": {twins},\n    \
-         \"routines\": {routines},\n    \"text_bytes\": {text_bytes},\n{}\n  }}\n",
-        sections.join(",\n")
-    );
-    // Merge like the edit section: drop any previous incremental
-    // section, then splice before the closing brace.
-    let json = match std::fs::read_to_string(&out) {
-        Ok(mut base) if base.trim_end().ends_with('}') => {
-            if let Some(pos) = base.find(",\n  \"incremental\"") {
-                base.truncate(pos);
-                format!("{base},\n{section}}}\n")
-            } else if base.trim_start().starts_with("{\n  \"incremental\"") {
-                format!("{{\n{section}}}\n")
-            } else {
-                let end = base.trim_end().len() - 1;
-                base.truncate(end);
-                base.truncate(base.trim_end().len());
-                format!("{base},\n{section}}}\n")
-            }
-        }
-        _ => format!("{{\n{section}}}\n"),
-    };
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("eelbench: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("{json}");
-    eprintln!("eelbench: results written to {out}");
-    ExitCode::SUCCESS
+    Ok(fields)
 }
 
 /// Cross-machine smoke + timing over the dispatch seam: each suite
 /// workload compiled for both machines from the same source, both
 /// pipelines run over every cached op, and the two backends' emulator
-/// behavior compared. Correctness smoke first, benchmark second — any
-/// divergence exits nonzero. Kernel-level (no daemon): the serve tests
-/// already cover wire dispatch and cache-key separation; this measures
-/// the op pipelines themselves.
-fn machines_bench(args: &[String]) -> ExitCode {
-    use eel_serve::{FragmentStats, CACHED_OPS};
-    use std::sync::Arc;
-
-    let mut out = "BENCH_serve.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        let Some(value) = args.get(i) else {
-            eprintln!("eelbench: {flag} needs a value");
-            return ExitCode::FAILURE;
-        };
-        match flag {
-            "--out" => out = value.clone(),
-            other => {
-                eprintln!("eelbench: unknown flag {other:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
+/// behavior compared. Kernel-level (no daemon): the serve tests already
+/// cover wire dispatch and cache-key separation; this measures the op
+/// pipelines themselves.
+fn machines_bench(_nums: &[usize], _cores: usize) -> Result<Vec<String>, String> {
+    use eel_serve::CACHED_OPS;
 
     let machines = [eel_exe::Machine::Sparc, eel_exe::Machine::Mips];
     let suite = eel_progen::suite();
@@ -620,9 +520,7 @@ fn machines_bench(args: &[String]) -> ExitCode {
         "eelbench: compiling {} workloads as sparc/mips twin pairs...",
         suite.len()
     );
-    let run_op = |op: &str, a: &eel_core::Analysis| -> Result<Vec<u8>, String> {
-        run_op_fragments(op, a, 1, &NoFragments).map(|(body, _): (_, FragmentStats)| body)
-    };
+    let run_op = |op: &str, a: &eel_core::Analysis| run_op_with(op, a, 1);
     let mut pairs = Vec::new();
     for w in &suite {
         // Some suite workloads use constructs one code generator
@@ -640,37 +538,30 @@ fn machines_bench(args: &[String]) -> ExitCode {
         };
         for (image, &machine) in images.iter().zip(&machines) {
             if image.machine != machine {
-                eprintln!(
-                    "eelbench: FAIL: {} twin tagged {}",
+                return Err(format!(
+                    "{} {} twin tagged {}",
                     w.name,
+                    machine.name(),
                     image.machine.name()
-                );
-                return ExitCode::FAILURE;
+                ));
             }
         }
 
         // Same source, two backends: observable behavior must agree
         // (cycle counts legitimately differ — SPARC pays annulled delay
         // slots, MIPS pays its own schedule — so only I/O is compared).
-        let outcomes: Vec<eel_emu::Outcome> = match images
+        let outcomes: Vec<eel_emu::Outcome> = images
             .iter()
             .map(eel_emu::run_image)
             .collect::<Result<_, _>>()
-        {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("eelbench: FAIL: {} twin does not run: {e:?}", w.name);
-                return ExitCode::FAILURE;
-            }
-        };
+            .map_err(|e| format!("{} twin does not run: {e:?}", w.name))?;
         if outcomes[0].exit_code != outcomes[1].exit_code
             || outcomes[0].output != outcomes[1].output
         {
-            eprintln!(
-                "eelbench: FAIL: {} twins diverge under emulation (sparc exit {}, mips exit {})",
+            return Err(format!(
+                "{} twins diverge under emulation (sparc exit {}, mips exit {})",
                 w.name, outcomes[0].exit_code, outcomes[1].exit_code
-            );
-            return ExitCode::FAILURE;
+            ));
         }
 
         let analyses: Vec<eel_core::Analysis> = images
@@ -682,30 +573,15 @@ fn machines_bench(args: &[String]) -> ExitCode {
         for op in CACHED_OPS {
             let mut bodies = Vec::new();
             for (a, &machine) in analyses.iter().zip(&machines) {
-                let body = match run_op(op, a) {
-                    Ok(body) => body,
-                    Err(e) => {
-                        eprintln!(
-                            "eelbench: FAIL: {op} on the {} {} twin: {e}",
-                            machine.name(),
-                            w.name
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                };
+                let body = run_op(op, a)
+                    .map_err(|e| format!("{op} on the {} {} twin: {e}", machine.name(), w.name))?;
                 if run_op(op, a).as_ref() != Ok(&body) {
-                    eprintln!(
-                        "eelbench: FAIL: {op} is not deterministic on {}",
-                        machine.name()
-                    );
-                    return ExitCode::FAILURE;
+                    return Err(format!("{op} is not deterministic on {}", machine.name()));
                 }
                 if *op == "stat" {
-                    let text = String::from_utf8_lossy(&body);
                     let line = format!("machine: {}", machine.name());
-                    if !text.contains(&line) {
-                        eprintln!("eelbench: FAIL: stat does not report {line:?}");
-                        return ExitCode::FAILURE;
+                    if !String::from_utf8_lossy(&body).contains(&line) {
+                        return Err(format!("stat does not report {line:?}"));
                     }
                 }
                 bodies.push(body);
@@ -713,43 +589,27 @@ fn machines_bench(args: &[String]) -> ExitCode {
             // Machine-appropriate output: twin bodies must never be
             // interchangeable across tags.
             if bodies[0] == bodies[1] {
-                eprintln!(
-                    "eelbench: FAIL: {op} output identical across machines on {}",
+                return Err(format!(
+                    "{op} output identical across machines on {}",
                     w.name
-                );
-                return ExitCode::FAILURE;
+                ));
             }
         }
 
         // Instrumenting the MIPS twin must not change its behavior.
-        let edited = match run_op("instrument", &analyses[1]) {
-            Ok(body) => body,
-            Err(e) => {
-                eprintln!("eelbench: FAIL: instrument the mips {} twin: {e}", w.name);
-                return ExitCode::FAILURE;
-            }
-        };
-        let instrumented = match eel_exe::Image::from_bytes(&edited)
+        let edited = run_op("instrument", &analyses[1])
+            .map_err(|e| format!("instrument the mips {} twin: {e}", w.name))?;
+        let instrumented = eel_exe::Image::from_bytes(&edited)
             .map_err(|e| format!("{e:?}"))
             .and_then(|image| eel_emu::run_image(&image).map_err(|e| format!("{e:?}")))
-        {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!(
-                    "eelbench: FAIL: instrumented mips {} does not run: {e}",
-                    w.name
-                );
-                return ExitCode::FAILURE;
-            }
-        };
+            .map_err(|e| format!("instrumented mips {} does not run: {e}", w.name))?;
         if instrumented.exit_code != outcomes[1].exit_code
             || instrumented.output != outcomes[1].output
         {
-            eprintln!(
-                "eelbench: FAIL: instrumenting the mips {} twin changed its behavior",
+            return Err(format!(
+                "instrumenting the mips {} twin changed its behavior",
                 w.name
-            );
-            return ExitCode::FAILURE;
+            ));
         }
 
         eprintln!(
@@ -765,9 +625,16 @@ fn machines_bench(args: &[String]) -> ExitCode {
     let (name, images, analyses, outcomes) = pairs
         .iter()
         .max_by_key(|(_, images, _, _)| images[1].text.len())
-        .expect("suite non-empty");
+        .ok_or("no suite workload compiles for both machines")?;
     eprintln!("eelbench: timing both pipelines on {name}...");
-    let mut rows = Vec::new();
+    let mut fields = vec![
+        field("workloads", pairs.len()),
+        field("timed_workload", format!("\"{name}\"")),
+        field("sparc_text_bytes", images[0].text.len()),
+        field("mips_text_bytes", images[1].text.len()),
+        field("sparc_cycles", outcomes[0].cycles),
+        field("mips_cycles", outcomes[1].cycles),
+    ];
     for op in CACHED_OPS {
         const RUNS: usize = 5;
         let mut ms = [f64::INFINITY; 2];
@@ -775,152 +642,60 @@ fn machines_bench(args: &[String]) -> ExitCode {
             for (slot, a) in analyses.iter().enumerate() {
                 let started = Instant::now();
                 run_op(op, a).expect(op);
-                ms[slot] = ms[slot].min(started.elapsed().as_secs_f64() * 1e3);
+                ms[slot] = ms[slot].min(ms_since(started));
             }
         }
         eprintln!(
             "eelbench: machines: {op} sparc {:.2}ms, mips {:.2}ms",
             ms[0], ms[1]
         );
-        rows.push(format!(
-            "    \"{op}\": {{ \"sparc_ms\": {:.2}, \"mips_ms\": {:.2} }}",
-            ms[0], ms[1]
+        fields.push(field(
+            op,
+            format!(
+                "{{ \"sparc_ms\": {:.2}, \"mips_ms\": {:.2} }}",
+                ms[0], ms[1]
+            ),
         ));
     }
-
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let section = format!(
-        "  \"machines\": {{\n    \"cores\": {cores},\n    \"workloads\": {},\n    \
-         \"timed_workload\": \"{name}\",\n    \"sparc_text_bytes\": {},\n    \
-         \"mips_text_bytes\": {},\n    \"sparc_cycles\": {},\n    \"mips_cycles\": {},\n{}\n  }}\n",
-        pairs.len(),
-        images[0].text.len(),
-        images[1].text.len(),
-        outcomes[0].cycles,
-        outcomes[1].cycles,
-        rows.join(",\n")
-    );
-    // Merge like the edit/incremental sections: drop any previous
-    // machines section, then splice before the closing brace.
-    let json = match std::fs::read_to_string(&out) {
-        Ok(mut base) if base.trim_end().ends_with('}') => {
-            if let Some(pos) = base.find(",\n  \"machines\"") {
-                base.truncate(pos);
-                format!("{base},\n{section}}}\n")
-            } else if base.trim_start().starts_with("{\n  \"machines\"") {
-                format!("{{\n{section}}}\n")
-            } else {
-                let end = base.trim_end().len() - 1;
-                base.truncate(end);
-                base.truncate(base.trim_end().len());
-                format!("{base},\n{section}}}\n")
-            }
-        }
-        _ => format!("{{\n{section}}}\n"),
-    };
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("eelbench: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("{json}");
-    eprintln!("eelbench: results written to {out}");
-    ExitCode::SUCCESS
+    Ok(fields)
 }
 
 /// Warm-throughput scaling from consistent-hash sharding, isolated to
 /// the cache-capacity effect: the same per-shard result-cache budget,
 /// sized *below* the working set, drives one topology into LRU thrash
-/// while three shards' aggregate holds everything. Single-core honest:
-/// the speedup here is recompute-avoided-per-request, not parallelism —
-/// on a multi-core fleet the two effects compound.
-fn cluster_bench(args: &[String]) -> ExitCode {
+/// while three shards' aggregate holds everything. Requests are issued
+/// sequentially, so the speedup is recompute-avoided-per-request, not
+/// parallelism — on a multi-core fleet the two effects compound.
+fn cluster_bench(nums: &[usize], _cores: usize) -> Result<Vec<String>, String> {
     use eel_serve::ClusterClient;
 
-    let mut images = 24usize;
-    let mut out = "BENCH_serve.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].as_str();
-        i += 1;
-        let Some(value) = args.get(i) else {
-            eprintln!("eelbench: {flag} needs a value");
-            return ExitCode::FAILURE;
-        };
-        match flag {
-            "--images" => images = value.parse().unwrap_or(24).max(6),
-            "--out" => out = value.clone(),
-            other => {
-                eprintln!("eelbench: unknown flag {other:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
+    let images = nums[0].max(6);
     const SHARDS: usize = 3;
 
     // Distinct medium images: instrument bodies are whole edited WEFs,
     // big enough that their sum defines a meaningful working set.
     eprintln!("eelbench: compiling {images} seeded images...");
-    let config = eel_progen::GenConfig::default();
-    let mut wefs: Vec<Vec<u8>> = Vec::with_capacity(images);
-    let mut seed = 0u64;
-    while wefs.len() < images {
-        let program = eel_progen::random_program(seed, &config);
-        if let Ok(image) = eel_cc::compile_ast(&program, &eel_cc::Options::default()) {
-            wefs.push(image.to_bytes());
-        }
-        seed += 1;
-    }
-    let requests: Vec<Request> = wefs
-        .iter()
-        .map(|wef| Request {
-            op: "instrument".into(),
-            payload: Payload::Inline(wef.clone()),
-        })
-        .collect();
+    let wefs = seeded_wefs(images, &eel_progen::GenConfig::default());
+    let requests = requests_for("instrument", &wefs);
 
-    // Ground truth computed in-process through a counting fragment tier,
-    // which measures the exact result-LRU working set a server accrues
-    // for these images: every instrument body plus every *distinct*
+    // Ground truth computed in-process through a fragment tier, which
+    // measures the exact result-LRU working set a server accrues for
+    // these images: every instrument body plus every *distinct*
     // per-routine fragment (fragments live in the same LRU, costed by
     // their byte length, and are shared across images by content key).
-    struct CountingTier {
-        map: std::cell::RefCell<std::collections::HashMap<(u64, String), Vec<u8>>>,
-        bytes: std::cell::Cell<usize>,
-    }
-    impl FragmentTier for CountingTier {
-        fn load(&self, key: u64, op: &str) -> Option<Vec<u8>> {
-            self.map.borrow().get(&(key, op.to_string())).cloned()
-        }
-        fn store(&self, key: u64, op: &str, bytes: &[u8]) {
-            let prev = self
-                .map
-                .borrow_mut()
-                .insert((key, op.to_string()), bytes.to_vec());
-            if prev.is_none() {
-                self.bytes.set(self.bytes.get() + bytes.len());
-            }
-        }
-    }
     eprintln!("eelbench: computing ground-truth instrument results...");
-    let tier = CountingTier {
-        map: std::cell::RefCell::new(std::collections::HashMap::new()),
-        bytes: std::cell::Cell::new(0),
-    };
+    let tier = MemTier::default();
     let expected: Vec<Vec<u8>> = wefs
         .iter()
         .map(|wef| {
             let image = eel_exe::Image::from_bytes(wef).expect("parse image");
-            let analysis =
-                eel_core::Analysis::compute(std::sync::Arc::new(image)).expect("analyze");
+            let analysis = eel_core::Analysis::compute(Arc::new(image)).expect("analyze");
             run_op_fragments("instrument", &analysis, 1, &tier)
                 .expect("instrument")
                 .0
         })
         .collect();
-    let working_set: usize = expected.iter().map(Vec::len).sum::<usize>() + tier.bytes.get();
+    let working_set: usize = expected.iter().map(Vec::len).sum::<usize>() + tier.bytes();
     // The server splits cache_bytes evenly between the analysis and
     // result LRUs. A result budget of 70% of the working set guarantees
     // one shard thrashes on a sequential warm scan, while three shards'
@@ -935,44 +710,20 @@ fn cluster_bench(args: &[String]) -> ExitCode {
         cache_bytes,
         ..ServerConfig::default()
     };
-    const REPS: usize = 3;
 
     // -- One shard: every warm pass rescans a set its LRU cannot hold.
     let single = Server::start(shard_config()).expect("start single shard");
     let client = Client::connect(single.local_addr().to_string())
         .with_timeout(Some(Duration::from_secs(300)));
-    eprintln!("eelbench: single shard: priming...");
-    for (req, want) in requests.iter().zip(&expected) {
-        let body = expect_body(client.request(req).expect("prime"));
-        if &body != want {
-            eprintln!("eelbench: FAIL: single-shard response differs from ground truth");
-            return ExitCode::FAILURE;
-        }
-    }
-    eprintln!("eelbench: single shard: timing {REPS} warm passes...");
-    let mut single_ms = f64::INFINITY;
-    let mut single_recomputes = 0usize;
-    for rep in 0..REPS {
-        let started = Instant::now();
-        for (req, want) in requests.iter().zip(&expected) {
-            let resp = client.request(req).expect("single warm");
-            if rep == 0 {
-                if let Response::Ok {
-                    tier: eel_serve::CacheTier::Computed,
-                    ..
-                } = &resp
-                {
-                    single_recomputes += 1;
-                }
-            }
-            if &expect_body(resp) != want {
-                eprintln!("eelbench: FAIL: single-shard warm response differs");
-                return ExitCode::FAILURE;
-            }
-        }
-        single_ms = single_ms.min(started.elapsed().as_secs_f64() * 1e3);
-    }
-    let (_, _) = (single.shutdown(), single.wait());
+    let (single_ms, single_recomputes) = warm_passes(
+        "single shard",
+        &requests,
+        &expected,
+        eel_serve::CacheTier::Computed,
+        |req| client.request(req).expect("single shard request"),
+    )?;
+    single.shutdown();
+    single.wait();
 
     // -- Three shards, same per-shard budget: each owns ~1/3 of the
     // keyspace and keeps its slice resident.
@@ -981,42 +732,18 @@ fn cluster_bench(args: &[String]) -> ExitCode {
         .collect();
     let addrs: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
     let cluster = ClusterClient::connect(addrs).with_timeout(Some(Duration::from_secs(300)));
-    let placed: Vec<usize> = requests.iter().map(|r| cluster.shard_for(r)).collect();
     let mut per_shard = [0usize; SHARDS];
-    for &s in &placed {
-        per_shard[s] += 1;
+    for r in &requests {
+        per_shard[cluster.shard_for(r)] += 1;
     }
-    eprintln!("eelbench: cluster: images per shard {per_shard:?}, priming...");
-    for (req, want) in requests.iter().zip(&expected) {
-        let body = expect_body(cluster.request(req).expect("prime"));
-        if &body != want {
-            eprintln!("eelbench: FAIL: cluster response differs from ground truth");
-            return ExitCode::FAILURE;
-        }
-    }
-    eprintln!("eelbench: cluster: timing {REPS} warm passes...");
-    let mut cluster_ms = f64::INFINITY;
-    let mut cluster_hits = 0usize;
-    for rep in 0..REPS {
-        let started = Instant::now();
-        for (req, want) in requests.iter().zip(&expected) {
-            let resp = cluster.request(req).expect("cluster warm");
-            if rep == 0 {
-                if let Response::Ok {
-                    tier: eel_serve::CacheTier::Memory,
-                    ..
-                } = &resp
-                {
-                    cluster_hits += 1;
-                }
-            }
-            if &expect_body(resp) != want {
-                eprintln!("eelbench: FAIL: cluster warm response differs from single-shard");
-                return ExitCode::FAILURE;
-            }
-        }
-        cluster_ms = cluster_ms.min(started.elapsed().as_secs_f64() * 1e3);
-    }
+    eprintln!("eelbench: cluster: images per shard {per_shard:?}");
+    let (cluster_ms, cluster_hits) = warm_passes(
+        "cluster",
+        &requests,
+        &expected,
+        eel_serve::CacheTier::Memory,
+        |req| cluster.request(req).expect("cluster request"),
+    )?;
     for server in servers {
         server.shutdown();
         server.wait();
@@ -1031,53 +758,301 @@ fn cluster_bench(args: &[String]) -> ExitCode {
          hits), {speedup:.2}x warm throughput"
     );
     if cluster_hits * 2 < images {
-        eprintln!("eelbench: FAIL: cluster warm pass mostly missed; budget sizing is off");
-        return ExitCode::FAILURE;
+        return Err("cluster warm pass mostly missed; budget sizing is off".into());
     }
+    Ok(vec![
+        field("shards", SHARDS),
+        field("images", images),
+        field("working_set_bytes", working_set),
+        field("per_shard_cache_bytes", cache_bytes),
+        field("single_pass_ms", format!("{single_ms:.2}")),
+        field("single_rps", format!("{single_rps:.1}")),
+        field("single_warm_recomputes", single_recomputes),
+        field("cluster_pass_ms", format!("{cluster_ms:.2}")),
+        field("cluster_rps", format!("{cluster_rps:.1}")),
+        field("cluster_warm_memory_hits", cluster_hits),
+        field("speedup", format!("{speedup:.2}")),
+        field("byte_identical", true),
+    ])
+}
 
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let section = format!(
-        "  \"cluster\": {{\n    \"cores\": {cores},\n    \"shards\": {SHARDS},\n    \
-         \"images\": {images},\n    \"working_set_bytes\": {working_set},\n    \
-         \"per_shard_cache_bytes\": {cache_bytes},\n    \
-         \"single_pass_ms\": {single_ms:.2},\n    \"single_rps\": {single_rps:.1},\n    \
-         \"single_warm_recomputes\": {single_recomputes},\n    \
-         \"cluster_pass_ms\": {cluster_ms:.2},\n    \"cluster_rps\": {cluster_rps:.1},\n    \
-         \"cluster_warm_memory_hits\": {cluster_hits},\n    \
-         \"speedup\": {speedup:.2},\n    \"byte_identical\": true\n  }}\n"
-    );
-    // Merge like the other sections: drop any previous cluster section,
-    // then splice before the closing brace.
-    let json = match std::fs::read_to_string(&out) {
-        Ok(mut base) if base.trim_end().ends_with('}') => {
-            if let Some(pos) = base.find(",\n  \"cluster\"") {
-                base.truncate(pos);
-                format!("{base},\n{section}}}\n")
-            } else if base.trim_start().starts_with("{\n  \"cluster\"") {
-                format!("{{\n{section}}}\n")
-            } else {
-                let end = base.trim_end().len() - 1;
-                base.truncate(end);
-                base.truncate(base.trim_end().len());
-                format!("{base},\n{section}}}\n")
+/// Primes a topology through `send`, then times three warm passes; every
+/// reply must match the ground truth `expected`. Returns the best warm
+/// pass in milliseconds and how many replies of the first came from
+/// `tier`.
+fn warm_passes(
+    label: &str,
+    requests: &[Request],
+    expected: &[Vec<u8>],
+    tier: eel_serve::CacheTier,
+    send: impl Fn(&Request) -> Response,
+) -> Result<(f64, usize), String> {
+    eprintln!("eelbench: {label}: priming, then timing 3 warm passes...");
+    let mut best_ms = f64::INFINITY;
+    let mut from_tier = 0usize;
+    for pass in 0..=3 {
+        let started = Instant::now();
+        for (req, want) in requests.iter().zip(expected) {
+            let resp = send(req);
+            if pass == 1 && matches!(&resp, Response::Ok { tier: t, .. } if *t == tier) {
+                from_tier += 1;
+            }
+            if &expect_body(resp) != want {
+                return Err(format!("{label} response differs from ground truth"));
             }
         }
-        _ => format!("{{\n{section}}}\n"),
-    };
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("eelbench: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
+        if pass > 0 {
+            best_ms = best_ms.min(ms_since(started));
+        }
     }
-    println!("{json}");
-    eprintln!("eelbench: results written to {out}");
-    ExitCode::SUCCESS
+    Ok((best_ms, from_tier))
+}
+
+/// §4/§5's claim that "the spawn-generated code ran at the same speed" as
+/// the handwritten machine layer. The spawn layer here is *interpreted*
+/// (the generated-Rust path is emitted but not compiled in), so the
+/// comparison is eel-isa's decode/step against spawn's interpreted
+/// decode/execute over the same spim-like words. Decoding counts valid
+/// words the way `decode_validity_agrees` in the spawn differential tests
+/// does, and the two layers must agree word for word.
+fn spawn_bench(_nums: &[usize], _cores: usize) -> Result<Vec<String>, String> {
+    use eel_isa::{Category, MachineState, Memory};
+    use eel_spawn::SpawnState;
+
+    struct NullMem;
+    impl Memory for NullMem {
+        fn load(&mut self, _addr: u32, _bytes: u32) -> Option<u32> {
+            Some(0)
+        }
+        fn store(&mut self, _addr: u32, _bytes: u32, _value: u32) -> Option<()> {
+            Some(())
+        }
+    }
+
+    let image = eel_progen::compile(&eel_progen::spim_like(100), Personality::Gcc)
+        .expect("compile spim-like workload");
+    let words: Vec<u32> = image.text_words().map(|(_, w)| w).collect();
+    let machine = eel_spawn::sparc_machine().expect("bundled description");
+    let hw_valid = |w: u32| !matches!(eel_isa::decode(w).category(), Category::Invalid);
+    let spawn_valid = |w: u32| {
+        machine
+            .decode(w)
+            .is_some_and(|d| d.spec.class != eel_spawn::Class::Invalid)
+    };
+    if let Some(w) = words.iter().find(|&&w| hw_valid(w) != spawn_valid(w)) {
+        return Err(format!(
+            "handwritten and spawn decoding disagree on the validity of {w:#010x}"
+        ));
+    }
+    // Execution: straight-line stepping over the ALU words.
+    let alu_words: Vec<u32> = words
+        .iter()
+        .copied()
+        .filter(|&w| matches!(eel_isa::decode(w).category(), Category::Computation))
+        .collect();
+
+    let decode_hw = ns_per_word(words.len(), || {
+        words.iter().filter(|&&w| hw_valid(w)).count()
+    });
+    let decode_spawn = ns_per_word(words.len(), || {
+        words.iter().filter(|&&w| spawn_valid(w)).count()
+    });
+    let step_hw = ns_per_word(alu_words.len(), || {
+        let mut st = MachineState::new(0x10000);
+        for &w in &alu_words {
+            eel_isa::step(&mut st, &mut NullMem, eel_isa::decode(w));
+        }
+        st.regs[9]
+    });
+    let execute_spawn = ns_per_word(alu_words.len(), || {
+        let mut st = SpawnState::new(0x10000);
+        for &w in &alu_words {
+            if let Some(d) = machine.decode(w) {
+                let _ = machine.execute(&d, &mut st, &mut NullMem);
+            }
+        }
+        st.r[9]
+    });
+    let decode_ratio = decode_spawn / decode_hw;
+    let execute_ratio = execute_spawn / step_hw;
+    eprintln!(
+        "eelbench: spawn: decode {decode_hw:.1} vs {decode_spawn:.1} ns/word \
+         ({decode_ratio:.1}x), execute {step_hw:.1} vs {execute_spawn:.1} ns/word \
+         ({execute_ratio:.1}x)"
+    );
+    Ok(vec![
+        field("words", words.len()),
+        field("alu_words", alu_words.len()),
+        field("decode_handwritten_ns_per_word", format!("{decode_hw:.2}")),
+        field("decode_spawn_ns_per_word", format!("{decode_spawn:.2}")),
+        field("decode_ratio", format!("{decode_ratio:.2}")),
+        field("step_handwritten_ns_per_word", format!("{step_hw:.2}")),
+        field("execute_spawn_ns_per_word", format!("{execute_spawn:.2}")),
+        field("execute_ratio", format!("{execute_ratio:.2}")),
+    ])
+}
+
+/// Best-of-5 nanoseconds per word of `pass`, one sweep over `words`
+/// words. Each sample repeats the sweep for at least 50 ms, so short
+/// word lists still time well above the clock's resolution.
+fn ns_per_word<T>(words: usize, mut pass: impl FnMut() -> T) -> f64 {
+    (0..5)
+        .map(|_| {
+            let started = Instant::now();
+            let mut sweeps = 0u64;
+            while started.elapsed() < Duration::from_millis(50) {
+                black_box(pass());
+                sweeps += 1;
+            }
+            started.elapsed().as_nanos() as f64 / (sweeps * words.max(1) as u64) as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// `count` WEF images from consecutive progen seeds. Some seeds generate
+/// programs the compiler rejects (expression depth); those are skipped.
+fn seeded_wefs(count: usize, config: &eel_progen::GenConfig) -> Vec<Vec<u8>> {
+    (0u64..)
+        .filter_map(|seed| {
+            let program = eel_progen::random_program(seed, config);
+            eel_cc::compile_ast(&program, &eel_cc::Options::default()).ok()
+        })
+        .take(count)
+        .map(|image| image.to_bytes())
+        .collect()
+}
+
+/// The largest image among the first eight seeds' programs under
+/// `config` and the suite workloads. (Many-function configs often trip
+/// the compiler's expression-depth limit, hence the suite fallback.)
+fn largest_image(config: &eel_progen::GenConfig) -> eel_exe::Image {
+    (0..8)
+        .filter_map(|seed| {
+            let program = eel_progen::random_program(seed, config);
+            eel_cc::compile_ast(&program, &eel_cc::Options::default()).ok()
+        })
+        .chain(
+            eel_progen::suite()
+                .iter()
+                .map(|w| eel_progen::compile(w, Personality::Gcc).expect("compile workload")),
+        )
+        .max_by_key(|image| image.text.len())
+        .expect("suite non-empty")
+}
+
+fn requests_for(op: &str, wefs: &[Vec<u8>]) -> Vec<Request> {
+    wefs.iter()
+        .map(|wef| Request {
+            op: op.into(),
+            payload: Payload::Inline(wef.clone()),
+        })
+        .collect()
+}
+
+fn ms_since(started: Instant) -> f64 {
+    started.elapsed().as_secs_f64() * 1e3
 }
 
 fn expect_body(resp: Response) -> Vec<u8> {
     match resp {
         Response::Ok { body, .. } => body,
         other => panic!("expected Ok, got {other:?}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn keys(text: &str) -> Vec<&str> {
+        top_level_members(text)
+            .unwrap()
+            .iter()
+            .map(|&(k, _)| k)
+            .collect()
+    }
+
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("eelbench-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    #[test]
+    fn rewriting_a_section_keeps_the_others_byte_identical() {
+        let path = scratch("three.json");
+        for name in ["a", "b", "c"] {
+            let member = section(name, 2, &[field("x", 1)]);
+            write_section(&path, name, &member).unwrap();
+        }
+        let before = std::fs::read_to_string(&path).unwrap();
+        let old = top_level_members(&before).unwrap();
+
+        let middle = section(
+            "b",
+            2,
+            &[field("x", 2), field("y", "{ \"z\": [1, \"}\"] }")],
+        );
+        let after = write_section(&path, "b", &middle).unwrap();
+        let new = top_level_members(&after).unwrap();
+        assert_eq!(keys(&after), ["a", "b", "c"], "order is kept");
+        assert_eq!(new[0], old[0]);
+        assert_eq!(new[1].1, middle);
+        assert_eq!(new[2], old[2]);
+
+        let after = write_section(&path, "d", &section("d", 2, &[])).unwrap();
+        assert_eq!(keys(&after), ["a", "b", "c", "d"], "a new name appends");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn missing_or_empty_file_becomes_one_section() {
+        let member = section("spawn", 2, &[field("words", 3)]);
+        let expected = format!("{{\n  {member}\n}}\n");
+        let missing = scratch("missing.json");
+        assert_eq!(write_section(&missing, "spawn", &member).unwrap(), expected);
+        let empty = scratch("empty.json");
+        std::fs::write(&empty, "").unwrap();
+        assert_eq!(write_section(&empty, "spawn", &member).unwrap(), expected);
+        assert_eq!(std::fs::read_to_string(&empty).unwrap(), expected);
+        std::fs::remove_file(&missing).unwrap();
+        std::fs::remove_file(&empty).unwrap();
+    }
+
+    #[test]
+    fn non_object_files_are_refused() {
+        for text in [
+            "[1, 2]",
+            "{\"a\": 1",
+            "{\"a\" 1}",
+            "{\"a\": }",
+            "{} trailing",
+        ] {
+            assert!(top_level_members(text).is_none(), "{text:?}");
+        }
+        assert_eq!(top_level_members("{}"), Some(vec![]));
+        assert_eq!(
+            top_level_members("{ \"a\" : 1 , \"b\": \"x,}\" }"),
+            Some(vec![("a", "\"a\" : 1"), ("b", "\"b\": \"x,}\"")])
+        );
+    }
+
+    #[test]
+    fn flags_parse_with_defaults() {
+        let args = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let flags = &[("--images", 64), ("--window", 16)];
+        assert_eq!(
+            parse_flags(&args(&["--window", "4"]), flags),
+            Ok((vec![64, 4], "BENCH_serve.json".to_string()))
+        );
+        assert_eq!(
+            parse_flags(&args(&["--out", "x.json", "--images", "8"]), flags),
+            Ok((vec![8, 16], "x.json".to_string()))
+        );
+        assert!(parse_flags(&args(&["--images"]), flags).is_err());
+        assert!(parse_flags(&args(&["--images", "many"]), flags).is_err());
+        assert!(parse_flags(&args(&["--twins", "2"]), flags).is_err());
     }
 }

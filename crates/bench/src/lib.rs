@@ -3,8 +3,8 @@
 //! One function per table/figure/in-text measurement from the paper's
 //! evaluation (see DESIGN.md's experiment index). Each returns structured
 //! results; the `report` binary prints them as paper-vs-measured tables
-//! (the source of EXPERIMENTS.md), and the Criterion benches measure the
-//! wall-clock side.
+//! (the source of EXPERIMENTS.md). Wall-clock benchmarks live in the
+//! `eelbench` binary, which records them in `BENCH_serve.json`.
 
 use eel_cc::Personality;
 use eel_core::{CfgStats, Executable, JumpResolution};

@@ -19,6 +19,23 @@ fn thread_count() -> usize {
         .expect("Threads line")
 }
 
+/// The thread count once it has stopped changing: three equal reads
+/// 50 ms apart, or the last read after 5 s. When `SERIAL` is handed over,
+/// the previous test's harness thread may still be exiting, so a single
+/// read can count a thread that is about to vanish.
+fn settled_thread_count() -> usize {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut last = thread_count();
+    let mut equal_reads = 1;
+    while equal_reads < 3 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(50));
+        let now = thread_count();
+        equal_reads = if now == last { equal_reads + 1 } else { 1 };
+        last = now;
+    }
+    last
+}
+
 fn expect_ok(resp: Response) -> (CacheTier, Vec<u8>) {
     match resp {
         Response::Ok { tier, body, .. } => (tier, body),
@@ -58,7 +75,7 @@ fn thousand_idle_sessions_add_no_threads_and_drain_on_shutdown() {
     .expect("start server");
     let client = Client::connect(server.local_addr().to_string());
 
-    let baseline = thread_count();
+    let baseline = settled_thread_count();
     let mut sessions = Vec::with_capacity(1024);
     for n in 0..1024 {
         sessions.push(
