@@ -524,6 +524,26 @@ impl Cfg {
         Ok((bid, pos))
     }
 
+    /// Figure 1's edge-profiling placement: the editable out-edges of
+    /// every `Normal` block with more than one successor, in block order
+    /// and then successor order. Each edge comes with its source block's
+    /// address and its index among that block's successors (uneditable
+    /// successors count), which is how profiles name the edge.
+    pub fn profiled_edges(&self) -> Vec<(u32, u32, EdgeId)> {
+        let mut out = Vec::new();
+        for b in &self.blocks {
+            if b.kind != BlockKind::Normal || b.succs.len() < 2 {
+                continue;
+            }
+            for (i, &e) in b.succs.iter().enumerate() {
+                if self.edges[e.0].editable {
+                    out.push((b.addr, i as u32, e));
+                }
+            }
+        }
+        out
+    }
+
     /// Convenience for tests and tools: the dynamic successor blocks of a
     /// block, skipping through delay-slot blocks to the "real" target.
     pub fn real_successors(&self, block: BlockId) -> Vec<BlockId> {

@@ -27,6 +27,10 @@ use eel_isa::{Builder, Insn, Op};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+/// The largest bss [`Executable::write_edited`] turns into initialized
+/// data.
+const MAX_MATERIALIZED_BSS: u32 = 64 << 20;
+
 /// Stable identifier of a routine within an [`Executable`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct RoutineId(usize);
@@ -69,53 +73,16 @@ pub struct Executable {
     dirty: bool,
     jump_analysis: bool,
     removed: std::collections::HashSet<usize>,
-    /// Speculative CFG builds from [`Executable::build_all_cfgs`]'s
-    /// parallel phase, keyed by routine index and stamped with the
-    /// inputs they were built from. [`Executable::build_cfg`] consumes a
-    /// memo entry instead of re-running the builder when — and only
-    /// when — the routine's extent and entry set still match, which is
-    /// what keeps the parallel path byte-identical to the sequential
-    /// one.
-    cfg_memo: HashMap<usize, (CfgInputs, Result<BuildOutput, EelError>)>,
 }
 
-/// The inputs a speculative CFG build consumed: the routine's extent and
-/// entry points at fan-out time. A later cross-routine side effect
-/// (§3.1 stage 3 entry-point registration, stage 4 splitting) changes
-/// these, invalidating the speculation.
-#[derive(Clone, PartialEq, Eq, Debug)]
-struct CfgInputs {
-    start: u32,
-    end: u32,
-    entries: Vec<u32>,
-}
+/// A speculative CFG build from the parallel phase of
+/// [`Executable::build_all_cfgs_probed`], stamped with the routine
+/// snapshot it was built from. A later cross-routine side effect (§3.1
+/// stage 3 entry-point registration, stage 4 splitting) changes the
+/// routine, invalidating the speculation.
+type Speculation = (Routine, Result<BuildOutput, EelError>);
 
-/// Everything [`Executable::build_cfg_full`] learned: the CFG plus the
-/// discovery side effects the build performed (which a fragment hit
-/// must replay) and whether it consulted words outside the extent
-/// (which disqualifies its artifacts from fragment storage — the
-/// content key does not hash them).
-struct BuiltCfg {
-    cfg: Cfg,
-    /// §3.1 stage-3 escape targets, union across trailing-split rebuild
-    /// iterations; sorted and deduplicated.
-    escapes: Vec<u32>,
-    /// §3.1 stage-4 trailing-split addresses, in the order performed.
-    splits: Vec<u32>,
-    /// Jump analysis read a word outside the routine's extent.
-    external: bool,
-}
-
-/// The fragment-cache lookup passed to
-/// [`Executable::build_all_cfgs_probed`]: given a routine and its
-/// content key, return the stored fragment's metadata to take the hit
-/// path, or `None` to build live.
-pub type FragmentProbe<'a> = &'a mut dyn FnMut(&Routine, u64) -> Option<FragmentMeta>;
-
-/// One routine's result from [`Executable::build_all_cfgs_probed`]: the
-/// stitch-time routine snapshot, its content key, and either a freshly
-/// built CFG (`cfg: Some`) or a validated fragment hit (`cfg: None` —
-/// the caller renders from its cached fragment instead).
+/// One routine's result from [`Executable::build_all_cfgs_probed`].
 #[derive(Debug)]
 pub struct CfgBatchItem {
     /// The routine's id in this executable.
@@ -123,24 +90,69 @@ pub struct CfgBatchItem {
     /// Snapshot of the routine as the sequential build loop observed it
     /// (after all earlier routines' discovery side effects).
     pub routine: Routine,
-    /// The routine's content key ([`crate::routine_key`]); `0` in the
-    /// unprobed [`Executable::build_all_cfgs`] path, which never reads it.
+    /// The routine's content key ([`crate::routine_key`]).
     pub key: u64,
-    /// The built CFG, or `None` for a validated fragment hit.
-    pub cfg: Option<Cfg>,
-    /// Whether the live build was a pure, replayable function of the
-    /// routine's content key (it read no words outside its extent).
-    /// Only clean routines' artifacts may be stored as fragments;
-    /// always `false` on a hit (the fragment already exists).
-    pub clean: bool,
-    /// The build's §3.1 escape targets (from the fragment's metadata on
-    /// a hit) — recorded into newly stored fragments so a hit can
-    /// replay the registrations.
-    pub escapes: Vec<u32>,
-    /// The build's §3.1 trailing-split addresses (from the fragment's
-    /// metadata on a hit), in order — recorded into newly stored
-    /// fragments so a hit can replay the splits.
-    pub splits: Vec<u32>,
+    /// A live build or a validated fragment hit.
+    pub outcome: CfgOutcome,
+    /// For a clean live build — one that read no words outside its
+    /// extent, so it is a pure function of the key — the record its
+    /// fragment is stored with. `None` for hits and other builds.
+    pub replay: Option<Replay>,
+}
+
+/// How [`Executable::build_all_cfgs_probed`] produced a routine.
+// Most items are builds, each moved once into its renderer: boxing the
+// CFG would only add an allocation per routine.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum CfgOutcome {
+    /// Built live.
+    Built(Cfg),
+    /// A validated fragment hit, carrying the op payload the fragment
+    /// held: the build was skipped and its side effects replayed.
+    Hit(Vec<u8>),
+}
+
+/// The §3.1 side effects of a clean live build — its start, the escape
+/// targets it registered, the trailing splits it performed — as a later
+/// hit must replay them.
+#[derive(Debug)]
+pub struct Replay(FragmentMeta);
+
+impl Replay {
+    /// The fragment to store under the routine's key: this record
+    /// wrapped around the op's payload.
+    pub fn fragment(&self, payload: &[u8]) -> Vec<u8> {
+        fragment::encode_fragment(&self.0, payload)
+    }
+}
+
+/// The fragment side of a probed batch: the tier's load, the op's
+/// payload check, and the memo that loads, decodes and checks each key
+/// at most once per batch.
+struct Probe<'a> {
+    load: &'a mut dyn FnMut(u64) -> Option<Vec<u8>>,
+    payload_ok: &'a dyn Fn(&[u8]) -> bool,
+    loaded: HashMap<u64, Option<(FragmentMeta, Vec<u8>)>>,
+}
+
+impl Probe<'_> {
+    /// The fragment stored under `key`, if it decodes, the op accepts its
+    /// payload, and it was rendered at `r`'s start: the key is
+    /// position-independent, but payloads and escape targets hold
+    /// absolute addresses.
+    fn hit(&mut self, r: &Routine, key: u64) -> Option<&(FragmentMeta, Vec<u8>)> {
+        let (load, payload_ok) = (&mut self.load, self.payload_ok);
+        self.loaded
+            .entry(key)
+            .or_insert_with(|| {
+                load(key)
+                    .and_then(fragment::decode_fragment)
+                    .filter(|(_, payload)| payload_ok(payload))
+            })
+            .as_ref()
+            .filter(|(meta, _)| meta.start == r.start)
+    }
 }
 
 impl std::fmt::Debug for Executable {
@@ -187,7 +199,6 @@ impl Executable {
             dirty: false,
             jump_analysis: true,
             removed: std::collections::HashSet::new(),
-            cfg_memo: HashMap::new(),
         })
     }
 
@@ -367,7 +378,7 @@ pub(crate) fn discover_routines(
     strip_aware: bool,
 ) -> Result<Discovery, EelError> {
     let text = (image.text_addr, image.text_end());
-    let ops = crate::machine::machine_ops(image.machine);
+    let ops = crate::machine::backend(image.machine)?;
 
     // Pre-scan: classify every text word once through the machine seam;
     // collect direct-call targets (linking jumps) and branch targets
@@ -575,16 +586,23 @@ impl Executable {
     /// [`EelError::DelaySlotTransfer`] for the documented unsupported
     /// shape.
     pub fn build_cfg(&mut self, id: RoutineId) -> Result<Cfg, EelError> {
-        self.build_cfg_full(id).map(|full| full.cfg)
+        self.build_cfg_full(id, None).map(|(cfg, _)| cfg)
     }
 
-    /// [`Executable::build_cfg`] plus everything a per-routine fragment
-    /// records to stand in for the build: the discovery side effects it
-    /// performed (stage-3 escape registrations, stage-4 trailing
-    /// splits), which a fragment hit replays, and the external-read
-    /// flag (the build consulted words outside the extent, content the
-    /// routine's key does not hash — such builds must not be cached).
-    fn build_cfg_full(&mut self, id: RoutineId) -> Result<BuiltCfg, EelError> {
+    /// [`Executable::build_cfg`] plus, when the build was clean — it read
+    /// no words outside the extent, content the routine's key does not
+    /// hash — the fragment meta recording its §3.1 side effects (stage-3
+    /// escape targets, stage-4 trailing splits) for a hit to replay.
+    ///
+    /// `speculated` is the parallel phase's build of this routine. It is
+    /// honored only when the routine's inputs are still exactly what it
+    /// consumed; otherwise the routine is built afresh, the same
+    /// computation the speculation raced against.
+    fn build_cfg_full(
+        &mut self,
+        id: RoutineId,
+        mut speculated: Option<Speculation>,
+    ) -> Result<(Cfg, Option<FragmentMeta>), EelError> {
         let _obs = eel_obs::span("core.build_cfg");
         if !self.analyzed {
             return Err(EelError::NotAnalyzed);
@@ -596,17 +614,8 @@ impl Executable {
         let mut external = false;
         loop {
             let r = &self.routines[id.0];
-            let inputs = CfgInputs {
-                start: r.start,
-                end: r.end,
-                entries: r.entries.clone(),
-            };
-            // A speculative parallel build is only honored when the
-            // routine's inputs are still exactly what it consumed;
-            // otherwise fall through to a fresh (sequential) build, the
-            // same computation the speculation raced against.
-            let speculated = match self.cfg_memo.remove(&id.0) {
-                Some((key, result)) if key == inputs => {
+            let reused = match speculated.take() {
+                Some((stamp, result)) if stamp == *r => {
                     eel_obs::counter!("core.parallel.speculation.hit").add(1);
                     Some(result)
                 }
@@ -616,46 +625,21 @@ impl Executable {
                 }
                 None => None,
             };
-            let out = match speculated {
+            let out = match reused {
                 Some(result) => result?,
                 None => cfg_build(
                     &self.image,
                     id,
-                    (inputs.start, inputs.end),
-                    &inputs.entries,
+                    (r.start, r.end),
+                    &r.entries,
                     self.jump_analysis,
                 )?,
             };
             external |= out.external_reads;
             escapes.extend_from_slice(&out.escape_targets);
-            // Register interprocedural entry points (stage 3).
-            for t in &out.escape_targets {
-                if let Some(cid) = self.routine_containing(*t) {
-                    let cr = &mut self.routines[cid.0];
-                    if !cr.entries.contains(t) {
-                        cr.entries.push(*t);
-                        cr.entries.sort_unstable();
-                    }
-                }
-            }
-            // Trailing unreachable code: a hidden routine (stage 4).
+            self.register_entries(&out.escape_targets);
             if let Some(t) = out.trailing_unreachable {
-                let r = &self.routines[id.0];
-                if t > r.start && t < r.end && self.routine_containing(t) == Some(id) {
-                    let end = r.end;
-                    let inferred = r.inferred;
-                    self.routines[id.0].end = t;
-                    self.routines[id.0].entries.retain(|&e| e < t);
-                    let new_id = RoutineId(self.routines.len());
-                    self.routines.push(Routine {
-                        name: None,
-                        start: t,
-                        end,
-                        entries: vec![t],
-                        hidden: true,
-                        inferred,
-                    });
-                    self.hidden_queue.push(new_id);
+                if self.split_trailing(id, t) {
                     splits.push(t);
                     // Rebuild with the shrunk extent so the CFG and the
                     // later layout agree.
@@ -672,259 +656,190 @@ impl Executable {
             eel_obs::counter!("core.cfg.edges").add(out.cfg.edges.len() as u64);
             escapes.sort_unstable();
             escapes.dedup();
-            return Ok(BuiltCfg {
-                cfg: out.cfg,
+            let meta = (!external).then(|| FragmentMeta {
+                start: self.routines[id.0].start,
                 escapes,
                 splits,
-                external,
             });
+            return Ok((out.cfg, meta));
         }
+    }
+
+    /// §3.1 stage 3: each interprocedural target becomes an entry point
+    /// of the routine containing it.
+    fn register_entries(&mut self, targets: &[u32]) {
+        for &t in targets {
+            if let Some(cid) = self.routine_containing(t) {
+                let cr = &mut self.routines[cid.0];
+                if !cr.entries.contains(&t) {
+                    cr.entries.push(t);
+                    cr.entries.sort_unstable();
+                }
+            }
+        }
+    }
+
+    /// §3.1 stage 4: unreachable code from `t` to the end of routine
+    /// `id` becomes a new hidden routine, and `id` shrinks to end at
+    /// `t`. Returns whether the split happened (`t` must lie strictly
+    /// inside the routine).
+    fn split_trailing(&mut self, id: RoutineId, t: u32) -> bool {
+        let r = &self.routines[id.0];
+        if t <= r.start || t >= r.end || self.routine_containing(t) != Some(id) {
+            return false;
+        }
+        let (end, inferred) = (r.end, r.inferred);
+        self.routines[id.0].end = t;
+        self.routines[id.0].entries.retain(|&e| e < t);
+        self.hidden_queue.push(RoutineId(self.routines.len()));
+        self.routines.push(Routine {
+            name: None,
+            start: t,
+            end,
+            entries: vec![t],
+            hidden: true,
+            inferred,
+        });
+        true
     }
 
     /// Builds the CFG of **every** currently known routine, fanning the
     /// per-routine builds out over `threads` scoped worker threads
     /// (0 = one per core, 1 = fully sequential), and returns
-    /// `(routine snapshot, CFG)` pairs **in routine order**.
+    /// `(routine snapshot, CFG)` pairs **in routine order**: the probed
+    /// batch of [`Executable::build_all_cfgs_probed`] with a tier that
+    /// never hits.
+    ///
+    /// # Errors
+    ///
+    /// As [`Executable::build_all_cfgs_probed`].
+    pub fn build_all_cfgs(&mut self, threads: usize) -> Result<Vec<(Routine, Cfg)>, EelError> {
+        let items = self.build_all_cfgs_probed(threads, &mut |_| None, &|_| false)?;
+        Ok(items
+            .into_iter()
+            .map(|item| match item.outcome {
+                CfgOutcome::Built(cfg) => (item.routine, cfg),
+                CfgOutcome::Hit(_) => unreachable!("a tier that never loads never hits"),
+            })
+            .collect())
+    }
+
+    /// Builds the CFG of every currently known routine in routine order,
+    /// consulting a per-routine fragment tier first.
+    ///
+    /// For each routine, `load` returns the fragment bytes stored under
+    /// its content key ([`crate::routine_key`]); each key is loaded at
+    /// most once per batch. A fragment is honored only when it decodes,
+    /// `payload_ok` accepts the op payload it carries, and it was
+    /// rendered at the routine's current start. The build is then
+    /// skipped and its recorded §3.1 side effects — stage-4 trailing
+    /// splits, then stage-3 entry registrations — are *replayed*, so
+    /// later routines and the eventual layout see exactly the routine
+    /// table the live build would have produced; the item is a
+    /// [`CfgOutcome::Hit`] carrying the payload. Anything else is built
+    /// live; a clean live build carries the [`Replay`] record its
+    /// fragment is stored with. The composed result is therefore
+    /// byte-identical to building every routine live.
     ///
     /// The returned [`Routine`] is the snapshot a sequential
     /// `for id { routine(id).clone(); build_cfg(id) }` loop would have
     /// observed — taken after all *earlier* routines' side effects but
-    /// before this routine's own build — so render passes that consult
-    /// the routine's extent behave identically in both modes.
+    /// before this routine's own build.
     ///
     /// # Determinism
     ///
-    /// The output is **byte-for-byte identical** to calling
-    /// [`Executable::build_cfg`] on each routine in order. The parallel
-    /// phase only *speculates*: it runs the pure CFG builder against a
-    /// snapshot of every routine's extent and entries, and the
-    /// sequential stitch phase accepts a speculative result only when
-    /// those inputs are still exact — any routine invalidated by a
-    /// cross-routine discovery (§3.1 stage 3 entry points, stage 4
-    /// splits) is rebuilt sequentially, exactly as the plain loop would
-    /// have built it. Side effects (entry-point registration,
-    /// hidden-routine splitting, instruction interning) all happen in
-    /// the stitch phase, in routine order.
+    /// The output is **byte-for-byte identical** at every thread count.
+    /// The parallel phase only *speculates*: it runs the pure CFG builder
+    /// against a snapshot of every routine's extent and entries (skipping
+    /// routines whose fragment already validates), and the sequential
+    /// stitch phase accepts a speculative result only when those inputs
+    /// are still exact — any routine invalidated by a cross-routine
+    /// discovery is rebuilt sequentially. Side effects (entry-point
+    /// registration, hidden-routine splitting, instruction interning) all
+    /// happen in the stitch phase, in routine order.
     ///
     /// # Errors
     ///
     /// As [`Executable::build_cfg`]; the first failing routine in
     /// routine order wins, like the sequential loop.
-    pub fn build_all_cfgs(&mut self, threads: usize) -> Result<Vec<(Routine, Cfg)>, EelError> {
-        let items = self.build_all_cfgs_inner(threads, None)?;
-        Ok(items
-            .into_iter()
-            .map(|it| {
-                (
-                    it.routine,
-                    it.cfg.expect("no probe: every routine is built"),
-                )
-            })
-            .collect())
-    }
-
-    /// [`Executable::build_all_cfgs`] with a per-routine fragment probe:
-    /// before building a routine, `probe` is asked whether a cached
-    /// fragment exists for its content key ([`crate::routine_key`]). A
-    /// returned [`FragmentMeta`] is honored — the CFG build is skipped
-    /// and the item carries `cfg: None` — only when the recorded start
-    /// still matches (the fragment's rendered output embeds absolute
-    /// addresses); the build's §3.1 side effects are then *replayed*
-    /// from the recorded metadata (stage-4 trailing splits, stage-3
-    /// entry-point registrations), so later routines and the eventual
-    /// layout pass see exactly the routine table the live build would
-    /// have produced. Anything else falls back to a live build, which
-    /// keeps the composed result byte-identical to an unprobed run.
-    ///
-    /// Items report `clean: true` when the live build consulted no
-    /// words outside its own extent (content the key does not hash);
-    /// only those routines' artifacts are safe to store as fragments.
-    ///
-    /// # Errors
-    ///
-    /// As [`Executable::build_all_cfgs`].
     pub fn build_all_cfgs_probed(
         &mut self,
         threads: usize,
-        probe: FragmentProbe<'_>,
-    ) -> Result<Vec<CfgBatchItem>, EelError> {
-        self.build_all_cfgs_inner(threads, Some(probe))
-    }
-
-    fn build_all_cfgs_inner(
-        &mut self,
-        threads: usize,
-        mut probe: Option<FragmentProbe<'_>>,
+        load: &mut dyn FnMut(u64) -> Option<Vec<u8>>,
+        payload_ok: &dyn Fn(&[u8]) -> bool,
     ) -> Result<Vec<CfgBatchItem>, EelError> {
         if !self.analyzed {
             return Err(EelError::NotAnalyzed);
         }
+        let mut probe = Probe {
+            load,
+            payload_ok,
+            loaded: HashMap::new(),
+        };
         let ids = self.all_routine_ids();
         let threads = crate::par::effective_threads(threads).min(ids.len().max(1));
+        let mut speculated: Vec<Option<Speculation>> = Vec::new();
         if threads > 1 && ids.len() > 1 {
             let _obs = eel_obs::span("core.parallel.build_all");
             eel_obs::counter!("core.parallel.batches").add(1);
-            let snapshots: Vec<(RoutineId, CfgInputs)> = ids
+            // Routines whose fragment already validates against the
+            // pre-batch state skip the speculative build; the stitch
+            // phase re-validates before trusting the fragment.
+            let snapshots: Vec<Option<Routine>> = ids
                 .iter()
                 .map(|&id| {
                     let r = &self.routines[id.0];
-                    (
-                        id,
-                        CfgInputs {
-                            start: r.start,
-                            end: r.end,
-                            entries: r.entries.clone(),
-                        },
-                    )
+                    let key = fragment::routine_key(&self.image, r);
+                    probe.hit(r, key).is_none().then(|| r.clone())
                 })
                 .collect();
-            // Routines whose fragment already validates against the
-            // pre-batch state skip the speculative build too — the
-            // stitch phase re-validates before trusting the fragment.
-            let skip: Vec<bool> = match probe.as_mut() {
-                Some(p) => ids
-                    .iter()
-                    .map(|&id| {
-                        let r = &self.routines[id.0];
-                        let key = fragment::routine_key(&self.image, r);
-                        p(r, key).is_some_and(|meta| Self::hit_valid(r, &meta))
-                    })
-                    .collect(),
-                None => vec![false; ids.len()],
-            };
             let image = &self.image;
             let jump_analysis = self.jump_analysis;
             let built = crate::par::fan_out_indexed(snapshots.len(), threads, |i| {
-                if skip[i] {
-                    return None;
-                }
-                let (id, inputs) = &snapshots[i];
+                let r = snapshots[i].as_ref()?;
                 let started = std::time::Instant::now();
-                let out = cfg_build(
-                    image,
-                    *id,
-                    (inputs.start, inputs.end),
-                    &inputs.entries,
-                    jump_analysis,
-                );
+                let out = cfg_build(image, ids[i], (r.start, r.end), &r.entries, jump_analysis);
                 eel_obs::histogram!("core.parallel.routine_us")
                     .record(started.elapsed().as_micros() as u64);
                 Some(out)
             });
-            self.cfg_memo = snapshots
+            speculated = snapshots
                 .into_iter()
                 .zip(built)
-                .filter_map(|((id, inputs), result)| result.map(|r| (id.0, (inputs, r))))
+                .map(|(r, out)| Some((r?, out?)))
                 .collect();
         }
-        // Stitch phase: sequential, in routine order, consuming the
-        // speculative builds where still valid. This is the only place
-        // routine state mutates, so ordering matches the plain loop.
+        // Stitch phase: sequential, in routine order. This is the only
+        // place routine state mutates, so ordering matches the plain
+        // loop.
         let mut out = Vec::with_capacity(ids.len());
-        let mut first_err = None;
         for id in ids {
-            let snapshot = self.routines[id.0].clone();
-            if let Some(p) = probe.as_mut() {
-                let key = fragment::routine_key(&self.image, &snapshot);
-                let hit = p(&snapshot, key).filter(|meta| Self::hit_valid(&snapshot, meta));
-                if let Some(meta) = hit {
-                    // Validated: same bytes, same relative entries, same
-                    // absolute start ⇒ the skipped build would have
-                    // performed exactly the recorded side effects.
-                    // Replay them — splits first (registrations may
-                    // target a split-off region), then stage-3 entry
-                    // registrations — so routine state matches what the
-                    // unprobed run would have at this point.
-                    for &t in &meta.splits {
-                        let r = &self.routines[id.0];
-                        if t > r.start && t < r.end && self.routine_containing(t) == Some(id) {
-                            let end = r.end;
-                            let inferred = r.inferred;
-                            self.routines[id.0].end = t;
-                            self.routines[id.0].entries.retain(|&e| e < t);
-                            let new_id = RoutineId(self.routines.len());
-                            self.routines.push(Routine {
-                                name: None,
-                                start: t,
-                                end,
-                                entries: vec![t],
-                                hidden: true,
-                                inferred,
-                            });
-                            self.hidden_queue.push(new_id);
-                        }
-                    }
-                    for &t in &meta.escapes {
-                        if let Some(cid) = self.routine_containing(t) {
-                            let cr = &mut self.routines[cid.0];
-                            if !cr.entries.contains(&t) {
-                                cr.entries.push(t);
-                                cr.entries.sort_unstable();
-                            }
-                        }
-                    }
-                    self.cfg_memo.remove(&id.0);
-                    out.push(CfgBatchItem {
-                        id,
-                        routine: snapshot,
-                        key,
-                        cfg: None,
-                        clean: false,
-                        escapes: meta.escapes,
-                        splits: meta.splits,
-                    });
-                    continue;
+            let routine = self.routines[id.0].clone();
+            let key = fragment::routine_key(&self.image, &routine);
+            let (outcome, replay) = if let Some((meta, payload)) = probe.hit(&routine, key) {
+                // Same bytes, same relative entries, same absolute start
+                // ⇒ the skipped build would have performed exactly the
+                // recorded side effects. Splits replay first, since a
+                // registration may target a split-off region.
+                for &t in &meta.splits {
+                    self.split_trailing(id, t);
                 }
-                match self.build_cfg_full(id) {
-                    Ok(full) => out.push(CfgBatchItem {
-                        id,
-                        routine: snapshot,
-                        key,
-                        cfg: Some(full.cfg),
-                        clean: !full.external,
-                        escapes: full.escapes,
-                        splits: full.splits,
-                    }),
-                    Err(e) => {
-                        first_err = Some(e);
-                        break;
-                    }
-                }
+                self.register_entries(&meta.escapes);
+                (CfgOutcome::Hit(payload.clone()), None)
             } else {
-                match self.build_cfg_full(id) {
-                    Ok(full) => out.push(CfgBatchItem {
-                        id,
-                        routine: snapshot,
-                        key: 0,
-                        cfg: Some(full.cfg),
-                        clean: !full.external,
-                        escapes: full.escapes,
-                        splits: full.splits,
-                    }),
-                    Err(e) => {
-                        first_err = Some(e);
-                        break;
-                    }
-                }
-            }
+                let spec = speculated.get_mut(id.0).and_then(Option::take);
+                let (cfg, meta) = self.build_cfg_full(id, spec)?;
+                (CfgOutcome::Built(cfg), meta.map(Replay))
+            };
+            out.push(CfgBatchItem {
+                id,
+                routine,
+                key,
+                outcome,
+                replay,
+            });
         }
-        self.cfg_memo.clear();
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
-    }
-
-    /// Is a fragment recorded under this routine's content key actually
-    /// reusable *here*? The content key is position-independent, but
-    /// rendered fragments embed absolute addresses and the recorded
-    /// escape targets are absolute, so the routine must sit at the same
-    /// start. Everything else the build depends on is covered by the key
-    /// itself (extent bytes, length, relative entries) or replayed from
-    /// the meta (stage-3 registrations). See
-    /// [`Executable::build_all_cfgs_probed`].
-    fn hit_valid(r: &Routine, meta: &FragmentMeta) -> bool {
-        meta.start == r.start
+        Ok(out)
     }
 
     /// Rebuilds a routine's CFG purely from a snapshot, with **no**
@@ -1102,6 +1017,15 @@ impl Executable {
             self.addr_map = Some(map);
             self.written = true;
             return Ok((*self.image).clone());
+        }
+        // The edited image carries bss as initialized data (reservations
+        // follow it), so a hostile header's multi-gigabyte bss would
+        // become a multi-gigabyte allocation.
+        if self.image.bss_size > MAX_MATERIALIZED_BSS {
+            return Err(EelError::LayoutOverflow(format!(
+                "bss of {} bytes exceeds the {MAX_MATERIALIZED_BSS}-byte limit for materializing it",
+                self.image.bss_size
+            )));
         }
         // Lay out every remaining routine (discovery may add more).
         loop {

@@ -4,28 +4,30 @@
 //! hash of the whole WEF, so a one-routine change to a large image
 //! recomputed everything. This module gives each [`Routine`] a stable
 //! **content key** — FNV-1a over its byte extent plus the discovery
-//! inputs (`CfgInputs`-shaped: extent length and start-relative entry
-//! points) — so per-routine analysis artifacts ("fragments") can be
-//! cached under `(routine_key, op)` and reused across near-duplicate
-//! images.
+//! inputs (extent length and start-relative entry points) — so
+//! per-routine analysis artifacts ("fragments") can be cached under
+//! `(routine_key, op)` and reused across near-duplicate images.
 //!
 //! The key is deliberately **position-independent**: the same routine
 //! bytes at a different image offset produce the same key. Reuse is
-//! still position-*validated* — every fragment carries a
-//! [`FragmentMeta`] prefix recording the absolute start it was rendered
-//! at plus the discovery side effects (escape-target registrations,
-//! trailing splits) its CFG build performed, and
-//! [`crate::Executable::build_all_cfgs_probed`] honors a fragment only
-//! when the start matches, *replaying* the recorded side effects in the
-//! build's stead. A fragment that fails validation simply falls back to
-//! a live build, so composed output stays byte-identical to a cold
-//! recompute.
+//! still position-*validated*. This module owns the fragment container
+//! and nothing outside eel-core reads it: every fragment is a versioned
+//! [`FragmentMeta`] prefix — the absolute start the fragment was
+//! rendered at plus the discovery side effects (escape-target
+//! registrations, trailing splits) its CFG build performed — followed by
+//! an op payload the caller treats as opaque bytes.
+//! [`crate::Executable::build_all_cfgs_probed`] loads each key once per
+//! batch, honors a fragment only when the start matches, and *replays*
+//! the recorded side effects in the build's stead; a clean live build
+//! hands back a [`crate::Replay`] that wraps an op payload into a new
+//! fragment. A fragment that fails validation falls back to a live
+//! build, so composed output stays byte-identical to a cold recompute.
 //!
 //! The module also provides a compact binary (de)serialization of a
 //! routine's [`RoutineLayout`] so an *instrumentation plan* (snippets
 //! placed, registers scavenged, spill wrapping decided) can itself be a
-//! fragment: a validated hit skips CFG construction, liveness, and
-//! snippet materialization entirely and goes straight to the encode
+//! fragment payload: a validated hit skips CFG construction, liveness,
+//! and snippet materialization entirely and goes straight to the encode
 //! pass of [`crate::Executable::write_edited`].
 
 use crate::layout::{Item, PlacedSnippet, RoutineLayout, Tgt};
@@ -86,20 +88,20 @@ pub fn routine_key(image: &Image, routine: &Routine) -> u64 {
 /// addresses); it then *replays* the recorded side effects, so skipping
 /// the build leaves the routine table exactly as a live build would.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FragmentMeta {
+pub(crate) struct FragmentMeta {
     /// Absolute start address the fragment was rendered at.
-    pub start: u32,
+    pub(crate) start: u32,
     /// Escape targets the routine's CFG build produced (union across
     /// trailing-split rebuild iterations; sorted, deduplicated).
-    pub escapes: Vec<u32>,
+    pub(crate) escapes: Vec<u32>,
     /// Trailing-unreachable split addresses the build performed, in
     /// order: each shrinks the routine to end there and appends a
     /// hidden routine covering the remainder.
-    pub splits: Vec<u32>,
+    pub(crate) splits: Vec<u32>,
 }
 
 /// Wraps an op-specific payload in the versioned fragment container.
-pub fn encode_fragment(meta: &FragmentMeta, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn encode_fragment(meta: &FragmentMeta, payload: &[u8]) -> Vec<u8> {
     let mut out =
         Vec::with_capacity(13 + 4 * (meta.escapes.len() + meta.splits.len()) + payload.len());
     out.push(FRAGMENT_VERSION);
@@ -118,8 +120,8 @@ pub fn encode_fragment(meta: &FragmentMeta, payload: &[u8]) -> Vec<u8> {
 
 /// Splits a fragment into its validation prefix and op payload.
 /// `None` for truncated bytes or an unknown version.
-pub fn decode_fragment(bytes: &[u8]) -> Option<(FragmentMeta, &[u8])> {
-    let mut c = Cur { b: bytes, at: 0 };
+pub(crate) fn decode_fragment(mut bytes: Vec<u8>) -> Option<(FragmentMeta, Vec<u8>)> {
+    let mut c = Cur { b: &bytes, at: 0 };
     if c.u8()? != FRAGMENT_VERSION {
         return None;
     }
@@ -140,13 +142,15 @@ pub fn decode_fragment(bytes: &[u8]) -> Option<(FragmentMeta, &[u8])> {
     for _ in 0..n {
         splits.push(c.u32()?);
     }
+    let at = c.at;
+    bytes.drain(..at);
     Some((
         FragmentMeta {
             start,
             escapes,
             splits,
         },
-        &bytes[c.at..],
+        bytes,
     ))
 }
 
@@ -647,15 +651,15 @@ mod tests {
         };
         let payload = b"per-routine payload";
         let enc = encode_fragment(&meta, payload);
-        let (got, body) = decode_fragment(&enc).expect("round trip");
+        let (got, body) = decode_fragment(enc.clone()).expect("round trip");
         assert_eq!(got, meta);
         assert_eq!(body, payload);
         for cut in 0..enc.len().min(17) {
-            let _ = decode_fragment(&enc[..cut]); // must not panic
+            let _ = decode_fragment(enc[..cut].to_vec()); // must not panic
         }
-        assert!(decode_fragment(&enc[..8]).is_none());
+        assert!(decode_fragment(enc[..8].to_vec()).is_none());
         let mut bad = enc.clone();
         bad[0] = 99;
-        assert!(decode_fragment(&bad).is_none(), "unknown version rejected");
+        assert!(decode_fragment(bad).is_none(), "unknown version rejected");
     }
 }

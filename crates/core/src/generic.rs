@@ -9,7 +9,7 @@
 //! end-to-end by MIPS today; a future alpha backend reuses it untouched.
 
 use crate::error::EelError;
-use crate::machine::{machine_ops, InsnKind, MachineOps};
+use crate::machine::{machine_ops, InsnKind};
 use crate::routine::Routine;
 use eel_exe::{Image, Machine, Symbol, SymbolKind};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -450,9 +450,4 @@ pub fn instrument_block_counters(image: &Image) -> Result<(Image, Vec<BlockCount
 /// [`crate::Executable`] pipeline.
 pub fn uses_generic_pipeline(machine: Machine) -> bool {
     machine != Machine::Sparc
-}
-
-/// The machine-generic ops table for an image (shorthand used by tools).
-pub fn ops_for(image: &Image) -> &'static dyn MachineOps {
-    machine_ops(image.machine)
 }

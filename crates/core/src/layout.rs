@@ -626,9 +626,20 @@ impl<'a> Layouter<'a> {
         out
     }
 
-    fn dest_tgt(&self, _cfg: &Cfg, dest: &PathDest) -> Tgt {
+    /// The symbolic target for a block: its label, or — for a block that
+    /// lost its unit to another at the same address, which only a
+    /// malformed image produces — its original address, which write
+    /// time maps or rejects.
+    fn block_tgt(&self, cfg: &Cfg, b: BlockId) -> Tgt {
+        match self.block_label.get(&b) {
+            Some(&l) => Tgt::Local(l),
+            None => Tgt::Orig(cfg.block(b).addr),
+        }
+    }
+
+    fn dest_tgt(&self, cfg: &Cfg, dest: &PathDest) -> Tgt {
         match dest {
-            PathDest::Block(b) => Tgt::Local(self.block_label[b]),
+            PathDest::Block(b) => self.block_tgt(cfg, *b),
             PathDest::Escape(t) => Tgt::Orig(*t),
             _ => Tgt::Orig(0),
         }
@@ -708,7 +719,7 @@ impl<'a> Layouter<'a> {
             // Fold the delay instruction back into the slot (§3.3).
             let target = match &taken_path {
                 Some((_, _, dest)) => self.dest_tgt(cfg, dest),
-                None => Tgt::Local(self.block_label[&bid]), // `bn`: target unused
+                None => self.block_tgt(cfg, bid), // `bn`: target unused
             };
             self.items.push(Item::BranchTo {
                 cond,
@@ -828,7 +839,7 @@ impl<'a> Layouter<'a> {
                     self.items.push(Item::BranchTo {
                         cond: Cond::Always,
                         annul: false,
-                        target: Tgt::Local(self.block_label[b]),
+                        target: self.block_tgt(cfg, *b),
                         orig: None,
                     });
                     self.items.push(Item::New(Builder::nop()));
@@ -949,7 +960,7 @@ impl<'a> Layouter<'a> {
                     self.items.push(Item::BranchTo {
                         cond: Cond::Always,
                         annul: false,
-                        target: Tgt::Local(self.block_label[&b]),
+                        target: self.block_tgt(cfg, b),
                         orig: None,
                     });
                     self.items.push(Item::New(Builder::nop()));

@@ -73,10 +73,10 @@ pub use cfg::{
     InsnAt,
 };
 pub use error::EelError;
-pub use executable::{CfgBatchItem, DiscoverySource, Executable, RoutineId};
-pub use fragment::{decode_fragment, encode_fragment, routine_key, FragmentMeta};
+pub use executable::{CfgBatchItem, CfgOutcome, DiscoverySource, Executable, Replay, RoutineId};
+pub use fragment::routine_key;
 pub use generic::{
-    generic_cfg, generic_disasm, generic_liveness, instrument_block_counters, ops_for,
+    generic_cfg, generic_disasm, generic_liveness, instrument_block_counters,
     uses_generic_pipeline, BlockCounter, GenericBlock, GenericCfg, GenericLiveness,
 };
 pub use instr::{AllocStats, Instruction, InstructionPool};

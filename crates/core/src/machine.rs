@@ -18,6 +18,7 @@
 //! Porting to a third machine (alpha) means writing a description and
 //! adding a `machine_ops` arm; `docs/MACHINES.md` walks through it.
 
+use crate::error::EelError;
 use eel_exe::{Image, Machine};
 use eel_isa::{Cond, Op, Reg};
 use std::collections::HashMap;
@@ -89,14 +90,28 @@ pub trait MachineOps: Send + Sync {
 }
 
 /// The ops table for a machine tag.
+///
+/// # Panics
+///
+/// For a tag with no registered backend (alpha). Routine discovery
+/// rejects such images first, so every analysis of an image that got
+/// that far has a backend.
 pub fn machine_ops(machine: Machine) -> &'static dyn MachineOps {
+    backend(machine).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The ops table for a machine tag, or [`EelError::BadImage`] for a tag
+/// with no registered backend.
+pub(crate) fn backend(machine: Machine) -> Result<&'static dyn MachineOps, EelError> {
     eel_obs::counter!("core.machine.dispatch").add(1);
     match machine {
-        Machine::Sparc => &SparcOps,
-        Machine::Mips => &MipsOps,
+        Machine::Sparc => Ok(&SparcOps),
+        Machine::Mips => Ok(&MipsOps),
         // Registering alpha here (backed by an `alpha.spawn` description)
         // is the final step of the MACHINES.md porting recipe.
-        Machine::Alpha => unimplemented!("no alpha backend registered yet (see docs/MACHINES.md)"),
+        Machine::Alpha => Err(EelError::BadImage(
+            "no alpha backend registered yet (see docs/MACHINES.md)".into(),
+        )),
     }
 }
 

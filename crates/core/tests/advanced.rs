@@ -4,7 +4,7 @@
 //! slots, data between routines).
 
 use eel_cc::{compile_str, Options};
-use eel_core::{CallGraph, Executable, Snippet};
+use eel_core::{CallGraph, EelError, Executable, Snippet};
 use eel_emu::{run_image, Machine};
 use eel_isa::Reg;
 
@@ -415,4 +415,17 @@ fn annulled_branch_edges_count_exactly() {
     assert_eq!(outcome.exit_code, 9, "semantics preserved under edge edits");
     assert_eq!(machine.read_word(taken_c), 9, "taken-edge count");
     assert_eq!(machine.read_word(fall_c), 1, "fall-edge count");
+}
+
+#[test]
+fn oversized_bss_is_refused_instead_of_materialized() {
+    // An edited image carries bss as initialized data; a hostile header's
+    // gigabyte bss must be an error, not a gigabyte allocation.
+    let mut image = compile_str("fn main() { return 3; }", &Options::default()).unwrap();
+    image.bss_size = 1 << 30;
+    let mut exec = Executable::from_image(image).unwrap();
+    exec.read_contents().unwrap();
+    exec.reserve_data(4);
+    let err = exec.write_edited().unwrap_err();
+    assert!(matches!(err, EelError::LayoutOverflow(_)), "{err}");
 }

@@ -3,9 +3,12 @@
 //! byte-identical to an unprobed one.
 
 use eel_cc::{compile_str, Options};
-use eel_core::{Analysis, Executable, FragmentMeta, Routine};
+use eel_core::{Analysis, CfgOutcome, Executable};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// The op payload every recorded fragment carries.
+const PAYLOAD: &[u8] = b"per-routine payload";
 
 fn program() -> &'static str {
     r#"
@@ -19,8 +22,37 @@ fn program() -> &'static str {
     }"#
 }
 
+/// `main` branches into the middle of `callee` (a §3.1 stage-3 entry
+/// registration) and ends in unreachable code (a stage-4 split), so
+/// main's fragment records both side effects and a hit must replay them.
+const SIDE_EFFECTS_ASM: &str = "
+    .global main
+main:
+    cmp %o0, 0
+    be mid
+    nop
+    retl
+    nop
+    mov 1, %o0
+    retl
+    nop
+    .global callee
+callee:
+    add %o0, 1, %o0
+    add %o0, 2, %o0
+mid:
+    add %o0, 3, %o0
+    retl
+    nop
+";
+
 fn analysis() -> Arc<Analysis> {
     let image = compile_str(program(), &Options::default()).unwrap();
+    Arc::new(Analysis::compute(Arc::new(image)).unwrap())
+}
+
+fn side_effects_analysis() -> Arc<Analysis> {
+    let image = eel_asm::assemble(SIDE_EFFECTS_ASM).unwrap();
     Arc::new(Analysis::compute(Arc::new(image)).unwrap())
 }
 
@@ -43,98 +75,164 @@ fn table(exec: &Executable) -> Vec<TableRow> {
         .collect()
 }
 
-/// Runs an unprobed batch and records each clean routine's would-be
-/// fragment metadata under its content key.
-fn record(a: &Arc<Analysis>) -> (HashMap<u64, FragmentMeta>, Vec<TableRow>) {
+/// Runs a batch against an empty tier and records each clean routine's
+/// fragment, in routine order, with its content key.
+fn record(a: &Arc<Analysis>) -> (Vec<(u64, Vec<u8>)>, Vec<TableRow>) {
     let mut exec = Executable::from_analysis(a);
-    let mut none = |_r: &Routine, _k: u64| None;
-    let items = exec.build_all_cfgs_probed(1, &mut none).unwrap();
-    let mut metas = HashMap::new();
+    let items = exec
+        .build_all_cfgs_probed(1, &mut |_| None, &|_| true)
+        .unwrap();
+    let mut fragments = Vec::new();
     for it in &items {
-        assert!(it.cfg.is_some(), "no probe: everything is built live");
-        if it.clean {
-            metas.insert(
-                it.key,
-                FragmentMeta {
-                    start: it.routine.start(),
-                    escapes: it.escapes.clone(),
-                    splits: it.splits.clone(),
-                },
-            );
+        assert!(
+            matches!(it.outcome, CfgOutcome::Built(_)),
+            "an empty tier never hits"
+        );
+        if let Some(replay) = &it.replay {
+            fragments.push((it.key, replay.fragment(PAYLOAD)));
         }
     }
-    (metas, table(&exec))
+    (fragments, table(&exec))
 }
 
 #[test]
 fn validated_hits_replay_side_effects_exactly() {
-    let a = analysis();
-    let (metas, cold_table) = record(&a);
-    assert!(!metas.is_empty(), "some routine must be cacheable");
+    for a in [analysis(), side_effects_analysis()] {
+        let (fragments, cold_table) = record(&a);
+        assert!(!fragments.is_empty(), "some routine must be cacheable");
+        let stored: HashMap<u64, Vec<u8>> = fragments.into_iter().collect();
 
-    for threads in [1, 2, 4] {
-        let mut exec = Executable::from_analysis(&a);
-        let mut probe = |_r: &Routine, k: u64| metas.get(&k).cloned();
-        let items = exec.build_all_cfgs_probed(threads, &mut probe).unwrap();
-        let hits = items.iter().filter(|it| it.cfg.is_none()).count();
-        assert_eq!(
-            hits,
-            metas.len(),
-            "threads={threads}: every recorded routine is a hit"
-        );
-        // The replayed side effects must leave the routine table —
-        // extents, entry points, split-off hidden routines — exactly as
-        // the live builds did: later layout passes consume this state.
-        assert_eq!(table(&exec), cold_table, "threads={threads}");
+        for threads in [1, 2, 4] {
+            let mut exec = Executable::from_analysis(&a);
+            let mut loads: HashMap<u64, u32> = HashMap::new();
+            let mut load = |k: u64| {
+                *loads.entry(k).or_insert(0) += 1;
+                stored.get(&k).cloned()
+            };
+            let items = exec
+                .build_all_cfgs_probed(threads, &mut load, &|p| p == PAYLOAD)
+                .unwrap();
+            let hits: Vec<&[u8]> = items
+                .iter()
+                .filter_map(|it| match &it.outcome {
+                    CfgOutcome::Hit(payload) => Some(payload.as_slice()),
+                    CfgOutcome::Built(_) => None,
+                })
+                .collect();
+            assert_eq!(
+                hits.len(),
+                stored.len(),
+                "threads={threads}: every recorded routine is a hit"
+            );
+            assert!(hits.iter().all(|p| *p == PAYLOAD), "hits carry the payload");
+            assert!(
+                loads.values().all(|&n| n == 1),
+                "threads={threads}: each key is loaded once per batch: {loads:?}"
+            );
+            // The replayed side effects must leave the routine table —
+            // extents, entry points, split-off hidden routines — exactly
+            // as the live builds did: later layout passes consume it.
+            assert_eq!(table(&exec), cold_table, "threads={threads}");
+        }
     }
 }
 
 #[test]
-fn wrong_start_meta_is_rejected_and_rebuilt_live() {
+fn rejected_payloads_are_built_live() {
     let a = analysis();
-    let (metas, cold_table) = record(&a);
-
-    // A lying probe: right key, wrong position. Rendered fragments embed
-    // absolute addresses, so honoring this would corrupt the output.
+    let (fragments, cold_table) = record(&a);
+    let stored: HashMap<u64, Vec<u8>> = fragments.into_iter().collect();
     let mut exec = Executable::from_analysis(&a);
-    let mut probe = |_r: &Routine, k: u64| {
-        metas.get(&k).map(|m| FragmentMeta {
-            start: m.start.wrapping_add(4),
-            escapes: m.escapes.clone(),
-            splits: m.splits.clone(),
-        })
-    };
-    let items = exec.build_all_cfgs_probed(1, &mut probe).unwrap();
+    let items = exec
+        .build_all_cfgs_probed(2, &mut |k| stored.get(&k).cloned(), &|_| false)
+        .unwrap();
     assert!(
-        items.iter().all(|it| it.cfg.is_some()),
-        "every mispositioned fragment falls back to a live build"
+        items
+            .iter()
+            .all(|it| matches!(it.outcome, CfgOutcome::Built(_))),
+        "a payload the op rejects is never a hit"
     );
     assert_eq!(table(&exec), cold_table);
 }
 
 #[test]
-fn fanout_skip_with_stitch_miss_still_builds_live() {
-    // In the parallel path a fragment hit at fan-out time skips the
-    // speculative build, leaving no memo entry. If the authoritative
-    // stitch-time probe then *misses* (tier evicted between the two
-    // probes, say), the routine must fall back to a live sequential
-    // build — never a stale fragment, never a missing CFG.
+fn wrong_start_meta_is_rejected_and_rebuilt_live() {
     let a = analysis();
-    let (metas, cold_table) = record(&a);
-    assert!(!metas.is_empty());
+    let (fragments, cold_table) = record(&a);
+    assert!(fragments.len() >= 2, "needs two routines to swap");
 
-    let mut exec = Executable::from_analysis(&a);
-    let mut calls: HashMap<u64, u32> = HashMap::new();
-    let mut probe = |_r: &Routine, k: u64| {
-        let n = calls.entry(k).or_insert(0);
-        *n += 1;
-        // Hit only on the first probe of each key (the fan-out prelude);
-        // miss at stitch.
-        (*n == 1).then(|| metas.get(&k).cloned()).flatten()
-    };
-    let items = exec.build_all_cfgs_probed(4, &mut probe).unwrap();
+    // A lying tier: under each key it returns the fragment of the next
+    // routine — right shape, wrong position. Rendered fragments embed
+    // absolute addresses, so honoring one would corrupt the output.
+    let lying: HashMap<u64, Vec<u8>> = fragments
+        .iter()
+        .zip(fragments.iter().cycle().skip(1))
+        .map(|((key, _), (_, next))| (*key, next.clone()))
+        .collect();
+    for threads in [1, 4] {
+        let mut exec = Executable::from_analysis(&a);
+        let items = exec
+            .build_all_cfgs_probed(threads, &mut |k| lying.get(&k).cloned(), &|_| true)
+            .unwrap();
+        assert!(
+            items
+                .iter()
+                .all(|it| matches!(it.outcome, CfgOutcome::Built(_))),
+            "threads={threads}: every mispositioned fragment falls back to a live build"
+        );
+        assert_eq!(table(&exec), cold_table, "threads={threads}");
+    }
+}
+
+#[test]
+fn fanout_skip_with_stitch_miss_still_builds_live() {
+    // In the parallel path a fragment that validates against the
+    // pre-batch routine table skips the speculative build. If an earlier
+    // routine's build then changes this routine's inputs — main's branch
+    // registers a second entry of callee, which changes callee's key —
+    // the stitch-time probe misses and callee must be built live:
+    // never a stale fragment, never a missing CFG.
+    let a = side_effects_analysis();
+    let (fragments, cold_table) = record(&a);
     assert!(
-        items.iter().all(|it| it.cfg.is_some()),
+        cold_table
+            .iter()
+            .any(|row| row.0 == "callee" && row.3.len() == 2),
+        "main registers a second entry of callee: {cold_table:?}"
+    );
+    assert!(
+        cold_table.iter().any(|row| row.4),
+        "main's unreachable tail splits off: {cold_table:?}"
+    );
+    let mut exec = Executable::from_analysis(&a);
+    let callee = exec
+        .routines()
+        .iter()
+        .position(|r| r.name() == "callee")
+        .expect("callee");
+    let pre_key = exec.routine_keys()[callee];
+    let post_key = {
+        let mut cold = Executable::from_analysis(&a);
+        cold.build_all_cfgs(1).unwrap();
+        cold.routine_keys()[callee]
+    };
+    assert_ne!(pre_key, post_key, "the registration changes callee's key");
+    let callee_fragment = fragments
+        .iter()
+        .find(|(key, _)| *key == post_key)
+        .map(|(_, f)| f.clone())
+        .expect("callee is clean");
+    let mut loads: Vec<u64> = Vec::new();
+    let mut load = |k: u64| {
+        loads.push(k);
+        (k == pre_key).then(|| callee_fragment.clone())
+    };
+    let items = exec.build_all_cfgs_probed(4, &mut load, &|_| true).unwrap();
+    assert!(loads.contains(&pre_key), "the fan-out probe saw the hit");
+    assert!(
+        items
+            .iter()
+            .all(|it| matches!(it.outcome, CfgOutcome::Built(_))),
         "a stitch-time miss must produce a live build"
     );
     assert_eq!(table(&exec), cold_table);

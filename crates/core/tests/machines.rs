@@ -238,3 +238,17 @@ fn routine_key_folds_machine_byte() {
     assert_eq!((ra.start(), ra.end()), (rb.start(), rb.end()));
     assert_ne!(routine_key(an_a.image(), ra), routine_key(an_b.image(), rb));
 }
+
+/// An image tagged for a machine with no registered backend is rejected
+/// by discovery instead of reaching the machine seam.
+#[test]
+fn images_for_machines_without_a_backend_are_errors() {
+    use eel_exe::{DATA_BASE, TEXT_BASE};
+    let mut image = eel_exe::Image::new(TEXT_BASE, DATA_BASE);
+    image.text.extend_from_slice(&0x0100_0000u32.to_be_bytes());
+    let image = image.with_machine(Machine::Alpha);
+    let err = Analysis::compute(Arc::new(image.clone())).unwrap_err();
+    assert!(err.to_string().contains("no alpha backend"), "{err}");
+    let mut exec = Executable::from_image(image).unwrap();
+    assert!(exec.read_contents().is_err());
+}

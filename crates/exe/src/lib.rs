@@ -386,6 +386,22 @@ impl Image {
         if !self.text.len().is_multiple_of(4) {
             return Err(WefError::Malformed("text size not a multiple of 4".into()));
         }
+        // Segment ends are u32 addresses: a segment that runs past the
+        // top of the address space has no end to compute.
+        let fits = |base: u32, len: u64| u64::from(base) + len <= u64::from(u32::MAX);
+        if !fits(self.text_addr, self.text.len() as u64) {
+            return Err(WefError::Malformed(
+                "text segment wraps the address space".into(),
+            ));
+        }
+        if !fits(
+            self.data_addr,
+            self.data.len() as u64 + u64::from(self.bss_size),
+        ) {
+            return Err(WefError::Malformed(
+                "data segment wraps the address space".into(),
+            ));
+        }
         if !self.entry.is_multiple_of(4) || !self.in_text(self.entry) {
             return Err(WefError::Malformed(format!(
                 "entry {:#x} not a text address",
@@ -723,6 +739,20 @@ mod tests {
         bytes[4..8].copy_from_slice(&[0, 0, 0, 0]);
         let back = Image::from_bytes(&bytes).unwrap();
         assert_eq!(back.machine, Machine::Sparc);
+    }
+
+    #[test]
+    fn segments_that_wrap_the_address_space_are_malformed() {
+        let mut img = sample();
+        img.text_addr = u32::MAX - 7;
+        img.entry = img.text_addr;
+        assert!(matches!(img.validate(), Err(WefError::Malformed(_))));
+        let mut img = sample();
+        img.bss_size = u32::MAX - 0x40000;
+        assert!(matches!(img.validate(), Err(WefError::Malformed(_))));
+        // Ending exactly at the top of the address space still fits.
+        img.bss_size = u32::MAX - 0x40000 - 8;
+        assert_eq!(img.validate(), Ok(()));
     }
 
     #[test]

@@ -92,43 +92,20 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlightLru<K, V> {
     }
 
     /// Returns the cached value for `key`, or runs `compute` to fill it.
-    /// `compute` returns the value plus its budget cost in bytes. The
-    /// boolean is `true` when the value was served without running
-    /// `compute` here — an LRU hit or a join onto an in-flight
-    /// computation.
+    /// `compute` returns the value, its budget cost in bytes, and its
+    /// recompute [`CostClass`], which steers eviction order under budget
+    /// pressure. The boolean is `true` when the value was served without
+    /// running `compute` here — an LRU hit or a join onto an in-flight
+    /// computation. The returned list holds the entries this insertion
+    /// evicted, so the caller can demote them to a slower tier (eel-serve
+    /// spills them to the disk cache) instead of discarding the work; it
+    /// is empty on a hit or a join, and is collected under the lock but
+    /// returned for processing outside it, so demotion I/O never blocks
+    /// other requests.
     ///
     /// If `compute` panics, the in-flight slot is cleared and waiters
     /// retry, so one poisoned request cannot wedge the cache.
-    pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> (V, usize)) -> (V, bool) {
-        let (value, hit, _evicted) = self.get_or_compute_with_evicted(key, compute);
-        (value, hit)
-    }
-
-    /// As [`SingleFlightLru::get_or_compute`], but also hands back the
-    /// entries this insertion evicted, so the caller can demote them to a
-    /// slower tier (eel-serve spills them to the disk cache) instead of
-    /// discarding the work. The evicted list is empty on a hit or an
-    /// in-flight join; it is collected under the lock but returned for
-    /// processing outside it, so demotion I/O never blocks other
-    /// requests.
-    ///
-    /// New entries default to [`CostClass::Expensive`]; use
-    /// [`SingleFlightLru::get_or_compute_classed`] to say otherwise.
-    pub fn get_or_compute_with_evicted(
-        &self,
-        key: K,
-        compute: impl FnOnce() -> (V, usize),
-    ) -> (V, bool, Vec<(K, V)>) {
-        self.get_or_compute_classed(key, || {
-            let (value, cost) = compute();
-            (value, cost, CostClass::Expensive)
-        })
-    }
-
-    /// As [`SingleFlightLru::get_or_compute_with_evicted`], with the
-    /// compute closure also declaring the entry's recompute
-    /// [`CostClass`], which steers eviction order under budget pressure.
-    pub fn get_or_compute_classed(
+    pub fn get_or_compute(
         &self,
         key: K,
         compute: impl FnOnce() -> (V, usize, CostClass),
@@ -305,10 +282,11 @@ mod tests {
     #[test]
     fn hit_after_miss() {
         let cache: SingleFlightLru<u64, Arc<String>> = SingleFlightLru::new(1 << 20);
-        let (v, hit) = cache.get_or_compute(1, || (Arc::new("a".into()), 8));
+        let (v, hit, _) =
+            cache.get_or_compute(1, || (Arc::new("a".into()), 8, CostClass::Expensive));
         assert!(!hit);
         assert_eq!(*v, "a");
-        let (v, hit) = cache.get_or_compute(1, || unreachable!("must not recompute"));
+        let (v, hit, _) = cache.get_or_compute(1, || unreachable!("must not recompute"));
         assert!(hit);
         assert_eq!(*v, "a");
         assert_eq!(cache.len(), 1);
@@ -318,14 +296,14 @@ mod tests {
     #[test]
     fn lru_eviction_respects_budget_and_recency() {
         let cache: SingleFlightLru<u64, u64> = SingleFlightLru::new(100);
-        cache.get_or_compute(1, || (1, 40));
-        cache.get_or_compute(2, || (2, 40));
+        cache.get_or_compute(1, || (1, 40, CostClass::Expensive));
+        cache.get_or_compute(2, || (2, 40, CostClass::Expensive));
         // Touch 1 so 2 becomes the LRU victim.
         cache.get_or_compute(1, || unreachable!());
-        cache.get_or_compute(3, || (3, 40));
+        cache.get_or_compute(3, || (3, 40, CostClass::Expensive));
         assert!(cache.bytes() <= 100);
-        let (_, hit1) = cache.get_or_compute(1, || (1, 40));
-        let (_, hit2) = cache.get_or_compute(2, || (2, 40));
+        let (_, hit1, _) = cache.get_or_compute(1, || (1, 40, CostClass::Expensive));
+        let (_, hit2, _) = cache.get_or_compute(2, || (2, 40, CostClass::Expensive));
         assert!(hit1, "recently touched entry survived");
         assert!(!hit2, "LRU entry was evicted");
     }
@@ -333,8 +311,8 @@ mod tests {
     #[test]
     fn oversized_entry_still_resident() {
         let cache: SingleFlightLru<u64, u64> = SingleFlightLru::new(10);
-        cache.get_or_compute(1, || (1, 1000));
-        let (_, hit) = cache.get_or_compute(1, || unreachable!());
+        cache.get_or_compute(1, || (1, 1000, CostClass::Expensive));
+        let (_, hit, _) = cache.get_or_compute(1, || unreachable!());
         assert!(hit, "newest entry survives even over budget");
     }
 
@@ -350,11 +328,17 @@ mod tests {
                 cache.get_or_compute(7, || {
                     computes.fetch_add(1, Ordering::SeqCst);
                     std::thread::sleep(std::time::Duration::from_millis(30));
-                    (99, 8)
+                    (99, 8, CostClass::Expensive)
                 })
             }));
         }
-        let results: Vec<(u64, bool)> = joined.into_iter().map(|j| j.join().unwrap()).collect();
+        let results: Vec<(u64, bool)> = joined
+            .into_iter()
+            .map(|j| {
+                let (v, hit, _) = j.join().unwrap();
+                (v, hit)
+            })
+            .collect();
         assert_eq!(computes.load(Ordering::SeqCst), 1, "exactly one compute");
         assert!(results.iter().all(|(v, _)| *v == 99));
         assert_eq!(
@@ -376,7 +360,7 @@ mod tests {
         });
         panicker.join().unwrap();
         // The slot must be clear: a later request computes fresh.
-        let (v, hit) = cache.get_or_compute(5, || (42, 8));
+        let (v, hit, _) = cache.get_or_compute(5, || (42, 8, CostClass::Expensive));
         assert!(!hit);
         assert_eq!(v, 42);
     }
@@ -384,11 +368,11 @@ mod tests {
     #[test]
     fn eviction_hands_back_demotable_entries() {
         let cache: SingleFlightLru<u64, u64> = SingleFlightLru::new(100);
-        cache.get_or_compute(1, || (11, 60));
-        let (_, hit, evicted) = cache.get_or_compute_with_evicted(1, || unreachable!());
+        cache.get_or_compute(1, || (11, 60, CostClass::Expensive));
+        let (_, hit, evicted) = cache.get_or_compute(1, || unreachable!());
         assert!(hit);
         assert!(evicted.is_empty(), "hits evict nothing");
-        let (_, _, evicted) = cache.get_or_compute_with_evicted(2, || (22, 60));
+        let (_, _, evicted) = cache.get_or_compute(2, || (22, 60, CostClass::Expensive));
         assert_eq!(evicted, vec![(1, 11)], "victim returned for demotion");
         assert!(cache.bytes() <= 100);
     }
@@ -397,36 +381,36 @@ mod tests {
     fn cheap_entries_evicted_before_older_expensive_ones() {
         let cache: SingleFlightLru<u64, u64> = SingleFlightLru::new(100);
         // Oldest entry is expensive; two cheap entries follow.
-        cache.get_or_compute_classed(1, || (11, 30, CostClass::Expensive));
-        cache.get_or_compute_classed(2, || (22, 30, CostClass::Cheap));
-        cache.get_or_compute_classed(3, || (33, 30, CostClass::Cheap));
+        cache.get_or_compute(1, || (11, 30, CostClass::Expensive));
+        cache.get_or_compute(2, || (22, 30, CostClass::Cheap));
+        cache.get_or_compute(3, || (33, 30, CostClass::Cheap));
         // +30 overflows by 20: a strict LRU would evict key 1, but
         // cost-weighting sacrifices the LRU *cheap* entry (key 2).
-        let (_, _, evicted) = cache.get_or_compute_classed(4, || (44, 30, CostClass::Expensive));
+        let (_, _, evicted) = cache.get_or_compute(4, || (44, 30, CostClass::Expensive));
         assert_eq!(evicted, vec![(2, 22)], "cheapest-class LRU victim first");
-        let (_, hit1) = cache.get_or_compute(1, || unreachable!());
+        let (_, hit1, _) = cache.get_or_compute(1, || unreachable!());
         assert!(hit1, "older expensive entry outlived the cheap one");
     }
 
     #[test]
     fn expensive_entries_evict_in_lru_order_once_cheap_exhausted() {
         let cache: SingleFlightLru<u64, u64> = SingleFlightLru::new(100);
-        cache.get_or_compute_classed(1, || (11, 40, CostClass::Expensive));
-        cache.get_or_compute_classed(2, || (22, 40, CostClass::Cheap));
+        cache.get_or_compute(1, || (11, 40, CostClass::Expensive));
+        cache.get_or_compute(2, || (22, 40, CostClass::Cheap));
         // Overflow by 60: the cheap entry goes first, then the oldest
         // expensive one; the new insertion survives.
-        let (_, _, evicted) = cache.get_or_compute_classed(3, || (33, 80, CostClass::Expensive));
+        let (_, _, evicted) = cache.get_or_compute(3, || (33, 80, CostClass::Expensive));
         assert_eq!(evicted, vec![(2, 22), (1, 11)]);
-        let (_, hit3) = cache.get_or_compute(3, || unreachable!());
+        let (_, hit3, _) = cache.get_or_compute(3, || unreachable!());
         assert!(hit3, "newest entry always spared");
     }
 
     #[test]
     fn newest_cheap_entry_is_spared_even_over_budget() {
         let cache: SingleFlightLru<u64, u64> = SingleFlightLru::new(10);
-        let (_, _, evicted) = cache.get_or_compute_classed(1, || (11, 1000, CostClass::Cheap));
+        let (_, _, evicted) = cache.get_or_compute(1, || (11, 1000, CostClass::Cheap));
         assert!(evicted.is_empty());
-        let (_, hit) = cache.get_or_compute(1, || unreachable!());
+        let (_, hit, _) = cache.get_or_compute(1, || unreachable!());
         assert!(hit, "sole entry survives regardless of class");
     }
 
@@ -451,7 +435,7 @@ mod tests {
         let worker = std::thread::spawn(move || {
             peer.get_or_compute(7, || {
                 std::thread::sleep(std::time::Duration::from_millis(60));
-                (99, 8)
+                (99, 8, CostClass::Expensive)
             })
         });
         std::thread::sleep(std::time::Duration::from_millis(15));
@@ -481,7 +465,7 @@ mod tests {
         let worker = std::thread::spawn(move || {
             peer.get_or_compute(7, || {
                 std::thread::sleep(std::time::Duration::from_millis(60));
-                (99, 8)
+                (99, 8, CostClass::Expensive)
             })
         });
         std::thread::sleep(std::time::Duration::from_millis(15));

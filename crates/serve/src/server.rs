@@ -58,7 +58,7 @@
 //! `serve.session.inflight` gauge, and the event-loop series
 //! `serve.reactor.conns` (gauge) / `serve.reactor.pushback`.
 
-use crate::cache::{content_hash, SingleFlightLru};
+use crate::cache::{content_hash, CostClass, SingleFlightLru};
 use crate::disk::DiskCache;
 use crate::ops::{recompute_cost, run_edit, run_op_fragments, FragmentTier, CACHED_OPS};
 use crate::proto::{
@@ -1180,7 +1180,7 @@ fn cached_result(
     let key = (hash, op_key.to_string());
     let class = recompute_cost(op_key);
     let mut from_disk = false;
-    let (result, hit, evicted) = shared.results.get_or_compute_classed(key, || {
+    let (result, hit, evicted) = shared.results.get_or_compute(key, || {
         // Memory missed; the disk tier gets a chance before we pay for a
         // computation. A disk hit is promoted into the LRU by virtue of
         // being this closure's return value. Bodies are shrunk to fit
@@ -1257,7 +1257,7 @@ fn analysis_threads(shared: &Shared) -> usize {
 /// Loads + analyzes an image through the analysis cache, so the five ops
 /// over one executable share a single discovery pass.
 fn analyze(shared: &Shared, hash: u64, bytes: &[u8]) -> Result<Arc<Analysis>, String> {
-    let (analysis, _hit) = shared.analyses.get_or_compute(hash, || {
+    let (analysis, _hit, _evicted) = shared.analyses.get_or_compute(hash, || {
         let computed = Image::from_bytes(bytes)
             .map_err(|e| format!("bad WEF image: {e}"))
             .and_then(|image| {
@@ -1268,7 +1268,7 @@ fn analyze(shared: &Shared, hash: u64, bytes: &[u8]) -> Result<Arc<Analysis>, St
             Ok(a) => a.approx_bytes(),
             Err(msg) => msg.len(),
         };
-        (computed, cost)
+        (computed, cost, CostClass::Expensive)
     });
     analysis
 }

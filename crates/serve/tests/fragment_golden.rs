@@ -1,0 +1,258 @@
+//! Golden fragment bytes and the load count of the fragment tier.
+//!
+//! Per-routine fragments live in the result LRU and in `.eelf` disk
+//! sidecars, so their bytes are a storage format: a change to the
+//! fragment container or to any op's payload would silently turn every
+//! existing disk cache into misses. The first test pins FNV-1a digests
+//! of every fragment the fragment-cached ops store for the SPARC shapes
+//! of `op_golden.rs` (gcc, SunPro, stripped gcc), plus two hand-assembled
+//! programs whose fragments record §3.1 side effects: an escape into the
+//! middle of another routine and a trailing split. MIPS images take the
+//! generic pipeline, which stores no fragments.
+//!
+//! The second test counts tier loads: at any thread count, one request
+//! loads each `(routine_key, op)` at most once.
+
+mod common;
+
+use eel_core::Analysis;
+use eel_serve::{run_op_fragments, FragmentTier};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+
+const OPS: [&str; 4] = ["disasm", "cfg-summary", "liveness", "instrument"];
+
+fn fnv(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// A tier that never hits and records every store in order.
+#[derive(Default)]
+struct Recording(Mutex<Vec<(u64, String, Vec<u8>)>>);
+
+impl FragmentTier for Recording {
+    fn load(&self, _key: u64, _op: &str) -> Option<Vec<u8>> {
+        None
+    }
+    fn store(&self, key: u64, op: &str, bytes: &[u8]) {
+        self.0
+            .lock()
+            .unwrap()
+            .push((key, op.to_string(), bytes.to_vec()));
+    }
+}
+
+/// `main` branches into the middle of `callee`: main's fragment records
+/// the escape that registers a second entry of callee.
+const ESCAPE_ASM: &str = "
+    .global main
+main:
+    cmp %o0, 0
+    be mid
+    nop
+    retl
+    nop
+    .global callee
+callee:
+    add %o0, 1, %o0
+    add %o0, 2, %o0
+mid:
+    add %o0, 3, %o0
+    retl
+    nop
+";
+
+/// Unreachable code after main's return: main's fragment records the
+/// split that turns it into a hidden routine.
+const SPLIT_ASM: &str = "
+    .global main
+main:
+    retl
+    mov 7, %o0
+    mov 1, %o0
+    retl
+    nop
+    .global last
+last:
+    retl
+    nop
+";
+
+fn analysis(shape: &str, seed: u64) -> Arc<Analysis> {
+    let image = match shape {
+        "asm-escape" => eel_asm::assemble(ESCAPE_ASM).expect("assemble"),
+        "asm-split" => eel_asm::assemble(SPLIT_ASM).expect("assemble"),
+        _ => common::image(shape, seed),
+    };
+    Arc::new(Analysis::compute(Arc::new(image)).expect("analyze"))
+}
+
+/// One line per cold request: `shape seed op threads n=<stores> digest`,
+/// the digest running over each stored fragment's key, length and bytes
+/// in store order.
+fn digests() -> Vec<String> {
+    let mut lines = Vec::new();
+    let shapes = [
+        ("gcc", 2),
+        ("gcc", 10),
+        ("sunpro", 2),
+        ("sunpro", 10),
+        ("stripped", 2),
+        ("stripped", 10),
+        ("asm-escape", 0),
+        ("asm-split", 0),
+    ];
+    for (shape, seed) in shapes {
+        let analysis = analysis(shape, seed);
+        for op in OPS {
+            for threads in [1, 2] {
+                let tier = Recording::default();
+                run_op_fragments(op, &analysis, threads, &tier).expect(op);
+                let stores = tier.0.into_inner().unwrap();
+                let mut h = 0xcbf2_9ce4_8422_2325;
+                for (key, stored_op, bytes) in &stores {
+                    assert_eq!(stored_op, op, "fragments are stored under their op");
+                    h = fnv(h, &key.to_be_bytes());
+                    h = fnv(h, &(bytes.len() as u64).to_be_bytes());
+                    h = fnv(h, bytes);
+                }
+                lines.push(format!(
+                    "{shape} {seed} {op} {threads} n={} {h:016x}",
+                    stores.len()
+                ));
+            }
+        }
+    }
+    lines
+}
+
+/// Recorded before the fragment container moved into eel-core; every
+/// line must stay byte-identical so existing disk caches stay valid.
+const GOLDEN: &str = "
+gcc 2 disasm 1 n=6 ae31a26de1d1b959
+gcc 2 disasm 2 n=6 ae31a26de1d1b959
+gcc 2 cfg-summary 1 n=6 1b6498eb56ac044f
+gcc 2 cfg-summary 2 n=6 1b6498eb56ac044f
+gcc 2 liveness 1 n=6 7f658fde0fd072f7
+gcc 2 liveness 2 n=6 7f658fde0fd072f7
+gcc 2 instrument 1 n=6 6ca6e5d1777e8155
+gcc 2 instrument 2 n=6 6ca6e5d1777e8155
+gcc 10 disasm 1 n=6 e8a53e5b2f88c710
+gcc 10 disasm 2 n=6 e8a53e5b2f88c710
+gcc 10 cfg-summary 1 n=6 e871ebd33ced1865
+gcc 10 cfg-summary 2 n=6 e871ebd33ced1865
+gcc 10 liveness 1 n=6 6f749ea5fd9ab7fb
+gcc 10 liveness 2 n=6 6f749ea5fd9ab7fb
+gcc 10 instrument 1 n=6 d47e5c8b51f3cf3f
+gcc 10 instrument 2 n=6 d47e5c8b51f3cf3f
+sunpro 2 disasm 1 n=6 ae31a26de1d1b959
+sunpro 2 disasm 2 n=6 ae31a26de1d1b959
+sunpro 2 cfg-summary 1 n=6 1b6498eb56ac044f
+sunpro 2 cfg-summary 2 n=6 1b6498eb56ac044f
+sunpro 2 liveness 1 n=6 7f658fde0fd072f7
+sunpro 2 liveness 2 n=6 7f658fde0fd072f7
+sunpro 2 instrument 1 n=6 6ca6e5d1777e8155
+sunpro 2 instrument 2 n=6 6ca6e5d1777e8155
+sunpro 10 disasm 1 n=6 0dc39a5de75ee2cd
+sunpro 10 disasm 2 n=6 0dc39a5de75ee2cd
+sunpro 10 cfg-summary 1 n=6 d808dd6bdd9e9735
+sunpro 10 cfg-summary 2 n=6 d808dd6bdd9e9735
+sunpro 10 liveness 1 n=6 e21f90b22f4ad249
+sunpro 10 liveness 2 n=6 e21f90b22f4ad249
+sunpro 10 instrument 1 n=6 c8bea9dff33bd15f
+sunpro 10 instrument 2 n=6 c8bea9dff33bd15f
+stripped 2 disasm 1 n=6 ae31a26de1d1b959
+stripped 2 disasm 2 n=6 ae31a26de1d1b959
+stripped 2 cfg-summary 1 n=6 1b6498eb56ac044f
+stripped 2 cfg-summary 2 n=6 1b6498eb56ac044f
+stripped 2 liveness 1 n=6 7f658fde0fd072f7
+stripped 2 liveness 2 n=6 7f658fde0fd072f7
+stripped 2 instrument 1 n=6 6ca6e5d1777e8155
+stripped 2 instrument 2 n=6 6ca6e5d1777e8155
+stripped 10 disasm 1 n=6 e8a53e5b2f88c710
+stripped 10 disasm 2 n=6 e8a53e5b2f88c710
+stripped 10 cfg-summary 1 n=6 e871ebd33ced1865
+stripped 10 cfg-summary 2 n=6 e871ebd33ced1865
+stripped 10 liveness 1 n=6 6f749ea5fd9ab7fb
+stripped 10 liveness 2 n=6 6f749ea5fd9ab7fb
+stripped 10 instrument 1 n=6 d47e5c8b51f3cf3f
+stripped 10 instrument 2 n=6 d47e5c8b51f3cf3f
+asm-escape 0 disasm 1 n=2 e8e661c9a603df0f
+asm-escape 0 disasm 2 n=2 e8e661c9a603df0f
+asm-escape 0 cfg-summary 1 n=2 ca1ba46eb21e034b
+asm-escape 0 cfg-summary 2 n=2 ca1ba46eb21e034b
+asm-escape 0 liveness 1 n=2 21f588b18167c5a6
+asm-escape 0 liveness 2 n=2 21f588b18167c5a6
+asm-escape 0 instrument 1 n=2 2758e62c50db2dde
+asm-escape 0 instrument 2 n=2 2758e62c50db2dde
+asm-split 0 disasm 1 n=2 37a498f95e2ab449
+asm-split 0 disasm 2 n=2 37a498f95e2ab449
+asm-split 0 cfg-summary 1 n=2 e527c55583674a6b
+asm-split 0 cfg-summary 2 n=2 e527c55583674a6b
+asm-split 0 liveness 1 n=2 a77c2e5105add705
+asm-split 0 liveness 2 n=2 a77c2e5105add705
+asm-split 0 instrument 1 n=2 edd32dad15fa72c1
+asm-split 0 instrument 2 n=2 edd32dad15fa72c1
+";
+
+#[test]
+fn stored_fragments_match_the_recorded_digests() {
+    let got = digests().join("\n");
+    assert_eq!(got, GOLDEN.trim(), "\n--- got ---\n{got}\n");
+}
+
+/// A shared in-memory tier that counts loads per `(key, op)`.
+#[derive(Default)]
+struct Counting {
+    stored: Mutex<HashMap<(u64, String), Vec<u8>>>,
+    loads: Mutex<HashMap<(u64, String), u32>>,
+}
+
+impl FragmentTier for Counting {
+    fn load(&self, key: u64, op: &str) -> Option<Vec<u8>> {
+        *self
+            .loads
+            .lock()
+            .unwrap()
+            .entry((key, op.to_string()))
+            .or_insert(0) += 1;
+        self.stored
+            .lock()
+            .unwrap()
+            .get(&(key, op.to_string()))
+            .cloned()
+    }
+    fn store(&self, key: u64, op: &str, bytes: &[u8]) {
+        self.stored
+            .lock()
+            .unwrap()
+            .insert((key, op.to_string()), bytes.to_vec());
+    }
+}
+
+#[test]
+fn each_routine_key_is_loaded_at_most_once_per_request() {
+    for shape in ["gcc", "stripped"] {
+        let analysis = analysis(shape, 10);
+        for op in OPS {
+            let tier = Counting::default();
+            // A cold request (every load misses), then warm ones (every
+            // load hits), at each thread count.
+            for threads in [1, 2, 4, 1, 2, 4] {
+                tier.loads.lock().unwrap().clear();
+                let (_, stats) = run_op_fragments(op, &analysis, threads, &tier).expect(op);
+                assert!(stats.total > 0, "{shape} {op}: the op stitches routines");
+                let loads = tier.loads.lock().unwrap();
+                assert!(!loads.is_empty(), "{shape} {op}: the tier was consulted");
+                for ((key, _), n) in loads.iter() {
+                    assert_eq!(
+                        *n, 1,
+                        "{shape} {op} threads={threads}: key {key:016x} loaded {n} times"
+                    );
+                }
+            }
+        }
+    }
+}

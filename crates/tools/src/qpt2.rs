@@ -74,17 +74,8 @@ pub fn instrument(image: Image, granularity: Granularity) -> Result<Profiled, To
                 }
             }
             Granularity::Edges => {
-                // Figure 1: edges out of blocks with more than one
-                // successor.
-                for (_, b) in cfg.blocks() {
-                    if b.kind != BlockKind::Normal || b.succ().len() < 2 {
-                        continue;
-                    }
-                    for (i, &e) in b.succ().iter().enumerate() {
-                        if cfg.edge(e).editable {
-                            jobs.push((Job::Edge(e), b.addr, i as u32));
-                        }
-                    }
+                for (addr, i, e) in cfg.profiled_edges() {
+                    jobs.push((Job::Edge(e), addr, i));
                 }
             }
             Granularity::Entries => {
