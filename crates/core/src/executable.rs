@@ -59,20 +59,79 @@ pub struct Executable {
     /// default) everywhere except ablations.
     strip_aware: bool,
     hidden_queue: Vec<RoutineId>,
-    layouts: HashMap<usize, RoutineLayout>,
+    /// Per routine, by index: what [`Executable::write_edited`] emits.
+    slots: Vec<Slot>,
     runtime_routines: Vec<(String, String)>,
     reserved_len: u32,
     reserved_init: Vec<(u32, Vec<u8>)>,
     pool: InstructionPool,
-    addr_map: Option<HashMap<u32, u32>>,
-    written: bool,
+    written: Written,
     /// Whether any observable edit was requested: an installed CFG with
     /// recorded edits, reserved data, a runtime routine, or a removal.
     /// While false, [`Executable::write_edited`] reproduces the input
     /// image byte for byte instead of re-laying the program out.
     dirty: bool,
     jump_analysis: bool,
-    removed: std::collections::HashSet<usize>,
+}
+
+/// What [`Executable::write_edited`] emits for one routine.
+enum Slot {
+    /// Laid out pass-through at write time.
+    Pending,
+    /// An installed layout.
+    Laid(RoutineLayout),
+    /// Omitted ([`Executable::remove_routine`]).
+    Removed,
+}
+
+/// What [`Executable::write_edited`] produced, if it ran.
+enum Written {
+    No,
+    /// The input image, byte for byte: every text word maps to itself.
+    Unchanged,
+    /// A relaid image.
+    Relaid(AddrMap),
+}
+
+/// Marks a text word no item binds; edited addresses are word-aligned.
+const UNMAPPED: u32 = u32::MAX;
+
+/// The original → edited address map of a relaid image, dense over the
+/// original text words. An original address outside them has no entry.
+struct AddrMap {
+    text_addr: u32,
+    edited: Vec<u32>,
+}
+
+impl AddrMap {
+    fn slot(&self, orig: u32) -> Option<usize> {
+        let i = (orig.checked_sub(self.text_addr)? / 4) as usize;
+        (orig.is_multiple_of(4) && i < self.edited.len()).then_some(i)
+    }
+
+    fn get(&self, orig: u32) -> Option<u32> {
+        let edited = self.edited[self.slot(orig)?];
+        (edited != UNMAPPED).then_some(edited)
+    }
+
+    /// Binds `orig` to `edited` unless an earlier item bound it.
+    fn bind(&mut self, orig: u32, edited: u32) {
+        if let Some(i) = self.slot(orig) {
+            if self.edited[i] == UNMAPPED {
+                self.edited[i] = edited;
+            }
+        }
+    }
+
+    /// The bound `(original, edited)` pairs in original address order.
+    fn pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let bound = self
+            .edited
+            .iter()
+            .enumerate()
+            .filter(|(_, &e)| e != UNMAPPED);
+        bound.map(|(i, &e)| (self.text_addr + 4 * i as u32, e))
+    }
 }
 
 /// A speculative CFG build from the parallel phase of
@@ -189,16 +248,14 @@ impl Executable {
             discovery: DiscoverySource::Symbols,
             strip_aware: true,
             hidden_queue: Vec::new(),
-            layouts: HashMap::new(),
+            slots: Vec::new(),
             runtime_routines: Vec::new(),
             reserved_len: 0,
             reserved_init: Vec::new(),
             pool: InstructionPool::new(),
-            addr_map: None,
-            written: false,
+            written: Written::No,
             dirty: false,
             jump_analysis: true,
-            removed: std::collections::HashSet::new(),
         })
     }
 
@@ -869,11 +926,10 @@ impl Executable {
     /// call-back).
     pub fn serialize_layout(&self, id: RoutineId) -> Option<Vec<u8>> {
         let routine = self.routines.get(id.0)?;
-        fragment::encode_layout(
-            self.layouts.get(&id.0)?,
-            &self.image,
-            (routine.start, routine.end),
-        )
+        let Some(Slot::Laid(layout)) = self.slots.get(id.0) else {
+            return None;
+        };
+        fragment::encode_layout(layout, &self.image, (routine.start, routine.end))
     }
 
     /// Installs a layout serialized by [`Executable::serialize_layout`]
@@ -889,13 +945,33 @@ impl Executable {
         id: RoutineId,
         bytes: &[u8],
     ) -> Result<(), EelError> {
-        let layout = fragment::decode_layout(bytes, id, &self.image)
+        let layout = fragment::decode_layout(bytes, &self.image)
             .ok_or_else(|| EelError::Internal("corrupt serialized layout".into()))?;
+        self.install(id, layout);
+        Ok(())
+    }
+
+    /// Installs a routine's layout; a removed routine stays removed. A
+    /// layout that needs run-time translation is observable even with
+    /// zero edits: installing it commits the rewrite to carry the
+    /// translator, so the clean fast path must not skip it.
+    fn install(&mut self, id: RoutineId, layout: RoutineLayout) {
         if layout.needs_translator {
             self.dirty = true;
         }
-        self.layouts.insert(id.0, layout);
-        Ok(())
+        let slot = self.slot_mut(id);
+        if !matches!(slot, Slot::Removed) {
+            *slot = Slot::Laid(layout);
+        }
+    }
+
+    /// The routine's slot; routines discovered since the last install
+    /// start out pending.
+    fn slot_mut(&mut self, id: RoutineId) -> &mut Slot {
+        if self.slots.len() <= id.0 {
+            self.slots.resize_with(id.0 + 1, || Slot::Pending);
+        }
+        &mut self.slots[id.0]
     }
 
     /// The content key ([`crate::routine_key`]) of every currently known
@@ -920,13 +996,7 @@ impl Executable {
             self.dirty = true;
         }
         let layout = lay_out_routine(&self.image, cfg)?;
-        // A layout that needs run-time translation is observable even
-        // with zero edits: installing it commits the rewrite to carry
-        // the translator, so the clean fast path must not skip it.
-        if layout.needs_translator {
-            self.dirty = true;
-        }
-        self.layouts.insert(id.0, layout);
+        self.install(id, layout);
         Ok(())
     }
 
@@ -980,15 +1050,20 @@ impl Executable {
             ));
         }
         self.dirty = true;
-        self.removed.insert(id.0);
-        self.layouts.remove(&id.0);
+        *self.slot_mut(id) = Slot::Removed;
         Ok(())
     }
 
     /// The edited address corresponding to an original address (valid
     /// after [`Executable::write_edited`]).
     pub fn edited_addr(&self, orig: u32) -> Option<u32> {
-        self.addr_map.as_ref()?.get(&orig).copied()
+        match &self.written {
+            Written::No => None,
+            Written::Unchanged => {
+                (self.image.in_text(orig) && orig.is_multiple_of(4)).then_some(orig)
+            }
+            Written::Relaid(map) => map.get(orig),
+        }
     }
 
     /// Produces the edited executable: routines not explicitly edited are
@@ -1000,7 +1075,7 @@ impl Executable {
     /// Any analysis or layout failure; also if called twice.
     pub fn write_edited(&mut self) -> Result<Image, EelError> {
         let _obs = eel_obs::span("core.write_edited");
-        if self.written {
+        if !matches!(self.written, Written::No) {
             return Err(EelError::Internal(
                 "write_edited may only be called once".into(),
             ));
@@ -1013,9 +1088,7 @@ impl Executable {
             // Nothing observable was edited: reproduce the input image byte
             // for byte rather than re-laying the program out (which would
             // materialise bss into data and rebuild the symbol table).
-            let map: HashMap<u32, u32> = self.image.text_words().map(|(a, _)| (a, a)).collect();
-            self.addr_map = Some(map);
-            self.written = true;
+            self.written = Written::Unchanged;
             return Ok((*self.image).clone());
         }
         // The edited image carries bss as initialized data (reservations
@@ -1027,131 +1100,84 @@ impl Executable {
                 self.image.bss_size
             )));
         }
-        // Lay out every remaining routine (discovery may add more).
-        loop {
-            let pending: Vec<RoutineId> = (0..self.routines.len())
-                .map(RoutineId)
-                .filter(|id| !self.layouts.contains_key(&id.0) && !self.removed.contains(&id.0))
-                .collect();
-            if pending.is_empty() {
-                break;
-            }
-            for id in pending {
-                if self.layouts.contains_key(&id.0) || self.removed.contains(&id.0) {
-                    continue;
-                }
-                let cfg = self.build_cfg(id)?;
+        // Lay out every remaining routine (building a CFG may discover
+        // more, appended to the list).
+        let mut i = 0;
+        while i < self.routines.len() {
+            if matches!(self.slots.get(i), None | Some(Slot::Pending)) {
+                let cfg = self.build_cfg(RoutineId(i))?;
                 self.install_edits(cfg)?;
             }
+            i += 1;
         }
+        let mut layouts: Vec<(usize, RoutineLayout)> = std::mem::take(&mut self.slots)
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, slot)| match slot {
+                Slot::Laid(layout) => Some((i, layout)),
+                _ => None,
+            })
+            .collect();
+        layouts.sort_by_key(|(i, _)| self.routines[*i].start);
 
-        let mut layouts = std::mem::take(&mut self.layouts);
-        for dead in &self.removed {
-            layouts.remove(dead);
-        }
-        let mut order: Vec<usize> = layouts.keys().copied().collect();
-        order.sort_by_key(|i| self.routines[*i].start);
-
-        let needs_translator = layouts.values().any(|l| l.needs_translator);
-        let total_items: usize = layouts.values().map(|l| l.items.len()).sum();
-
-        // Reserve the translation table before assembling the translator
-        // (its address is baked into the code). The table holds the FULL
-        // original→edited map: any original text address can live in a
-        // register or data word and reach an unanalyzable transfer, so
-        // entries-only tables miss function pointers in stripped binaries.
-        // Counting the distinct keys walks every item of every layout, so
-        // it only happens when some layout actually needs the translator;
-        // translator-free edits skip a whole-image pass.
-        let xlate_table: Option<(u32, usize)> = if needs_translator {
-            let mut keys: std::collections::HashSet<u32> =
-                std::collections::HashSet::with_capacity(total_items);
-            for layout in layouts.values() {
-                for item in &layout.items {
-                    match item {
-                        Item::MapOrig(a)
-                        | Item::Orig { addr: a, .. }
-                        | Item::RawWord { addr: a, .. } => {
-                            keys.insert(*a);
-                        }
-                        Item::BranchTo { orig: Some(a), .. }
-                        | Item::CallTo { orig: Some(a), .. }
-                        | Item::SethiHiOf { orig: Some(a), .. }
-                        | Item::OrLoOf { orig: Some(a), .. }
-                        | Item::TableWord { orig: Some(a), .. } => {
-                            keys.insert(*a);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            let count = keys.len();
-            Some((self.reserve_data(4 + 8 * count as u32), count))
-        } else {
-            None
-        };
+        // The translation table holds the FULL original→edited map: any
+        // original text address can live in a register or data word and
+        // reach an unanalyzable transfer, so entries-only tables miss
+        // function pointers in stripped binaries. Its address goes into
+        // the translator's code; its size is known once the map is.
+        let xlate_table = layouts
+            .iter()
+            .any(|(_, l)| l.needs_translator)
+            .then(|| self.image.data_end() + self.reserved_len);
         let mut runtime: Vec<(String, String)> = Vec::new();
-        if let Some((t, _)) = xlate_table {
+        if let Some(t) = xlate_table {
             runtime.push((TRANSLATOR.to_string(), translator_asm(t)));
         }
         runtime.extend(self.runtime_routines.iter().cloned());
 
         // ---- pass 1: sizes and addresses ----------------------------------
+        // Each layout's label addresses, and the original → edited map
+        // (first occurrence wins), in one walk.
         let text_base = self.image.text_addr;
+        let mut map = AddrMap {
+            text_addr: text_base,
+            edited: vec![UNMAPPED; self.image.text.len() / 4],
+        };
+        let mut labels: Vec<Vec<u32>> = Vec::with_capacity(layouts.len());
         let mut addr = text_base;
-        // (routine idx, item idx) → address; and label tables. The
-        // original → edited address map is filled in the same walk (its
-        // entries depend only on each item's own address, and first
-        // occurrence wins either way); a separate map pass over every
-        // item used to cost several ms per whole-image write. Pre-sized:
-        // nearly every item contributes one mapping, and the table is
-        // large enough (one entry per original text word) that
-        // incremental rehashing shows up in whole-image profiles.
-        let mut label_addr: HashMap<(usize, usize), u32> = HashMap::new();
-        let mut item_addrs: Vec<Vec<u32>> = Vec::new();
-        let mut map: HashMap<u32, u32> = HashMap::with_capacity(total_items);
-        for &ri in &order {
-            let layout = &layouts[&ri];
-            let mut addrs = Vec::with_capacity(layout.items.len());
+        for (_, layout) in &layouts {
+            // Labels are numbered from 0, fewer than the items.
+            let mut label_addr = vec![UNMAPPED; layout.items.len()];
             for item in &layout.items {
-                addrs.push(addr);
-                match item {
-                    Item::Label(l) => {
-                        label_addr.insert((ri, *l), addr);
+                match (item, item.orig()) {
+                    (Item::Label(l), _) => {
+                        if let Some(a) = label_addr.get_mut(*l) {
+                            *a = addr;
+                        }
                     }
-                    Item::MapOrig(a)
-                    | Item::Orig { addr: a, .. }
-                    | Item::RawWord { addr: a, .. }
-                    | Item::BranchTo { orig: Some(a), .. }
-                    | Item::CallTo { orig: Some(a), .. }
-                    | Item::SethiHiOf { orig: Some(a), .. }
-                    | Item::OrLoOf { orig: Some(a), .. }
-                    | Item::TableWord { orig: Some(a), .. } => {
-                        map.entry(*a).or_insert(addr);
-                    }
+                    (_, Some(orig)) => map.bind(orig, addr),
                     _ => {}
                 }
                 addr += item.size(&layout.snippets);
             }
-            item_addrs.push(addrs);
+            labels.push(label_addr);
         }
         // Runtime routines: size by assembling at base 0 (set-shape is
         // stable), then place.
-        let mut runtime_addr: HashMap<String, u32> = HashMap::new();
-        let mut runtime_code: Vec<(String, u32, Vec<Insn>)> = Vec::new();
+        let assemble = |name: &str, src: &str, base: u32| {
+            eel_asm::assemble_fragment(src, base)
+                .map_err(|e| EelError::Internal(format!("runtime routine {name}: {e}")))
+        };
+        let mut runtime_addr: Vec<u32> = Vec::with_capacity(runtime.len());
         for (name, src) in &runtime {
-            let probe = eel_asm::assemble_fragment(src, 0)
-                .map_err(|e| EelError::Internal(format!("runtime routine {name}: {e}")))?;
-            runtime_addr.insert(name.clone(), addr);
-            runtime_code.push((name.clone(), addr, Vec::new()));
-            let _ = probe.len();
-            addr += 4 * probe.len() as u32;
+            runtime_addr.push(addr);
+            addr += 4 * assemble(name, src, 0)?.len() as u32;
         }
-        for (name, base, code) in &mut runtime_code {
-            let src = &runtime.iter().find(|(n, _)| n == name).unwrap().1;
-            *code = eel_asm::assemble_fragment(src, *base)
-                .map_err(|e| EelError::Internal(format!("runtime routine {name}: {e}")))?;
-        }
+        let runtime_code = runtime
+            .iter()
+            .zip(&runtime_addr)
+            .map(|((name, src), &base)| assemble(name, src, base))
+            .collect::<Result<Vec<_>, _>>()?;
         let text_end = addr;
         if text_end > self.image.data_addr && self.image.data_addr > text_base {
             return Err(EelError::LayoutOverflow(format!(
@@ -1159,31 +1185,41 @@ impl Executable {
                 text_end - text_base
             )));
         }
+        // A later routine of the same name shadows an earlier one.
+        let runtime_at = |name: &str| {
+            let k = runtime.iter().rposition(|(n, _)| n == name)?;
+            Some(runtime_addr[k])
+        };
 
         // ---- pass 2: resolve and encode ------------------------------------
-        let resolve = |tgt: &Tgt, ri: usize| -> Result<u32, EelError> {
+        let resolve = |tgt: &Tgt, labels: &[u32]| -> Result<u32, EelError> {
             match tgt {
-                Tgt::Local(l) => label_addr
-                    .get(&(ri, *l))
+                Tgt::Local(l) => labels
+                    .get(*l)
                     .copied()
+                    .filter(|&a| a != UNMAPPED)
                     .ok_or_else(|| EelError::Internal(format!("unbound label {l}"))),
-                Tgt::Orig(a) => map.get(a).copied().ok_or(EelError::BadAddress {
+                Tgt::Orig(a) => map.get(*a).ok_or(EelError::BadAddress {
                     addr: *a,
                     expected: "a mapped original address",
                 }),
-                Tgt::Runtime(name) => runtime_addr
-                    .get(name)
-                    .copied()
+                Tgt::Runtime(name) => runtime_at(name)
                     .ok_or_else(|| EelError::Internal(format!("unknown runtime routine {name}"))),
             }
         };
 
         let mut text = Vec::with_capacity((text_end - text_base) as usize);
         let push_word = |text: &mut Vec<u8>, w: u32| text.extend_from_slice(&w.to_be_bytes());
-        for (oi, &ri) in order.iter().enumerate() {
-            let layout = layouts.get_mut(&ri).expect("layout present");
-            for (ii, here) in item_addrs[oi].iter().copied().enumerate() {
-                match &layout.items[ii] {
+        let mut here = text_base;
+        for ((_, layout), labels) in layouts.iter_mut().zip(&labels) {
+            let RoutineLayout {
+                items,
+                snippets,
+                snippet_store,
+                ..
+            } = layout;
+            for item in items.iter() {
+                match item {
                     Item::Label(_) | Item::MapOrig(_) => {}
                     Item::Orig { insn, .. } => push_word(&mut text, insn.word),
                     Item::New(insn) => push_word(&mut text, insn.word),
@@ -1194,7 +1230,7 @@ impl Executable {
                         target,
                         ..
                     } => {
-                        let t = resolve(target, ri)?;
+                        let t = resolve(target, labels)?;
                         let disp = branch_disp(here, t)?;
                         push_word(
                             &mut text,
@@ -1207,53 +1243,46 @@ impl Executable {
                         );
                     }
                     Item::CallTo { target, .. } => {
-                        let t = resolve(target, ri)?;
+                        let t = resolve(target, labels)?;
                         let disp = (t.wrapping_sub(here) as i32) >> 2;
                         push_word(&mut text, eel_isa::encode(&Op::Call { disp30: disp }));
                     }
                     Item::SethiHiOf { rd, target, .. } => {
-                        let t = resolve(target, ri)?;
+                        let t = resolve(target, labels)?;
                         push_word(&mut text, Builder::sethi_hi(*rd, t).word);
                     }
                     Item::OrLoOf {
                         rd, rs1, target, ..
                     } => {
-                        let t = resolve(target, ri)?;
+                        let t = resolve(target, labels)?;
                         push_word(&mut text, Builder::or_lo(*rd, *rs1, t).word);
                     }
                     Item::TableWord { target, .. } => {
-                        let t = resolve(target, ri)?;
+                        let t = resolve(target, labels)?;
                         push_word(&mut text, t);
                     }
                     Item::SnippetRef(si) => {
-                        let si = *si;
                         // Patch runtime calls, then run the call-back
                         // (which may modify but not resize).
-                        let (mut insns, calls, source, assignment) = {
-                            let p = &layout.snippets[si];
-                            (
-                                p.insns.clone(),
-                                p.calls.clone(),
-                                p.source,
-                                p.assignment.clone(),
-                            )
-                        };
-                        for (idx, name) in &calls {
-                            let t = resolve(&Tgt::Runtime(name.clone()), ri)?;
+                        let p = &snippets[*si];
+                        let mut insns = p.insns.clone();
+                        for (idx, name) in &p.calls {
+                            let t = resolve(&Tgt::Runtime(name.clone()), labels)?;
                             let site = here + 4 * *idx as u32;
                             let disp = (t.wrapping_sub(site) as i32) >> 2;
                             insns[*idx] =
                                 Insn::from_word(eel_isa::encode(&Op::Call { disp30: disp }));
                         }
-                        layout.snippet_store[source].run_callback(&mut insns, here, &assignment);
+                        snippet_store[p.source].run_callback(&mut insns, here, &p.assignment);
                         for i in &insns {
                             push_word(&mut text, i.word);
                         }
                     }
                 }
+                here += item.size(snippets);
             }
         }
-        for (_, _, code) in &runtime_code {
+        for code in &runtime_code {
             for i in code {
                 push_word(&mut text, i.word);
             }
@@ -1261,6 +1290,10 @@ impl Executable {
         debug_assert_eq!(text.len() as u32, text_end - text_base);
 
         // ---- data segment ---------------------------------------------------
+        if xlate_table.is_some() {
+            let count = map.pairs().count() as u32;
+            self.reserve_data(4 + 8 * count);
+        }
         let mut data = self.image.data.clone();
         data.extend(std::iter::repeat_n(0, self.image.bss_size as usize));
         let reserved_base = data.len();
@@ -1269,41 +1302,42 @@ impl Executable {
             let at = reserved_base + *off as usize;
             data[at..at + bytes.len()].copy_from_slice(bytes);
         }
-        if let Some((taddr, count)) = xlate_table {
-            let mut pairs: Vec<(u32, u32)> = map.iter().map(|(&o, &n)| (o, n)).collect();
-            pairs.sort_unstable();
-            debug_assert_eq!(pairs.len(), count);
+        if let Some(taddr) = xlate_table {
             let off = (taddr - self.image.data_addr) as usize;
-            data[off..off + 4].copy_from_slice(&(pairs.len() as u32).to_be_bytes());
-            for (i, (old, new)) in pairs.iter().enumerate() {
-                let at = off + 4 + 8 * i;
+            let mut at = off + 4;
+            for (old, new) in map.pairs() {
                 data[at..at + 4].copy_from_slice(&old.to_be_bytes());
                 data[at + 4..at + 8].copy_from_slice(&new.to_be_bytes());
+                at += 8;
             }
+            let count = ((at - off - 4) / 8) as u32;
+            data[off..off + 4].copy_from_slice(&count.to_be_bytes());
         }
 
         // ---- symbols (EEL maintains them for the edited program, §3.1) ----
         let mut symbols: Vec<Symbol> = Vec::new();
         for r in &self.routines {
-            if let Some(new) = map.get(&r.start) {
-                let mut s = Symbol::routine(&r.name(), *new);
+            if let Some(new) = map.get(r.start) {
+                let mut s = Symbol::routine(&r.name(), new);
                 s.global = !r.hidden;
                 symbols.push(s);
             }
         }
-        for (name, a) in &runtime_addr {
-            symbols.push(Symbol::routine(name, *a));
+        for (k, (name, _)) in runtime.iter().enumerate() {
+            if runtime[k + 1..].iter().all(|(n, _)| n != name) {
+                symbols.push(Symbol::routine(name, runtime_addr[k]));
+            }
         }
         for s in &self.image.symbols {
             if self.image.in_data(s.value) {
                 symbols.push(s.clone());
             }
         }
-        if let Some((t, _)) = xlate_table {
+        if let Some(t) = xlate_table {
             symbols.push(Symbol::object("__eel_xlate_table", t, 0));
         }
 
-        let entry = *map.get(&self.image.entry).ok_or(EelError::BadAddress {
+        let entry = map.get(self.image.entry).ok_or(EelError::BadAddress {
             addr: self.image.entry,
             expected: "a mapped entry point",
         })?;
@@ -1319,8 +1353,7 @@ impl Executable {
             machine: self.image.machine,
         };
         edited.validate()?;
-        self.addr_map = Some(map);
-        self.written = true;
+        self.written = Written::Relaid(map);
         Ok(edited)
     }
 }

@@ -511,15 +511,8 @@ pub(crate) fn encode_layout(
 }
 
 /// Reconstructs a [`RoutineLayout`] serialized by [`encode_layout`].
-/// The caller supplies the routine id the layout belongs to in *its*
-/// executable (ids are stable across near-duplicate discoveries only
-/// when the routine sets match, which key validation guarantees) and
-/// the image whose text backs `OrigRun` records.
-pub(crate) fn decode_layout(
-    bytes: &[u8],
-    id: crate::executable::RoutineId,
-    image: &Image,
-) -> Option<RoutineLayout> {
+/// The caller supplies the image whose text backs `OrigRun` records.
+pub(crate) fn decode_layout(bytes: &[u8], image: &Image) -> Option<RoutineLayout> {
     let mut c = Cur { b: bytes, at: 0 };
     if c.u8()? != LAYOUT_VERSION {
         return None;
@@ -569,7 +562,6 @@ pub(crate) fn decode_layout(
         return None;
     }
     Some(RoutineLayout {
-        routine: id,
         items,
         snippets,
         snippet_store,

@@ -23,15 +23,24 @@
 //! * **Run-time translation** — unanalyzable indirect jumps/calls are
 //!   rewritten to translate their (original) target through the
 //!   `__eel_translate` run-time routine.
+//!
+//! The layout state is positional, like the CFG builder's: per-block and
+//! per-edge vectors hold block labels and snippet placements, and one
+//! per-word vector over the routine's extent holds what is known about
+//! each original address (the snippets before and after it, deletion,
+//! base-materialization group, whether a unit consumed it, and the block
+//! unit starting there), so resolving a code target is an index lookup.
+//! The units themselves are one address-sorted list. The sequences the
+//! emission rules repeat — a terminator's delay instruction, "delay
+//! instruction or `nop`", and "branch; `nop`" — each have one helper.
 
 use crate::analysis::jumptable::JumpResolution;
 use crate::analysis::live::Liveness;
-use crate::cfg::{BlockId, BlockKind, Cfg, Edge, EdgeId, EdgeKind, EditPoint};
+use crate::cfg::{BlockId, BlockKind, Cfg, Edge, EdgeId, EdgeKind, EditPoint, IndirectJumpInfo};
 use crate::error::EelError;
 use crate::snippet::{RegAssignment, Snippet};
 use eel_exe::Image;
 use eel_isa::{Builder, Cond, Insn, Op, Reg, RegSet, Src2};
-use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Name of the run-time translation routine.
 pub(crate) const TRANSLATOR: &str = "__eel_translate";
@@ -104,6 +113,21 @@ impl Item {
             _ => 4,
         }
     }
+
+    /// The original address this item binds in the old→new map.
+    pub(crate) fn orig(&self) -> Option<u32> {
+        match self {
+            Item::MapOrig(a)
+            | Item::Orig { addr: a, .. }
+            | Item::RawWord { addr: a, .. }
+            | Item::BranchTo { orig: Some(a), .. }
+            | Item::CallTo { orig: Some(a), .. }
+            | Item::SethiHiOf { orig: Some(a), .. }
+            | Item::OrLoOf { orig: Some(a), .. }
+            | Item::TableWord { orig: Some(a), .. } => Some(*a),
+            _ => None,
+        }
+    }
 }
 
 /// A snippet materialized at a specific placement.
@@ -120,9 +144,6 @@ pub(crate) struct PlacedSnippet {
 
 /// The laid-out form of one routine.
 pub(crate) struct RoutineLayout {
-    /// The routine this lays out.
-    #[allow(dead_code)]
-    pub routine: crate::executable::RoutineId,
     /// Emission items in order.
     pub items: Vec<Item>,
     /// Placed snippets referenced by [`Item::SnippetRef`].
@@ -134,65 +155,86 @@ pub(crate) struct RoutineLayout {
     pub needs_translator: bool,
 }
 
-/// Per-address-ordered emission unit.
+/// An emission unit, kept with its original address in one
+/// address-sorted list.
 enum Unit {
     Block(BlockId),
-    Table { table_addr: u32, slots: Vec<u32> },
-    Raw(u32),
+    /// A dispatch table: its label, and per slot the original target and
+    /// the stub an edited table edge routes the slot through.
+    Table {
+        label: usize,
+        slots: Vec<(u32, Option<usize>)>,
+    },
+    /// An unreached word, preserved verbatim.
+    Raw,
+}
+
+/// What layout knows about one word of the routine's extent.
+#[derive(Clone, Default)]
+struct Word {
+    /// Placements before and after the instruction.
+    before: Vec<usize>,
+    after: Vec<usize>,
+    deleted: bool,
+    /// Consumed by a block, a delay slot or a table: no raw unit.
+    used: bool,
+    /// The block unit starting here (a later block at the same address,
+    /// which only a malformed image produces, replaces an earlier one; a
+    /// table replaces both).
+    block: Option<BlockId>,
+    /// Index into [`Layouter::groups`] of the base-materialization group
+    /// the instruction belongs to.
+    group: Option<usize>,
 }
 
 /// Lays out one routine from its (possibly edited) CFG.
 pub(crate) fn lay_out_routine(image: &Image, mut cfg: Cfg) -> Result<RoutineLayout, EelError> {
     let _obs = eel_obs::span("core.layout");
-    let liveness = Liveness::compute(&cfg);
+    let edits = std::mem::take(&mut cfg.edits);
+    let (start, end) = cfg.extent;
+    let cfg = &cfg;
     let mut lay = Layouter {
         image,
-        liveness,
+        cfg,
+        liveness: Liveness::compute(cfg),
         items: Vec::new(),
         placed: Vec::new(),
         snippet_store: Vec::new(),
         labels: 0,
         needs_translator: false,
-        block_label: HashMap::new(),
-        table_label: HashMap::new(),
         stub_items: Vec::new(),
-        before: HashMap::new(),
-        after: HashMap::new(),
-        deleted: HashSet::new(),
-        edge_sn: HashMap::new(),
-        block_sn: HashMap::new(),
+        start,
+        words: vec![Word::default(); (end - start).div_ceil(4) as usize],
+        block_label: vec![None; cfg.blocks.len()],
+        block_sn: vec![Vec::new(); cfg.blocks.len()],
+        edge_sn: vec![Vec::new(); cfg.edges.len()],
         entry_sn: Vec::new(),
-        base_groups: HashMap::new(),
-        table_stubs: HashMap::new(),
+        groups: Vec::new(),
+        units: Vec::new(),
     };
 
     // ---- organize edits --------------------------------------------------
-    let edits = std::mem::take(&mut cfg.edits);
     for edit in edits {
         match (edit.point, edit.snippet) {
             (EditPoint::Before(addr), None) => {
-                lay.deleted.insert(addr);
+                if let Some(i) = lay.slot(addr) {
+                    lay.words[i].deleted = true;
+                }
             }
             (EditPoint::Before(addr), Some(s)) => {
-                let (b, i) = cfg
-                    .block_at(addr)
-                    .ok_or_else(|| EelError::BadEditTarget(format!("{addr:#x}")))?;
-                let live = lay.liveness.live_before(&cfg, b, i);
-                let p = lay.place(s, live)?;
-                lay.before.entry(addr).or_default().push(p);
+                let (b, i, w) = lay.insn_point(addr)?;
+                let p = lay.place(s, lay.liveness.live_before(cfg, b, i))?;
+                lay.words[w].before.push(p);
             }
             (EditPoint::After(addr), Some(s)) => {
-                let (b, i) = cfg
-                    .block_at(addr)
-                    .ok_or_else(|| EelError::BadEditTarget(format!("{addr:#x}")))?;
-                let live = lay.liveness.live_after(&cfg, b, i);
-                let p = lay.place(s, live)?;
-                lay.after.entry(addr).or_default().push(p);
+                let (b, i, w) = lay.insn_point(addr)?;
+                let p = lay.place(s, lay.liveness.live_after(cfg, b, i))?;
+                lay.words[w].after.push(p);
             }
             (EditPoint::Edge(e), Some(s)) => {
-                let live = lay.liveness.live_on_edge(&cfg, e);
+                let live = lay.liveness.live_on_edge(cfg, e);
                 let p = lay.place(s, live)?;
-                lay.edge_sn.entry(e).or_default().push(p);
+                lay.edge_sn[e.index()].push(p);
             }
             (EditPoint::BlockStart(b), Some(s)) => {
                 if b == cfg.entry_block() {
@@ -202,140 +244,118 @@ pub(crate) fn lay_out_routine(image: &Image, mut cfg: Cfg) -> Result<RoutineLayo
                 } else {
                     let live = lay.liveness.live_in(b);
                     let p = lay.place(s, live)?;
-                    lay.block_sn.entry(b).or_default().push(p);
+                    lay.block_sn[b.index()].push(p);
                 }
             }
             (_, None) => return Err(EelError::BadEditTarget("delete without address".into())),
         }
     }
 
+    // ---- address-ordered units --------------------------------------------
+    for (bid, b) in cfg.blocks() {
+        if b.kind != BlockKind::Normal || b.insns.is_empty() {
+            continue;
+        }
+        if let Some(i) = lay.slot(b.addr) {
+            lay.words[i].block = Some(bid);
+        }
+        // Delay-slot words are consumed by their transfer site.
+        let delay = b.insns.last().filter(|ia| ia.insn.is_delayed());
+        let delay = delay.and_then(|ia| ia.addr).map(|a| a + 4);
+        for a in b.insns.iter().filter_map(|ia| ia.addr).chain(delay) {
+            if let Some(i) = lay.slot(a) {
+                lay.words[i].used = true;
+            }
+        }
+    }
+    // Dispatch tables, deduplicated by address. The slicer may find a
+    // table in another routine's text; it still takes its address-ordered
+    // place among the units.
+    let mut tables: Vec<(u32, Unit)> = Vec::new();
+    for info in resolutions(cfg) {
+        let JumpResolution::Table {
+            table_addr,
+            targets,
+            ..
+        } = &info.resolution
+        else {
+            continue;
+        };
+        if tables.iter().any(|(a, _)| a == table_addr) {
+            continue;
+        }
+        if let Some(i) = lay.slot(*table_addr) {
+            lay.words[i].block = None;
+        }
+        for k in 0..targets.len() as u32 {
+            if let Some(i) = lay.slot(table_addr + 4 * k) {
+                lay.words[i].used = true;
+            }
+        }
+        let slots = targets.iter().map(|&t| (t, None)).collect();
+        tables.push((*table_addr, Unit::Table { label: 0, slots }));
+    }
+    let mut units: Vec<(u32, Unit)> = Vec::new();
+    for (i, w) in lay.words.iter().enumerate() {
+        let addr = start + 4 * i as u32;
+        match w.block {
+            Some(b) => units.push((addr, Unit::Block(b))),
+            None if !w.used => units.push((addr, Unit::Raw)),
+            None => {}
+        }
+    }
+    tables.sort_by_key(|(a, _)| *a);
+    units.extend(tables);
+    // Both runs are sorted and share no address, so this is one merge.
+    units.sort_by_key(|(a, _)| *a);
+
+    // Labels: blocks in address order, then tables, then stubs as emitted.
+    for (_, u) in &units {
+        if let Unit::Block(b) = u {
+            lay.block_label[b.index()] = Some(lay.fresh_label());
+        }
+    }
+    for (_, u) in &mut units {
+        if let Unit::Table { label, .. } = u {
+            *label = lay.fresh_label();
+        }
+    }
+    lay.units = units;
+
     // ---- base-materialization groups (tables & literals) -----------------
-    let all_resolutions: Vec<&crate::cfg::IndirectJumpInfo> = cfg
-        .indirect_jumps
-        .iter()
-        .chain(cfg.indirect_calls.iter())
-        .collect();
-    for info in &all_resolutions {
+    for info in resolutions(cfg) {
         let (base_insns, target) = match &info.resolution {
             JumpResolution::Table {
                 table_addr,
                 base_insns,
                 ..
-            } => (base_insns.clone(), TgtSpec::Table(*table_addr)),
-            JumpResolution::Literal { target, base_insns } => {
-                (base_insns.clone(), TgtSpec::Addr(*target))
-            }
+            } => (base_insns, lay.table_tgt(*table_addr)),
+            JumpResolution::Literal { target, base_insns } => (base_insns, lay.code_tgt(*target)),
             JumpResolution::Unknown => continue,
         };
-        lay.register_base_group(&cfg, base_insns, target)?;
-    }
-
-    // ---- build address-ordered units --------------------------------------
-    let mut units: BTreeMap<u32, Unit> = BTreeMap::new();
-    let mut used: HashSet<u32> = HashSet::new();
-    for (bid, b) in cfg.blocks() {
-        if b.kind != BlockKind::Normal || b.insns.is_empty() {
-            continue;
-        }
-        units.insert(b.addr, Unit::Block(bid));
-        for ia in &b.insns {
-            if let Some(a) = ia.addr {
-                used.insert(a);
-            }
-        }
-        // Delay-slot words are consumed by their transfer site.
-        if let Some(last) = b.insns.last() {
-            if last.insn.is_delayed() {
-                if let Some(a) = last.addr {
-                    used.insert(a + 4);
-                }
-            }
-        }
-    }
-    // Dispatch tables (dedup by address).
-    let mut tables_seen: HashSet<u32> = HashSet::new();
-    for info in &all_resolutions {
-        if let JumpResolution::Table {
-            table_addr,
-            targets,
-            ..
-        } = &info.resolution
-        {
-            if tables_seen.insert(*table_addr) {
-                units.insert(
-                    *table_addr,
-                    Unit::Table {
-                        table_addr: *table_addr,
-                        slots: targets.clone(),
-                    },
-                );
-                for i in 0..targets.len() as u32 {
-                    used.insert(table_addr + 4 * i);
-                }
-            }
-        }
-    }
-    // Unreached words: preserved verbatim.
-    let (start, end) = cfg.extent;
-    let mut a = start;
-    while a < end {
-        if !used.contains(&a) && !units.contains_key(&a) {
-            units.insert(a, Unit::Raw(a));
-        }
-        a += 4;
-    }
-
-    // Pre-assign block labels.
-    let block_ids: Vec<BlockId> = units
-        .values()
-        .filter_map(|u| match u {
-            Unit::Block(b) => Some(*b),
-            _ => None,
-        })
-        .collect();
-    for b in block_ids {
-        let l = lay.fresh_label();
-        lay.block_label.insert(b, l);
-    }
-    for (addr, u) in &units {
-        if matches!(u, Unit::Table { .. }) {
-            let l = lay.fresh_label();
-            lay.table_label.insert(*addr, l);
-        }
+        lay.register_base_group(base_insns.clone(), target)?;
     }
 
     // ---- emit --------------------------------------------------------------
-    let ordered: Vec<(u32, Unit)> = {
-        let mut v: Vec<(u32, Unit)> = Vec::new();
-        for (a, u) in units {
-            v.push((a, u));
-        }
-        v
-    };
-    for (k, (addr, unit)) in ordered.iter().enumerate() {
-        let next_addr = ordered.get(k + 1).map(|(a, _)| *a);
-        match unit {
-            Unit::Raw(a) => {
-                let word = image.word_at(*a).unwrap_or(0);
-                lay.items.push(Item::RawWord { word, addr: *a });
+    for k in 0..lay.units.len() {
+        let addr = lay.units[k].0;
+        let next = lay.units.get(k + 1).map(|(a, _)| *a);
+        match lay.units[k].1 {
+            Unit::Raw => {
+                let word = image.word_at(addr).unwrap_or(0);
+                lay.items.push(Item::RawWord { word, addr });
             }
-            Unit::Table { table_addr, slots } => {
-                let label = lay.table_label[table_addr];
+            Unit::Table { label, ref slots } => {
                 lay.items.push(Item::Label(label));
-                for (slot, t) in slots.iter().enumerate() {
-                    let target = match lay.table_stubs.get(&(*table_addr, *t)) {
-                        Some(stub) => Tgt::Local(*stub),
-                        None => lay.code_tgt(&cfg, *t),
-                    };
+                for (slot, &(t, stub)) in slots.iter().enumerate() {
+                    let target = stub.map_or_else(|| lay.code_tgt(t), Tgt::Local);
                     lay.items.push(Item::TableWord {
                         target,
-                        orig: Some(table_addr + 4 * slot as u32),
+                        orig: Some(addr + 4 * slot as u32),
                     });
                 }
             }
-            Unit::Block(bid) => {
-                lay.emit_block(&cfg, *bid, *addr, next_addr)?;
-            }
+            Unit::Block(bid) => lay.emit_block(bid, addr, next)?,
         }
     }
     // Append collected stubs.
@@ -343,7 +363,6 @@ pub(crate) fn lay_out_routine(image: &Image, mut cfg: Cfg) -> Result<RoutineLayo
     lay.items.extend(stubs);
 
     Ok(RoutineLayout {
-        routine: cfg.routine,
         items: lay.items,
         snippets: lay.placed,
         snippet_store: lay.snippet_store,
@@ -351,40 +370,132 @@ pub(crate) fn lay_out_routine(image: &Image, mut cfg: Cfg) -> Result<RoutineLayo
     })
 }
 
-/// What a base-materialization group should point at after relocation.
-#[derive(Clone, Debug)]
-enum TgtSpec {
-    Table(u32),
-    Addr(u32),
+/// The CFG's resolved indirect jumps, then its indirect calls.
+fn resolutions(cfg: &Cfg) -> impl Iterator<Item = &IndirectJumpInfo> {
+    cfg.indirect_jumps.iter().chain(&cfg.indirect_calls)
+}
+
+/// How the indirect transfer at `addr` resolved.
+fn resolution(list: &[IndirectJumpInfo], addr: u32) -> &JumpResolution {
+    static UNKNOWN: JumpResolution = JumpResolution::Unknown;
+    list.iter()
+        .find(|r| r.addr == addr)
+        .map_or(&UNKNOWN, |r| &r.resolution)
+}
+
+/// The first successor edge of `bid` of the given kind.
+fn succ_of_kind(cfg: &Cfg, bid: BlockId, kind: EdgeKind) -> Option<EdgeId> {
+    cfg.block(bid)
+        .succs
+        .iter()
+        .copied()
+        .find(|&e| cfg.edge(e).kind == kind)
+}
+
+/// The instruction of `b` when it is a delay-slot block.
+fn delay_slot_insn(cfg: &Cfg, b: BlockId) -> Option<Insn> {
+    let block = cfg.block(b);
+    (block.kind == BlockKind::DelaySlot)
+        .then(|| block.insns.first().map(|ia| ia.insn))
+        .flatten()
+}
+
+/// The delay instruction of the transfer ending `bid`: the one in its
+/// first delay-slot successor.
+fn terminator_delay(cfg: &Cfg, bid: BlockId) -> Option<Insn> {
+    cfg.block(bid)
+        .succs
+        .iter()
+        .find_map(|&e| delay_slot_insn(cfg, cfg.edge(e).to))
+}
+
+/// The delay instruction of the transfer at `addr`, replayed at its own
+/// original address.
+fn replay(delay: Insn, addr: u32) -> Item {
+    Item::Orig {
+        insn: delay,
+        addr: addr + 4,
+    }
+}
+
+/// `b<cond> target; nop`.
+fn branch_nop(out: &mut Vec<Item>, cond: Cond, target: Tgt, orig: Option<u32>) {
+    out.push(Item::BranchTo {
+        cond,
+        annul: false,
+        target,
+        orig,
+    });
+    out.push(Item::New(Builder::nop()));
+}
+
+/// References to a list of placed snippets.
+fn refs(list: &[usize]) -> impl Iterator<Item = Item> + '_ {
+    list.iter().map(|&p| Item::SnippetRef(p))
 }
 
 struct Layouter<'a> {
     image: &'a Image,
+    cfg: &'a Cfg,
     liveness: Liveness,
     items: Vec<Item>,
     placed: Vec<PlacedSnippet>,
     snippet_store: Vec<Snippet>,
     labels: usize,
     needs_translator: bool,
-    block_label: HashMap<BlockId, usize>,
-    table_label: HashMap<u32, usize>,
     stub_items: Vec<Item>,
-    before: HashMap<u32, Vec<usize>>,
-    after: HashMap<u32, Vec<usize>>,
-    deleted: HashSet<u32>,
-    edge_sn: HashMap<EdgeId, Vec<usize>>,
-    block_sn: HashMap<BlockId, Vec<usize>>,
-    entry_sn: Vec<usize>, // snippet_store indices (placed per entry)
-    /// insn addr → (group leader addr, rd, target). Only the leader emits.
-    base_groups: HashMap<u32, (u32, Reg, TgtSpec)>,
-    /// (table_addr, target) → stub label, for edited table edges.
-    table_stubs: HashMap<(u32, u32), usize>,
+    /// First address of the extent, which `words` indexes from.
+    start: u32,
+    words: Vec<Word>,
+    /// Per block: its unit's label (none for blocks that are no unit).
+    block_label: Vec<Option<usize>>,
+    /// Per block: placements at its start.
+    block_sn: Vec<Vec<usize>>,
+    /// Per edge: placements along it.
+    edge_sn: Vec<Vec<usize>>,
+    /// `snippet_store` indices placed at every entry point.
+    entry_sn: Vec<usize>,
+    /// Base-materialization groups: (leader address, rd, target). Only
+    /// the leader emits.
+    groups: Vec<(u32, Reg, Tgt)>,
+    units: Vec<(u32, Unit)>,
+}
+
+/// One outgoing path of a terminator: `bid --e1--> [delay] --e2--> dest`.
+struct Path {
+    edges: Vec<EdgeId>,
+    delay: Option<Insn>,
+    dest: PathDest,
+}
+
+/// Where a path out of a terminator lands.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum PathDest {
+    Block(BlockId),
+    Escape(u32),
+    Exit,
+    Runtime,
+    DeadEnd,
 }
 
 impl<'a> Layouter<'a> {
     fn fresh_label(&mut self) -> usize {
         self.labels += 1;
         self.labels - 1
+    }
+
+    /// The index of an original address in `words`.
+    fn slot(&self, addr: u32) -> Option<usize> {
+        let off = addr.checked_sub(self.start)?;
+        let i = (off / 4) as usize;
+        (off.is_multiple_of(4) && i < self.words.len()).then_some(i)
+    }
+
+    /// The block, position and word of an edited instruction.
+    fn insn_point(&self, addr: u32) -> Result<(BlockId, usize, usize), EelError> {
+        let at = |(b, i)| Some((b, i, self.slot(addr)?));
+        let point = self.cfg.block_at(addr).and_then(at);
+        point.ok_or_else(|| EelError::BadEditTarget(format!("{addr:#x}")))
     }
 
     fn store_snippet(&mut self, s: Snippet) -> usize {
@@ -410,176 +521,148 @@ impl<'a> Layouter<'a> {
         Ok(self.placed.len() - 1)
     }
 
-    fn emit_placements(&mut self, list: &[usize]) {
-        for &p in list {
-            self.items.push(Item::SnippetRef(p));
-        }
+    /// The symbolic target for an original code address: a local label if
+    /// a block unit starts there, else a global original address.
+    fn code_tgt(&self, addr: u32) -> Tgt {
+        self.slot(addr)
+            .and_then(|i| self.words[i].block)
+            .and_then(|b| self.block_label[b.index()])
+            .map_or(Tgt::Orig(addr), Tgt::Local)
     }
 
-    /// The symbolic target for an original code address: a local label if
-    /// it starts a block here, else a global original address.
-    fn code_tgt(&self, cfg: &Cfg, addr: u32) -> Tgt {
-        for (bid, b) in cfg.blocks() {
-            if b.kind == BlockKind::Normal && b.addr == addr && !b.insns.is_empty() {
-                if let Some(l) = self.block_label.get(&bid) {
-                    return Tgt::Local(*l);
-                }
-            }
+    /// The symbolic target for a block: its label, or — for a block that
+    /// lost its unit to another at the same address, which only a
+    /// malformed image produces — its original address, which write
+    /// time maps or rejects.
+    fn block_tgt(&self, b: BlockId) -> Tgt {
+        self.block_label[b.index()].map_or(Tgt::Orig(self.cfg.block(b).addr), Tgt::Local)
+    }
+
+    fn unit_at(&mut self, addr: u32) -> Option<&mut Unit> {
+        let k = self.units.binary_search_by_key(&addr, |(a, _)| *a).ok()?;
+        Some(&mut self.units[k].1)
+    }
+
+    /// The label of the dispatch table at `addr`.
+    fn table_tgt(&mut self, addr: u32) -> Tgt {
+        match self.unit_at(addr) {
+            Some(Unit::Table { label, .. }) => Tgt::Local(*label),
+            _ => Tgt::Orig(addr),
         }
-        Tgt::Orig(addr)
     }
 
     /// Registers a `sethi`(+`or`) materialization group for re-pointing.
     fn register_base_group(
         &mut self,
-        cfg: &Cfg,
         mut base_insns: Vec<u32>,
-        target: TgtSpec,
+        target: Tgt,
     ) -> Result<(), EelError> {
         base_insns.sort_unstable();
         base_insns.dedup();
-        if base_insns.is_empty() {
+        let Some(&leader) = base_insns.first() else {
             return Ok(());
-        }
-        // Determine the destination register from the last materializing
-        // instruction; all must agree.
-        let mut rd = None;
-        for &a in &base_insns {
+        };
+        // The destination register: all materializing instructions must
+        // agree on it.
+        let rd_of = |a: u32| {
             let word = self.image.word_at(a).ok_or(EelError::BadAddress {
                 addr: a,
                 expected: "a text address (base materialization)",
             })?;
-            let r = match eel_isa::decode(word).op {
-                Op::Sethi { rd, .. } => rd,
-                Op::Alu { rd, .. } => rd,
-                other => {
-                    return Err(EelError::Internal(format!(
-                        "unexpected base-materializing instruction {other:?} at {a:#x}"
-                    )))
-                }
-            };
-            match rd {
-                None => rd = Some(r),
-                Some(prev) if prev == r => {}
-                Some(prev) => {
-                    return Err(EelError::Internal(format!(
-                        "base materialization splits registers {prev} vs {r}"
-                    )))
-                }
+            match eel_isa::decode(word).op {
+                Op::Sethi { rd, .. } | Op::Alu { rd, .. } => Ok(rd),
+                other => Err(EelError::Internal(format!(
+                    "unexpected base-materializing instruction {other:?} at {a:#x}"
+                ))),
+            }
+        };
+        let rd = rd_of(leader)?;
+        for &a in &base_insns[1..] {
+            let r = rd_of(a)?;
+            if r != rd {
+                return Err(EelError::Internal(format!(
+                    "base materialization splits registers {rd} vs {r}"
+                )));
             }
         }
-        let _ = cfg;
-        let leader = base_insns[0];
-        let rd = rd.expect("nonempty group");
+        let group = self.groups.len();
+        self.groups.push((leader, rd, target));
         for a in base_insns {
-            self.base_groups.insert(a, (leader, rd, target.clone()));
+            if let Some(i) = self.slot(a) {
+                self.words[i].group = Some(group);
+            }
         }
         Ok(())
     }
 
-    fn base_tgt(&self, cfg: &Cfg, spec: &TgtSpec) -> Tgt {
-        match spec {
-            TgtSpec::Table(t) => Tgt::Local(self.table_label[t]),
-            TgtSpec::Addr(a) => self.code_tgt(cfg, *a),
-        }
-    }
-
     // ---- block emission ---------------------------------------------------
 
-    fn emit_block(
-        &mut self,
-        cfg: &Cfg,
-        bid: BlockId,
-        addr: u32,
-        next_unit_addr: Option<u32>,
-    ) -> Result<(), EelError> {
-        let label = self.block_label[&bid];
-        self.items.push(Item::Label(label));
-        let block = cfg.block(bid).clone();
+    fn emit_block(&mut self, bid: BlockId, addr: u32, next: Option<u32>) -> Result<(), EelError> {
+        let cfg = self.cfg;
+        let block = cfg.block(bid);
+        self.items
+            .extend(self.block_label[bid.index()].map(Item::Label));
 
         // Entry points bind here; entry snippets are placed per entry.
         if cfg.entry_addrs.contains(&addr) {
             self.items.push(Item::MapOrig(addr));
-            let entry_stores: Vec<usize> = self.entry_sn.clone();
-            for store in entry_stores {
+            for k in 0..self.entry_sn.len() {
                 let live = self.liveness.live_in(bid);
-                let p = self.place_stored(store, live)?;
+                let p = self.place_stored(self.entry_sn[k], live)?;
                 self.items.push(Item::SnippetRef(p));
             }
         }
-        if let Some(list) = self.block_sn.get(&bid).cloned() {
-            self.emit_placements(&list);
-        }
+        self.items.extend(refs(&self.block_sn[bid.index()]));
 
         let n = block.insns.len();
         for (i, ia) in block.insns.iter().enumerate() {
             let iaddr = ia.addr.expect("normal block instruction has an address");
-            if let Some(list) = self.before.get(&iaddr).cloned() {
-                self.emit_placements(&list);
+            let w = self.slot(iaddr);
+            if let Some(w) = w {
+                self.items.extend(refs(&self.words[w].before));
             }
-            let is_term = i == n - 1 && ia.insn.is_control_transfer();
-            if is_term {
-                self.emit_terminator(cfg, bid, iaddr, ia.insn, next_unit_addr)?;
-                break;
+            if i == n - 1 && ia.insn.is_control_transfer() {
+                return self.emit_terminator(bid, iaddr, ia.insn, next);
             }
-            if !self.deleted.contains(&iaddr) {
-                if let Some((leader, rd, spec)) = self.base_groups.get(&iaddr).cloned() {
-                    if iaddr == leader {
-                        let target = self.base_tgt(cfg, &spec);
+            let (deleted, group) = w.map_or((false, None), |w| {
+                (self.words[w].deleted, self.words[w].group)
+            });
+            match group.map(|g| &self.groups[g]) {
+                _ if deleted => self.items.push(Item::MapOrig(iaddr)),
+                // Only the leader emits the re-pointed pair; the other
+                // members vanish into it.
+                Some((leader, rd, target)) => {
+                    if iaddr == *leader {
                         self.items.push(Item::SethiHiOf {
-                            rd,
+                            rd: *rd,
                             target: target.clone(),
                             orig: Some(iaddr),
                         });
                         self.items.push(Item::OrLoOf {
-                            rd,
-                            rs1: rd,
-                            target,
+                            rd: *rd,
+                            rs1: *rd,
+                            target: target.clone(),
                             orig: None,
                         });
                     }
-                    // Non-leader group members vanish (folded into the pair).
-                } else {
-                    self.items.push(Item::Orig {
-                        insn: ia.insn,
-                        addr: iaddr,
-                    });
                 }
-            } else {
-                self.items.push(Item::MapOrig(iaddr));
+                None => self.items.push(Item::Orig {
+                    insn: ia.insn,
+                    addr: iaddr,
+                }),
             }
-            if let Some(list) = self.after.get(&iaddr).cloned() {
-                self.emit_placements(&list);
+            if let Some(w) = w {
+                self.items.extend(refs(&self.words[w].after));
             }
         }
 
-        // Blocks that do not end in a control transfer fall through.
-        let ends_with_cti = block
-            .insns
-            .last()
-            .map(|ia| ia.insn.is_control_transfer())
-            .unwrap_or(false);
-        if !ends_with_cti {
-            // Find the fall edge, if any.
-            let fall = block.succs.iter().find_map(|&e| {
-                let edge = cfg.edge(e);
-                (edge.kind == EdgeKind::Fall).then_some((e, edge.to))
-            });
-            if let Some((e, to)) = fall {
-                if let Some(list) = self.edge_sn.get(&e).cloned() {
-                    self.emit_placements(&list);
-                }
-                let to_addr = cfg.block(to).addr;
-                if next_unit_addr != Some(to_addr) {
-                    let tgt = self.code_tgt(cfg, to_addr);
-                    self.items.push(Item::BranchTo {
-                        cond: Cond::Always,
-                        annul: false,
-                        target: tgt,
-                        orig: None,
-                    });
-                    self.items.push(Item::New(Builder::nop()));
-                }
+        // The block does not end in a control transfer: it falls through.
+        if let Some(e) = succ_of_kind(cfg, bid, EdgeKind::Fall) {
+            self.items.extend(refs(&self.edge_sn[e.index()]));
+            let to_addr = cfg.block(cfg.edge(e).to).addr;
+            if next != Some(to_addr) {
+                let target = self.code_tgt(to_addr);
+                branch_nop(&mut self.items, Cond::Always, target, None);
             }
         }
         Ok(())
@@ -587,139 +670,123 @@ impl<'a> Layouter<'a> {
 
     // ---- terminator emission ------------------------------------------------
 
-    /// Walks one outgoing path: `bid --e1--> [delay] --e2--> dest`.
-    fn walk_path(&self, cfg: &Cfg, e1: EdgeId) -> (Vec<EdgeId>, Option<Insn>, PathDest) {
-        let mut edges = vec![e1];
+    /// Walks one outgoing path.
+    fn walk_path(&self, e1: EdgeId) -> Path {
+        let cfg = self.cfg;
         let edge = cfg.edge(e1);
+        let delay = delay_slot_insn(cfg, edge.to);
         let to = cfg.block(edge.to);
-        if to.kind == BlockKind::DelaySlot {
-            let delay = to.insns.first().map(|ia| ia.insn);
-            match to.succs.first() {
-                Some(&e2) => {
-                    edges.push(e2);
-                    let edge2 = cfg.edge(e2);
-                    (edges, delay, self.edge_dest(cfg, edge2))
-                }
-                None => (edges, delay, PathDest::DeadEnd),
-            }
-        } else {
-            (edges, None, self.edge_dest(cfg, edge))
-        }
+        let (edges, dest) = match (to.kind, to.succs.first()) {
+            (BlockKind::DelaySlot, Some(&e2)) => (vec![e1, e2], self.edge_dest(cfg.edge(e2))),
+            (BlockKind::DelaySlot, None) => (vec![e1], PathDest::DeadEnd),
+            _ => (vec![e1], self.edge_dest(edge)),
+        };
+        Path { edges, delay, dest }
     }
 
-    fn edge_dest(&self, cfg: &Cfg, edge: &Edge) -> PathDest {
+    fn edge_dest(&self, edge: &Edge) -> PathDest {
         match edge.kind {
             EdgeKind::Escape { target } => PathDest::Escape(target),
             EdgeKind::RuntimeIndirect => PathDest::Runtime,
-            _ if edge.to == cfg.exit_block() => PathDest::Exit,
+            _ if edge.to == self.cfg.exit_block() => PathDest::Exit,
             _ => PathDest::Block(edge.to),
         }
     }
 
-    fn path_snippets(&self, edges: &[EdgeId]) -> Vec<usize> {
-        let mut out = Vec::new();
-        for e in edges {
-            if let Some(list) = self.edge_sn.get(e) {
-                out.extend(list.iter().copied());
-            }
-        }
-        out
+    fn path_snippets(&self, path: &Path) -> Vec<usize> {
+        let lists = path.edges.iter().map(|e| &self.edge_sn[e.index()]);
+        lists.flatten().copied().collect()
     }
 
-    /// The symbolic target for a block: its label, or — for a block that
-    /// lost its unit to another at the same address, which only a
-    /// malformed image produces — its original address, which write
-    /// time maps or rejects.
-    fn block_tgt(&self, cfg: &Cfg, b: BlockId) -> Tgt {
-        match self.block_label.get(&b) {
-            Some(&l) => Tgt::Local(l),
-            None => Tgt::Orig(cfg.block(b).addr),
-        }
+    fn path_edited(&self, path: &Path) -> bool {
+        path.edges
+            .iter()
+            .any(|e| !self.edge_sn[e.index()].is_empty())
     }
 
-    fn dest_tgt(&self, cfg: &Cfg, dest: &PathDest) -> Tgt {
+    fn dest_tgt(&self, dest: &PathDest) -> Tgt {
         match dest {
-            PathDest::Block(b) => self.block_tgt(cfg, *b),
+            PathDest::Block(b) => self.block_tgt(*b),
             PathDest::Escape(t) => Tgt::Orig(*t),
             _ => Tgt::Orig(0),
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The delay instruction of the transfer at `addr` in its slot, or a
+    /// `nop` when there is none.
+    fn push_delay_or_nop(&mut self, delay: Option<Insn>, addr: u32) {
+        let item = delay.map_or(Item::New(Builder::nop()), |d| replay(d, addr));
+        self.items.push(item);
+    }
+
+    /// An edited path inline: its snippets, then its delay instruction
+    /// unless the branch annuls it.
+    fn push_path(&mut self, path: &Path, annul: bool, addr: u32) {
+        let snippets = self.path_snippets(path);
+        self.items.extend(refs(&snippets));
+        if !annul {
+            self.items.extend(path.delay.map(|d| replay(d, addr)));
+        }
+    }
+
+    /// An out-of-line stub after the routine's units: its label, the
+    /// path's snippets, the replayed delay instruction, and a branch on.
+    fn push_stub(&mut self, stub: usize, path: &Path, delay: Option<Insn>, addr: u32, to: Tgt) {
+        let snippets = self.path_snippets(path);
+        self.stub_items.push(Item::Label(stub));
+        self.stub_items.extend(refs(&snippets));
+        self.stub_items.extend(delay.map(|d| replay(d, addr)));
+        branch_nop(&mut self.stub_items, Cond::Always, to, None);
+    }
+
     fn emit_terminator(
         &mut self,
-        cfg: &Cfg,
         bid: BlockId,
         addr: u32,
         insn: Insn,
-        next_unit_addr: Option<u32>,
+        next: Option<u32>,
     ) -> Result<(), EelError> {
+        let cfg = self.cfg;
         match insn.op {
-            Op::Branch { cond, annul, .. } => {
-                self.emit_branch(cfg, bid, addr, insn, cond, annul, next_unit_addr)
-            }
-            Op::Call { .. } => self.emit_call(cfg, bid, addr, insn, None),
+            Op::Branch { cond, annul, .. } => self.emit_branch(bid, addr, cond, annul, next),
+            Op::Call { .. } => self.emit_call(bid, addr, insn, None),
             Op::Jmpl { .. } => match insn.jump_kind() {
-                Some(eel_isa::JumpKind::Return) => self.emit_return(cfg, bid, addr, insn),
-                Some(eel_isa::JumpKind::IndirectCall) => {
-                    let res = cfg
-                        .indirect_calls
-                        .iter()
-                        .find(|r| r.addr == addr)
-                        .map(|r| r.resolution.clone())
-                        .unwrap_or(JumpResolution::Unknown);
-                    self.emit_call(cfg, bid, addr, insn, Some(res))
+                Some(eel_isa::JumpKind::Return) => {
+                    self.items.push(Item::Orig { insn, addr });
+                    self.push_delay_or_nop(terminator_delay(cfg, bid), addr);
+                    Ok(())
                 }
-                _ => self.emit_indirect_jump(cfg, bid, addr, insn),
+                Some(eel_isa::JumpKind::IndirectCall) => {
+                    let res = resolution(&cfg.indirect_calls, addr);
+                    self.emit_call(bid, addr, insn, Some(res))
+                }
+                _ => self.emit_indirect_jump(bid, addr, insn),
             },
             other => Err(EelError::Internal(format!("non-terminator {other:?}"))),
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn emit_branch(
         &mut self,
-        cfg: &Cfg,
         bid: BlockId,
         addr: u32,
-        _insn: Insn,
         cond: Cond,
         annul: bool,
-        next_unit_addr: Option<u32>,
+        next: Option<u32>,
     ) -> Result<(), EelError> {
-        let block = cfg.block(bid);
-        let taken = block
-            .succs
-            .iter()
-            .find(|&&e| cfg.edge(e).kind == EdgeKind::Taken)
-            .copied();
-        let fall = block
-            .succs
-            .iter()
-            .find(|&&e| cfg.edge(e).kind == EdgeKind::Fall)
-            .copied();
-
-        let taken_path = taken.map(|e| self.walk_path(cfg, e));
-        let fall_path = fall.map(|e| self.walk_path(cfg, e));
-        let delay_insn = taken_path
-            .as_ref()
-            .and_then(|(_, d, _)| *d)
-            .or_else(|| fall_path.as_ref().and_then(|(_, d, _)| *d));
-
-        let edited = taken_path
-            .as_ref()
-            .map(|(es, _, _)| !self.path_snippets(es).is_empty())
-            .unwrap_or(false)
-            || fall_path
-                .as_ref()
-                .map(|(es, _, _)| !self.path_snippets(es).is_empty())
-                .unwrap_or(false);
+        let cfg = self.cfg;
+        let taken = succ_of_kind(cfg, bid, EdgeKind::Taken).map(|e| self.walk_path(e));
+        let fall = succ_of_kind(cfg, bid, EdgeKind::Fall).map(|e| self.walk_path(e));
+        let edited = [&taken, &fall]
+            .into_iter()
+            .flatten()
+            .any(|p| self.path_edited(p));
 
         if !edited {
             // Fold the delay instruction back into the slot (§3.3).
-            let target = match &taken_path {
-                Some((_, _, dest)) => self.dest_tgt(cfg, dest),
-                None => self.block_tgt(cfg, bid), // `bn`: target unused
+            let target = match &taken {
+                Some(p) => self.dest_tgt(&p.dest),
+                None => self.block_tgt(bid), // `bn`: target unused
             };
             self.items.push(Item::BranchTo {
                 cond,
@@ -727,170 +794,75 @@ impl<'a> Layouter<'a> {
                 target,
                 orig: Some(addr),
             });
-            match delay_insn {
-                Some(d) => self.items.push(Item::Orig {
-                    insn: d,
-                    addr: addr + 4,
-                }),
-                None => self.items.push(Item::New(Builder::nop())),
-            }
-            // Fall continuation.
-            if let Some((_, _, dest)) = &fall_path {
-                self.emit_fall_continuation(cfg, dest, next_unit_addr);
+            let delay = [&taken, &fall].into_iter().flatten().find_map(|p| p.delay);
+            self.push_delay_or_nop(delay, addr);
+            if let Some(p) = &fall {
+                self.emit_fall_continuation(&p.dest, next);
             }
             return Ok(());
         }
 
-        // Edited: split the paths.
+        // Edited: split the paths. `ba,a` and `bn,a` never execute their
+        // delay slot.
+        let missing = |what: &str| EelError::Internal(format!("branch at {addr:#x} has no {what}"));
         match cond {
             Cond::Always => {
-                let (edges, delay, dest) = taken_path.expect("ba has a taken path");
-                let sn = self.path_snippets(&edges);
-                self.emit_placements(&sn);
-                // `ba,a` never executes its delay slot.
-                if !annul {
-                    if let Some(d) = delay {
-                        self.items.push(Item::Orig {
-                            insn: d,
-                            addr: addr + 4,
-                        });
-                    }
-                }
-                let target = self.dest_tgt(cfg, &dest);
-                self.items.push(Item::BranchTo {
-                    cond: Cond::Always,
-                    annul: false,
-                    target,
-                    orig: Some(addr),
-                });
-                self.items.push(Item::New(Builder::nop()));
+                let path = taken.ok_or_else(|| missing("taken path"))?;
+                self.push_path(&path, annul, addr);
+                let target = self.dest_tgt(&path.dest);
+                branch_nop(&mut self.items, Cond::Always, target, Some(addr));
             }
             Cond::Never => {
-                let (edges, delay, dest) = fall_path.expect("bn has a fall path");
-                let sn = self.path_snippets(&edges);
-                self.emit_placements(&sn);
-                if !annul {
-                    if let Some(d) = delay {
-                        self.items.push(Item::Orig {
-                            insn: d,
-                            addr: addr + 4,
-                        });
-                    }
-                }
+                let path = fall.ok_or_else(|| missing("fall path"))?;
+                self.push_path(&path, annul, addr);
                 self.items.push(Item::MapOrig(addr));
-                self.emit_fall_continuation(cfg, &dest, next_unit_addr);
+                self.emit_fall_continuation(&path.dest, next);
             }
             _ => {
                 let stub = self.fresh_label();
-                self.items.push(Item::BranchTo {
-                    cond,
-                    annul: false,
-                    target: Tgt::Local(stub),
-                    orig: Some(addr),
-                });
-                self.items.push(Item::New(Builder::nop()));
-                // Fall path inline.
-                if let Some((edges, delay, dest)) = &fall_path {
-                    let sn = self.path_snippets(edges);
-                    self.emit_placements(&sn);
-                    if !annul {
-                        if let Some(d) = delay {
-                            self.items.push(Item::Orig {
-                                insn: *d,
-                                addr: addr + 4,
-                            });
-                        }
-                    }
-                    self.emit_fall_continuation(cfg, dest, next_unit_addr);
+                branch_nop(&mut self.items, cond, Tgt::Local(stub), Some(addr));
+                // Fall path inline, taken path out of line.
+                if let Some(path) = &fall {
+                    self.push_path(path, annul, addr);
+                    self.emit_fall_continuation(&path.dest, next);
                 }
-                // Taken path out of line.
-                if let Some((edges, delay, dest)) = &taken_path {
-                    let mut stub_items = vec![Item::Label(stub)];
-                    let sn = self.path_snippets(edges);
-                    for p in sn {
-                        stub_items.push(Item::SnippetRef(p));
-                    }
-                    if let Some(d) = delay {
-                        stub_items.push(Item::Orig {
-                            insn: *d,
-                            addr: addr + 4,
-                        });
-                    }
-                    let target = self.dest_tgt(cfg, dest);
-                    stub_items.push(Item::BranchTo {
-                        cond: Cond::Always,
-                        annul: false,
-                        target,
-                        orig: None,
-                    });
-                    stub_items.push(Item::New(Builder::nop()));
-                    self.stub_items.extend(stub_items);
+                if let Some(path) = &taken {
+                    let to = self.dest_tgt(&path.dest);
+                    self.push_stub(stub, path, path.delay, addr, to);
                 }
             }
         }
         Ok(())
     }
 
-    fn emit_fall_continuation(&mut self, cfg: &Cfg, dest: &PathDest, next_unit_addr: Option<u32>) {
-        match dest {
-            PathDest::Block(b) => {
-                let to_addr = cfg.block(*b).addr;
-                if next_unit_addr != Some(to_addr) {
-                    self.items.push(Item::BranchTo {
-                        cond: Cond::Always,
-                        annul: false,
-                        target: self.block_tgt(cfg, *b),
-                        orig: None,
-                    });
-                    self.items.push(Item::New(Builder::nop()));
-                }
-            }
-            PathDest::Escape(t) => {
-                self.items.push(Item::BranchTo {
-                    cond: Cond::Always,
-                    annul: false,
-                    target: Tgt::Orig(*t),
-                    orig: None,
-                });
-                self.items.push(Item::New(Builder::nop()));
-            }
-            PathDest::Exit | PathDest::Runtime | PathDest::DeadEnd => {}
-        }
+    fn emit_fall_continuation(&mut self, dest: &PathDest, next: Option<u32>) {
+        let target = match *dest {
+            PathDest::Block(b) if next != Some(self.cfg.block(b).addr) => self.block_tgt(b),
+            PathDest::Escape(t) => Tgt::Orig(t),
+            _ => return,
+        };
+        branch_nop(&mut self.items, Cond::Always, target, None);
     }
 
     /// Calls (direct, and indirect with/without a resolved literal).
     fn emit_call(
         &mut self,
-        cfg: &Cfg,
         bid: BlockId,
         addr: u32,
         insn: Insn,
-        indirect: Option<JumpResolution>,
+        indirect: Option<&JumpResolution>,
     ) -> Result<(), EelError> {
-        let block = cfg.block(bid);
+        let cfg = self.cfg;
         // Chain: bid → delay? → surrogate → return block.
-        let e1 = block
-            .succs
-            .iter()
-            .find(|&&e| cfg.edge(e).kind == EdgeKind::CallFlow)
-            .copied()
+        let flow = succ_of_kind(cfg, bid, EdgeKind::CallFlow)
             .ok_or_else(|| EelError::Internal(format!("call at {addr:#x} has no flow edge")))?;
-        let mut cur = cfg.edge(e1).to;
-        let mut delay = None;
-        if cfg.block(cur).kind == BlockKind::DelaySlot {
-            delay = cfg.block(cur).insns.first().map(|ia| ia.insn);
-            cur = cfg
-                .block(cur)
-                .succs
-                .first()
-                .map(|&e| cfg.edge(e).to)
-                .ok_or_else(|| EelError::Internal("dangling call delay".into()))?;
-        }
-        // `cur` is the surrogate; its out-edge leads to the return block.
-        let ret_edge = cfg.block(cur).succs.first().copied();
+        let Path { delay, dest, .. } = self.walk_path(flow);
+        let PathDest::Block(surrogate) = dest else {
+            return Err(EelError::Internal("dangling call delay".into()));
+        };
 
-        match insn.op {
-            Op::Call { .. } => {
+        match (insn.op, indirect) {
+            (Op::Call { .. }, _) => {
                 let target = cfg
                     .call_sites
                     .iter()
@@ -901,227 +873,115 @@ impl<'a> Layouter<'a> {
                     target: Tgt::Orig(target),
                     orig: Some(addr),
                 });
-                match delay {
-                    Some(d) => self.items.push(Item::Orig {
-                        insn: d,
-                        addr: addr + 4,
-                    }),
-                    None => self.items.push(Item::New(Builder::nop())),
-                }
+                self.push_delay_or_nop(delay, addr);
             }
-            Op::Jmpl { rd: _, rs1, src2 } => {
-                match indirect {
-                    Some(JumpResolution::Literal { target, base_insns }) => {
-                        if base_insns.is_empty() {
-                            // Known callee but no patchable materialization:
-                            // replace the jmpl with a direct call (§3.3's
-                            // literal-jump resolution; the dead register
-                            // still holds the old address, harmlessly).
-                            self.items.push(Item::CallTo {
-                                target: Tgt::Orig(target),
-                                orig: Some(addr),
-                            });
-                        } else {
-                            // Base instructions were re-pointed at the new
-                            // address; the jmpl is position-independent.
-                            self.items.push(Item::Orig { insn, addr });
-                        }
-                        match delay {
-                            Some(d) => self.items.push(Item::Orig {
-                                insn: d,
-                                addr: addr + 4,
-                            }),
-                            None => self.items.push(Item::New(Builder::nop())),
-                        }
-                    }
-                    _ => {
-                        // Run-time translation: the register holds an
-                        // ORIGINAL address.
-                        self.emit_translated_transfer(addr, rs1, src2, delay, /*link=*/ true)?;
-                    }
+            (Op::Jmpl { .. }, Some(JumpResolution::Literal { target, base_insns })) => {
+                if base_insns.is_empty() {
+                    // Known callee but no patchable materialization:
+                    // replace the jmpl with a direct call (§3.3's
+                    // literal-jump resolution; the dead register still
+                    // holds the old address, harmlessly).
+                    self.items.push(Item::CallTo {
+                        target: Tgt::Orig(*target),
+                        orig: Some(addr),
+                    });
+                } else {
+                    // Base instructions were re-pointed at the new
+                    // address; the jmpl is position-independent.
+                    self.items.push(Item::Orig { insn, addr });
                 }
+                self.push_delay_or_nop(delay, addr);
             }
-            other => return Err(EelError::Internal(format!("emit_call on {other:?}"))),
+            // Run-time translation: the register holds an ORIGINAL address.
+            (Op::Jmpl { rs1, src2, .. }, _) => {
+                self.emit_translated_transfer(addr, rs1, src2, delay, true)?;
+            }
+            (other, _) => return Err(EelError::Internal(format!("emit_call on {other:?}"))),
         }
 
         // Snippets on the surrogate → return edge go right after the call.
-        if let Some(e) = ret_edge {
-            if let Some(list) = self.edge_sn.get(&e).cloned() {
-                self.emit_placements(&list);
-            }
-            // Continue to the return block (normally the next unit).
-            // The return block is addr+8, which is emitted next in
-            // address order, so no explicit jump is needed; if the return
-            // site is elsewhere (odd layouts), branch explicitly.
-            let dest = self.edge_dest(cfg, cfg.edge(e));
-            if let PathDest::Block(b) = dest {
-                let to_addr = cfg.block(b).addr;
-                if to_addr != addr + 8 {
-                    self.items.push(Item::BranchTo {
-                        cond: Cond::Always,
-                        annul: false,
-                        target: self.block_tgt(cfg, b),
-                        orig: None,
-                    });
-                    self.items.push(Item::New(Builder::nop()));
+        if let Some(&e) = cfg.block(surrogate).succs.first() {
+            self.items.extend(refs(&self.edge_sn[e.index()]));
+            // The return block is addr+8, which is emitted next in address
+            // order, so no explicit jump is needed; if the return site is
+            // elsewhere (odd layouts), branch explicitly.
+            if let PathDest::Block(b) = self.edge_dest(cfg.edge(e)) {
+                if cfg.block(b).addr != addr + 8 {
+                    let target = self.block_tgt(b);
+                    branch_nop(&mut self.items, Cond::Always, target, None);
                 }
             }
         }
         Ok(())
     }
 
-    fn emit_return(
-        &mut self,
-        cfg: &Cfg,
-        bid: BlockId,
-        addr: u32,
-        insn: Insn,
-    ) -> Result<(), EelError> {
-        let _ = &insn;
+    fn emit_indirect_jump(&mut self, bid: BlockId, addr: u32, insn: Insn) -> Result<(), EelError> {
+        let cfg = self.cfg;
         let block = cfg.block(bid);
-        let delay = block
-            .succs
-            .iter()
-            .map(|&e| cfg.edge(e).to)
-            .find(|b| cfg.block(*b).kind == BlockKind::DelaySlot)
-            .and_then(|b| cfg.block(b).insns.first().map(|ia| ia.insn));
-        self.items.push(Item::Orig { insn, addr });
-        match delay {
-            Some(d) => self.items.push(Item::Orig {
-                insn: d,
-                addr: addr + 4,
-            }),
-            None => self.items.push(Item::New(Builder::nop())),
-        }
-        Ok(())
-    }
-
-    fn emit_indirect_jump(
-        &mut self,
-        cfg: &Cfg,
-        bid: BlockId,
-        addr: u32,
-        insn: Insn,
-    ) -> Result<(), EelError> {
-        let resolution = cfg
-            .indirect_jumps
-            .iter()
-            .find(|r| r.addr == addr)
-            .map(|r| r.resolution.clone())
-            .unwrap_or(JumpResolution::Unknown);
-        let block = cfg.block(bid).clone();
-
-        match resolution {
-            JumpResolution::Table {
-                table_addr,
-                targets,
-                ..
-            } => {
+        match resolution(&cfg.indirect_jumps, addr) {
+            JumpResolution::Table { table_addr, .. } => {
                 // Gather per-target paths.
-                let mut per_target: Vec<(u32, Vec<EdgeId>, Option<Insn>)> = Vec::new();
+                let mut paths: Vec<(u32, Path)> = Vec::new();
                 for &e in &block.succs {
-                    let (edges, delay, dest) = self.walk_path(cfg, e);
-                    let t = match dest {
+                    let path = self.walk_path(e);
+                    let t = match path.dest {
                         PathDest::Block(b) => cfg.block(b).addr,
                         PathDest::Escape(t) => t,
                         _ => continue,
                     };
-                    per_target.push((t, edges, delay));
+                    paths.push((t, path));
                 }
-                let delay_insn = per_target.iter().find_map(|(_, _, d)| *d);
-                let any_edits = per_target
-                    .iter()
-                    .any(|(_, es, _)| !self.path_snippets(es).is_empty());
-
-                if !any_edits {
-                    self.items.push(Item::Orig { insn, addr });
-                    match delay_insn {
-                        Some(d) => self.items.push(Item::Orig {
-                            insn: d,
-                            addr: addr + 4,
-                        }),
-                        None => self.items.push(Item::New(Builder::nop())),
-                    }
-                } else {
-                    // Empty the slot; each target gets a stub replaying the
-                    // delay instruction plus its edge snippets.
-                    self.items.push(Item::Orig { insn, addr });
-                    self.items.push(Item::New(Builder::nop()));
-                    for (t, edges, _) in &per_target {
-                        let stub = self.fresh_label();
-                        self.table_stubs.insert((table_addr, *t), stub);
-                        let mut si = vec![Item::Label(stub)];
-                        for p in self.path_snippets(edges) {
-                            si.push(Item::SnippetRef(p));
-                        }
-                        if let Some(d) = delay_insn {
-                            si.push(Item::Orig {
-                                insn: d,
-                                addr: addr + 4,
-                            });
-                        }
-                        si.push(Item::BranchTo {
-                            cond: Cond::Always,
-                            annul: false,
-                            target: self.code_tgt(cfg, *t),
-                            orig: None,
-                        });
-                        si.push(Item::New(Builder::nop()));
-                        self.stub_items.extend(si);
-                    }
+                let delay = paths.iter().find_map(|(_, p)| p.delay);
+                self.items.push(Item::Orig { insn, addr });
+                if !paths.iter().any(|(_, p)| self.path_edited(p)) {
+                    self.push_delay_or_nop(delay, addr);
+                    return Ok(());
                 }
-                let _ = targets;
+                // Empty the slot; each target gets a stub replaying the
+                // delay instruction plus its edge snippets, and the
+                // table's slots for that target route through it.
+                self.items.push(Item::New(Builder::nop()));
+                for (t, path) in &paths {
+                    let stub = self.fresh_label();
+                    if let Some(Unit::Table { slots, .. }) = self.unit_at(*table_addr) {
+                        for slot in slots.iter_mut().filter(|(target, _)| target == t) {
+                            slot.1 = Some(stub);
+                        }
+                    }
+                    let to = self.code_tgt(*t);
+                    self.push_stub(stub, path, delay, addr, to);
+                }
             }
             JumpResolution::Literal { target, base_insns } => {
                 // Edge snippets (single known target) go before the jump.
                 for &e in &block.succs {
-                    let (edges, _, _) = self.walk_path(cfg, e);
-                    let sn = self.path_snippets(&edges);
-                    self.emit_placements(&sn);
+                    let snippets = self.path_snippets(&self.walk_path(e));
+                    self.items.extend(refs(&snippets));
                 }
-                let delay = block
-                    .succs
-                    .iter()
-                    .map(|&e| cfg.edge(e).to)
-                    .find(|b| cfg.block(*b).kind == BlockKind::DelaySlot)
-                    .and_then(|b| cfg.block(b).insns.first().map(|ia| ia.insn));
                 if base_insns.is_empty() {
                     // Unpatchable materialization: replace the jump with a
                     // direct branch to the (relocated) literal target.
                     self.items.push(Item::BranchTo {
                         cond: Cond::Always,
                         annul: false,
-                        target: self.code_tgt(cfg, target),
+                        target: self.code_tgt(*target),
                         orig: Some(addr),
                     });
                 } else {
                     self.items.push(Item::Orig { insn, addr });
                 }
-                match delay {
-                    Some(d) => self.items.push(Item::Orig {
-                        insn: d,
-                        addr: addr + 4,
-                    }),
-                    None => self.items.push(Item::New(Builder::nop())),
-                }
+                self.push_delay_or_nop(terminator_delay(cfg, bid), addr);
             }
             JumpResolution::Unknown => {
                 let Op::Jmpl { rs1, src2, .. } = insn.op else {
                     return Err(EelError::Internal("indirect jump is not jmpl".into()));
                 };
-                let delay = block
-                    .succs
-                    .iter()
-                    .map(|&e| cfg.edge(e).to)
-                    .find(|b| cfg.block(*b).kind == BlockKind::DelaySlot)
-                    .and_then(|b| cfg.block(b).insns.first().map(|ia| ia.insn));
                 // Scratch registers must be dead here.
-                let last = block.insns.len() - 1;
-                let live = self.liveness.live_before(cfg, bid, last);
+                let live = self.liveness.live_before(cfg, bid, block.insns.len() - 1);
                 if live.contains(Reg(6)) || live.contains(Reg(7)) {
                     return Err(EelError::TranslationClash { addr });
                 }
-                self.emit_translated_transfer(addr, rs1, src2, delay, false)?;
+                self.emit_translated_transfer(addr, rs1, src2, terminator_delay(cfg, bid), false)?;
             }
         }
         Ok(())
@@ -1159,12 +1019,7 @@ impl<'a> Layouter<'a> {
         self.needs_translator = true;
         self.items.push(Item::MapOrig(addr));
         self.items.push(Item::New(Builder::add(Reg(6), rs1, src2)));
-        if let Some(d) = delay {
-            self.items.push(Item::Orig {
-                insn: d,
-                addr: addr + 4,
-            });
-        }
+        self.items.extend(delay.map(|d| replay(d, addr)));
         self.items.push(Item::SethiHiOf {
             rd: Reg(7),
             target: Tgt::Runtime(TRANSLATOR.into()),
@@ -1185,14 +1040,4 @@ impl<'a> Layouter<'a> {
         self.items.push(Item::New(Builder::nop()));
         Ok(())
     }
-}
-
-/// Where a path out of a terminator lands.
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum PathDest {
-    Block(BlockId),
-    Escape(u32),
-    Exit,
-    Runtime,
-    DeadEnd,
 }
