@@ -3,7 +3,9 @@
 //! EEL's snippet machinery allocates *dead* registers at each insertion
 //! point (register scavenging, §3.5); Blizzard's fast-path optimization
 //! depends on knowing whether the condition codes are live (§5). Liveness
-//! is a standard backward bit-vector dataflow over [`RegSet`]s.
+//! is a standard backward bit-vector dataflow over [`RegSet`]s; the one
+//! fixpoint here serves both the SPARC [`Cfg`] and every machine's
+//! [`crate::generic_liveness`].
 //!
 //! Two pieces of calling-convention knowledge are baked in (the paper
 //! notes spawn leaves conventions to "additional processing"):
@@ -76,24 +78,46 @@ impl Liveness {
     /// Runs the backward fixpoint over the whole CFG.
     pub fn compute(cfg: &Cfg) -> Liveness {
         let _obs = eel_obs::span("core.liveness");
-        let n = cfg.block_count();
+        let use_def: Vec<(RegSet, RegSet)> = cfg.blocks.iter().map(block_use_def).collect();
+        Liveness::solve(
+            &use_def,
+            |b| {
+                cfg.blocks[b]
+                    .succs
+                    .iter()
+                    .map(|&e| cfg.edges[e.index()].to.index())
+            },
+            Some((cfg.exit_block().index(), exit_live())),
+        )
+    }
+
+    /// The backward may-liveness fixpoint every pipeline shares. Block
+    /// `b` has upward-exposed uses and definitions `use_def[b]` and
+    /// successor indices `succs(b)`; a pinned `exit` block keeps the
+    /// given live-in and is never recomputed.
+    pub(crate) fn solve<I: IntoIterator<Item = usize>>(
+        use_def: &[(RegSet, RegSet)],
+        succs: impl Fn(usize) -> I,
+        exit: Option<(usize, RegSet)>,
+    ) -> Liveness {
+        let n = use_def.len();
         let mut live_in = vec![RegSet::new(); n];
         let mut live_out = vec![RegSet::new(); n];
-        let use_def: Vec<(RegSet, RegSet)> = cfg.blocks.iter().map(block_use_def).collect();
-        live_in[cfg.exit_block().index()] = exit_live();
-
+        if let Some((b, live)) = exit {
+            live_in[b] = live;
+        }
         let mut changed = true;
         while changed {
             changed = false;
-            // Iterating in reverse id order approximates reverse topological
+            // Iterating in reverse index order approximates reverse topological
             // order well enough; the fixpoint is correct regardless.
             for b in (0..n).rev() {
-                if BlockId(b) == cfg.exit_block() {
+                if exit.is_some_and(|(x, _)| x == b) {
                     continue;
                 }
                 let mut out = RegSet::new();
-                for &e in &cfg.blocks[b].succs {
-                    out = out.union(live_in[cfg.edges[e.index()].to.index()]);
+                for s in succs(b) {
+                    out = out.union(live_in[s]);
                 }
                 let (uses, defs) = use_def[b];
                 let inn = uses.union(out.without(defs));

@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 /// The largest bss [`Executable::write_edited`] turns into initialized
 /// data.
-const MAX_MATERIALIZED_BSS: u32 = 64 << 20;
+pub(crate) const MAX_MATERIALIZED_BSS: u32 = 64 << 20;
 
 /// Stable identifier of a routine within an [`Executable`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -54,10 +54,6 @@ pub struct Executable {
     analyzed: bool,
     /// Where the routine set came from (symbol table vs. inference).
     discovery: DiscoverySource,
-    /// Whether [`Executable::read_contents`] may fall back to
-    /// `eel-strip` inference when the symbol table is empty. On (the
-    /// default) everywhere except ablations.
-    strip_aware: bool,
     hidden_queue: Vec<RoutineId>,
     /// Per routine, by index: what [`Executable::write_edited`] emits.
     slots: Vec<Slot>,
@@ -246,7 +242,6 @@ impl Executable {
             routines: Vec::new(),
             analyzed: false,
             discovery: DiscoverySource::Symbols,
-            strip_aware: true,
             hidden_queue: Vec::new(),
             slots: Vec::new(),
             runtime_routines: Vec::new(),
@@ -331,21 +326,12 @@ impl Executable {
             return Ok(());
         }
         let _obs = eel_obs::span("core.read_contents");
-        let discovery = discover_routines(&self.image, &mut self.pool, self.strip_aware)?;
+        let discovery = discover_routines(&self.image, &mut self.pool)?;
         self.routines = discovery.routines;
         self.hidden_queue = discovery.hidden;
         self.discovery = discovery.source;
         self.analyzed = true;
         Ok(())
-    }
-
-    /// Enables or disables the strip-aware discovery fallback: with it
-    /// off, a symbol-less image gets only the naive entry/call-target
-    /// seeding instead of `eel-strip`'s full inference (an ablation
-    /// knob, like [`Executable::set_jump_analysis`]). Must be called
-    /// before [`Executable::read_contents`].
-    pub fn set_strip_aware(&mut self, enabled: bool) {
-        self.strip_aware = enabled;
     }
 
     /// Where the routine set came from — meaningful after
@@ -427,12 +413,10 @@ fn infer_stripped(image: &Image) -> eel_strip::InferredDiscovery {
 /// the shared implementation behind [`Executable::read_contents`] and
 /// [`Analysis::compute`]. Decoded text words are interned into `pool` for
 /// the §3.4 one-object-per-word accounting. When the symbol table yields
-/// no routine labels and `strip_aware` is on, stage 2 runs `eel-strip`'s
-/// inference instead of the naive call-target seeding.
+/// no routine labels, stage 2 runs `eel-strip`'s inference.
 pub(crate) fn discover_routines(
     image: &Image,
     pool: &mut InstructionPool,
-    strip_aware: bool,
 ) -> Result<Discovery, EelError> {
     let text = (image.text_addr, image.text_end());
     let ops = crate::machine::backend(image.machine)?;
@@ -499,31 +483,24 @@ pub(crate) fn discover_routines(
     // Stage 2: a stripped executable has no labels to refine, so the
     // routine set comes from inference — eel-strip's speculative sweep
     // and rule fixpoint (entry point, call targets, prologue matches,
-    // dispatch-table feedback, data-pointer promotion) — or, with the
-    // fallback disabled, from the naive entry/call-target seeding.
+    // dispatch-table feedback, data-pointer promotion).
     let source = if candidates.is_empty() {
-        if strip_aware && image.machine == eel_exe::Machine::Sparc {
+        if image.machine == eel_exe::Machine::Sparc {
             let inferred = infer_stripped(image);
             for s in &inferred.starts {
                 candidates.entry(s.addr).or_insert(None);
             }
-        } else if strip_aware {
-            // Non-SPARC stripped images: seed from call targets plus the
-            // machine's prologue signature (eel-strip's rule 3 through
-            // the seam; the full sweep-and-fixpoint is SPARC-only today).
-            for &t in &call_targets {
-                candidates.entry(t).or_insert(None);
-            }
+        } else {
+            // Non-SPARC stripped images: seed from the machine's prologue
+            // signature (eel-strip's rule 3 through the seam; the full
+            // sweep-and-fixpoint is SPARC-only today). Call targets join
+            // in stage 3.
             let mut addr = text.0;
             while addr < text.1 {
                 if ops.is_prologue(image, addr) {
                     candidates.entry(addr).or_insert(None);
                 }
                 addr += 4;
-            }
-        } else {
-            for &t in &call_targets {
-                candidates.entry(t).or_insert(None);
             }
         }
         candidates.insert(image.entry, None);

@@ -7,12 +7,21 @@
 //! qpt2-style block-counter instrumentation — enough for the service's
 //! stat/disasm/instrument ops on a non-SPARC image. It is exercised
 //! end-to-end by MIPS today; a future alpha backend reuses it untouched.
+//!
+//! Each pass classifies the words of its range once (kind plus the step
+//! over a delay slot) and finds block leaders with one shared pass.
+//! Liveness runs on the seam's register sets through the same fixpoint
+//! as [`Liveness::compute`]; register names appear only where output is
+//! rendered, through [`crate::MachineOps::reg_name`].
 
+use crate::analysis::live::Liveness;
 use crate::error::EelError;
-use crate::machine::{machine_ops, InsnKind};
+use crate::executable::MAX_MATERIALIZED_BSS;
+use crate::machine::{machine_ops, InsnKind, MachineOps};
 use crate::routine::Routine;
 use eel_exe::{Image, Machine, Symbol, SymbolKind};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use eel_isa::RegSet;
+use std::ops::Range;
 
 /// A basic block in a [`GenericCfg`].
 #[derive(Debug, Clone)]
@@ -45,6 +54,70 @@ impl GenericCfg {
     }
 }
 
+/// One word with its control-flow class and the bytes from it to the
+/// next instruction in sequence: 8 over a delay slot, else 4.
+#[derive(Clone, Copy)]
+struct Classified {
+    word: u32,
+    kind: InsnKind,
+    step: u32,
+}
+
+/// Classifies each word of `range` once.
+fn classify(image: &Image, ops: &dyn MachineOps, range: Range<u32>) -> Vec<Classified> {
+    range
+        .step_by(4)
+        .map(|pc| {
+            let word = image.word_at(pc).unwrap_or(0);
+            Classified {
+                word,
+                kind: ops.kind(word, pc),
+                step: if ops.has_delay_slot(word, pc) { 8 } else { 4 },
+            }
+        })
+        .collect()
+}
+
+/// The block leaders of `range`, ascending: every word-aligned seed in
+/// the range, every transfer target in the range, and the word after
+/// each transfer's delay slot. `words` classifies the range, word by
+/// word; the scan follows the steps from the range's first word.
+fn leaders(
+    words: &[Classified],
+    range: Range<u32>,
+    seeds: impl IntoIterator<Item = u32>,
+) -> Vec<u32> {
+    let at = |addr: u32| {
+        let offset = addr.wrapping_sub(range.start);
+        (range.contains(&addr) && offset.is_multiple_of(4)).then_some((offset / 4) as usize)
+    };
+    let mut is_leader = vec![false; words.len()];
+    let mut mark = |addr: u32| {
+        if let Some(i) = at(addr) {
+            is_leader[i] = true;
+        }
+    };
+    seeds.into_iter().for_each(&mut mark);
+    let mut addr = range.start;
+    while addr < range.end {
+        let Classified { kind, step, .. } = words[((addr - range.start) / 4) as usize];
+        match kind {
+            InsnKind::Branch { target } | InsnKind::Jump { target, .. } => {
+                mark(target);
+                mark(addr + step);
+            }
+            InsnKind::IndirectJump { .. } => mark(addr + step),
+            _ => {}
+        }
+        addr += step;
+    }
+    (range.start..range.end)
+        .step_by(4)
+        .zip(is_leader)
+        .filter_map(|(addr, leads)| leads.then_some(addr))
+        .collect()
+}
+
 /// Builds a [`GenericCfg`] for one routine extent via the machine seam.
 ///
 /// # Errors
@@ -61,189 +134,90 @@ pub fn generic_cfg(image: &Image, routine: &Routine) -> Result<GenericCfg, EelEr
             expected: "a routine extent inside the text segment",
         });
     }
+    let words = classify(image, ops, start..end);
+    let seeds = std::iter::once(start).chain(routine.entries().iter().copied());
+    let starts = leaders(&words, start..end, seeds);
 
-    let word_at = |addr: u32| image.word_at(addr).unwrap_or(0);
-    // Pass 1: leaders. The entry, every in-extent transfer target, and
-    // the instruction after each transfer's delay slot.
-    let mut leaders: BTreeSet<u32> = BTreeSet::new();
-    leaders.insert(start);
-    for &e in routine.entries() {
-        leaders.insert(e);
-    }
-    let mut addr = start;
-    while addr < end {
-        let kind = ops.kind(word_at(addr), addr);
-        let step = if ops.has_delay_slot(word_at(addr), addr) {
-            8
-        } else {
-            4
-        };
-        match kind {
-            InsnKind::Branch { target } | InsnKind::Jump { target, .. } => {
-                if target >= start && target < end {
-                    leaders.insert(target);
+    // Blocks between leaders, each with the successor edges of the
+    // transfer that ends it. A call returns to the post-slot address, so
+    // it is straight-line code, as the SPARC CFG treats it.
+    let blocks = starts
+        .iter()
+        .enumerate()
+        .map(|(i, &bstart)| {
+            let bend = starts.get(i + 1).copied().unwrap_or(end);
+            let mut exit = None;
+            let mut addr = bstart;
+            while addr < bend && exit.is_none() {
+                let Classified { kind, step, .. } = words[((addr - start) / 4) as usize];
+                if let InsnKind::Branch { .. }
+                | InsnKind::Jump { links: false, .. }
+                | InsnKind::IndirectJump { links: false } = kind
+                {
+                    exit = Some(kind);
                 }
-                if addr + step < end {
-                    leaders.insert(addr + step);
-                }
+                addr += step;
             }
-            InsnKind::IndirectJump { .. } if addr + step < end => {
-                leaders.insert(addr + step);
+            // `addr` is past the exit's delay slot now.
+            let (succs, has_indirect_exit) = match exit {
+                Some(InsnKind::Branch { target }) => (vec![target, addr], false),
+                Some(InsnKind::Jump { target, .. }) => (vec![target], false),
+                Some(_) => (Vec::new(), true),
+                None => (vec![bend], false),
+            };
+            GenericBlock {
+                start: bstart,
+                end: bend,
+                succs: succs
+                    .into_iter()
+                    .filter(|&a| a >= start && a < end)
+                    .collect(),
+                has_indirect_exit,
             }
-            _ => {}
-        }
-        addr += step;
-    }
-
-    // Pass 2: blocks between leaders, with successor edges.
-    let starts: Vec<u32> = leaders.into_iter().collect();
-    let mut blocks = Vec::with_capacity(starts.len());
-    for (i, &bstart) in starts.iter().enumerate() {
-        let bend = starts.get(i + 1).copied().unwrap_or(end);
-        // Find the terminating transfer (if any) within the block.
-        let mut succs = Vec::new();
-        let mut has_indirect_exit = false;
-        let mut addr = bstart;
-        let mut fell_off = true;
-        while addr < bend {
-            let word = word_at(addr);
-            let kind = ops.kind(word, addr);
-            let delayed = ops.has_delay_slot(word, addr);
-            let step = if delayed { 8 } else { 4 };
-            match kind {
-                InsnKind::Branch { target } => {
-                    if target >= start && target < end {
-                        succs.push(target);
-                    }
-                    if addr + step < end {
-                        succs.push(addr + step);
-                    }
-                    fell_off = false;
-                }
-                InsnKind::Jump { target, links } => {
-                    if links {
-                        // A call returns to the post-slot address: treat
-                        // it as straight-line, like the SPARC CFG does.
-                        addr += step;
-                        continue;
-                    }
-                    if target >= start && target < end {
-                        succs.push(target);
-                    }
-                    fell_off = false;
-                }
-                InsnKind::IndirectJump { links } => {
-                    if links {
-                        addr += step;
-                        continue;
-                    }
-                    has_indirect_exit = true;
-                    fell_off = false;
-                }
-                _ => {
-                    addr += step;
-                    continue;
-                }
-            }
-            break;
-        }
-        if fell_off && bend < end {
-            succs.push(bend);
-        }
-        blocks.push(GenericBlock {
-            start: bstart,
-            end: bend,
-            succs,
-            has_indirect_exit,
-        });
-    }
+        })
+        .collect();
     Ok(GenericCfg { blocks })
 }
 
-/// Per-block liveness over the machine seam's register names: backward
-/// may-analysis to a fixed point, like [`crate::Liveness`] but keyed on
-/// opaque names so it works for any described machine.
-#[derive(Debug)]
-pub struct GenericLiveness {
-    /// Live-in sets, indexed like [`GenericCfg::blocks`].
-    pub live_in: Vec<BTreeSet<String>>,
-    /// Live-out sets, indexed like [`GenericCfg::blocks`].
-    pub live_out: Vec<BTreeSet<String>>,
-}
-
-/// Computes backward liveness for a [`GenericCfg`].
-pub fn generic_liveness(image: &Image, cfg: &GenericCfg) -> GenericLiveness {
+/// Computes backward liveness for a [`GenericCfg`] over the machine
+/// seam's register sets, through the same fixpoint as
+/// [`Liveness::compute`]. Block indices follow [`GenericCfg::blocks`];
+/// delay slots are plain instructions for dataflow purposes.
+pub fn generic_liveness(image: &Image, cfg: &GenericCfg) -> Liveness {
     let _obs = eel_obs::span("core.generic.liveness");
     let ops = machine_ops(image.machine);
-    let n = cfg.blocks.len();
-    let index_of: HashMap<u32, usize> = cfg
+    let use_def: Vec<(RegSet, RegSet)> = cfg
         .blocks
         .iter()
-        .enumerate()
-        .map(|(i, b)| (b.start, i))
+        .map(|b| {
+            let (mut uses, mut defs) = (RegSet::new(), RegSet::new());
+            for addr in (b.start..b.end).step_by(4) {
+                let word = image.word_at(addr).unwrap_or(0);
+                uses = uses.union(ops.reads(word).without(defs));
+                defs = defs.union(ops.writes(word));
+            }
+            (uses, defs)
+        })
         .collect();
-
-    // Per-block gen (use before def) and kill (def) sets, scanning
-    // forward; delay slots are plain instructions for dataflow purposes.
-    let mut gens: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
-    let mut kills: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
-    for (i, b) in cfg.blocks.iter().enumerate() {
-        let mut addr = b.start;
-        while addr < b.end {
-            let word = image.word_at(addr).unwrap_or(0);
-            for r in ops.reads(word) {
-                if !kills[i].contains(&r) {
-                    gens[i].insert(r);
-                }
-            }
-            for r in ops.writes(word) {
-                kills[i].insert(r);
-            }
-            addr += 4;
-        }
-    }
-
-    let mut live_in: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
-    let mut live_out: Vec<BTreeSet<String>> = vec![BTreeSet::new(); n];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in (0..n).rev() {
-            let mut out: BTreeSet<String> = BTreeSet::new();
-            for s in &cfg.blocks[i].succs {
-                if let Some(&j) = index_of.get(s) {
-                    out.extend(live_in[j].iter().cloned());
-                }
-            }
-            let mut inn = gens[i].clone();
-            for r in out.difference(&kills[i]) {
-                inn.insert(r.clone());
-            }
-            if out != live_out[i] || inn != live_in[i] {
-                live_out[i] = out;
-                live_in[i] = inn;
-                changed = true;
-            }
-        }
-    }
-    GenericLiveness { live_in, live_out }
+    let index_of = |addr: u32| cfg.blocks.binary_search_by_key(&addr, |b| b.start).ok();
+    Liveness::solve(
+        &use_def,
+        |b| cfg.blocks[b].succs.iter().filter_map(move |&s| index_of(s)),
+        None,
+    )
 }
 
 /// Disassembles a routine extent into `addr: word  text` lines through
 /// the machine seam.
 pub fn generic_disasm(image: &Image, routine: &Routine) -> Vec<String> {
     let ops = machine_ops(image.machine);
-    let mut out = Vec::new();
-    let mut addr = routine.start();
-    while addr < routine.end() {
-        let word = image.word_at(addr).unwrap_or(0);
-        out.push(format!(
-            "{addr:#010x}: {word:08x}  {}",
-            ops.disasm(word, addr)
-        ));
-        addr += 4;
-    }
-    out
+    (routine.start()..routine.end())
+        .step_by(4)
+        .map(|addr| {
+            let word = image.word_at(addr).unwrap_or(0);
+            format!("{addr:#010x}: {word:08x}  {}", ops.disasm(word, addr))
+        })
+        .collect()
 }
 
 // ---- MIPS block-counter instrumentation --------------------------------
@@ -280,7 +254,8 @@ pub struct BlockCounter {
 /// # Errors
 ///
 /// [`EelError::BadImage`] for a non-MIPS image; [`EelError::LayoutOverflow`]
-/// if a relocated branch no longer reaches its target.
+/// if a relocated branch no longer reaches its target or the bss is too
+/// large to turn into data.
 pub fn instrument_block_counters(image: &Image) -> Result<(Image, Vec<BlockCounter>), EelError> {
     let _obs = eel_obs::span("core.generic.instrument");
     if image.machine != Machine::Mips {
@@ -289,116 +264,69 @@ pub fn instrument_block_counters(image: &Image) -> Result<(Image, Vec<BlockCount
             image.machine
         )));
     }
-    let ops = machine_ops(image.machine);
-    let text = image.text_addr;
-    let n_words = image.text.len() / 4;
-    let words: Vec<u32> = (0..n_words)
-        .map(|i| image.word_at(text + 4 * i as u32).unwrap())
-        .collect();
-
-    // Leaders over the whole text segment: segment start, the entry,
-    // every routine symbol, every transfer target, and every
-    // post-transfer (post-delay-slot) address.
-    let mut leaders: BTreeSet<u32> = BTreeSet::new();
-    leaders.insert(text);
-    leaders.insert(image.entry);
-    for s in &image.symbols {
-        if s.kind == SymbolKind::Routine && image.in_text(s.value) {
-            leaders.insert(s.value);
-        }
+    // The counter array follows the data, with bss materialized as
+    // zeroed data (as `Executable::write_edited` does), so no counter
+    // lands on a bss variable.
+    if image.bss_size > MAX_MATERIALIZED_BSS {
+        return Err(EelError::LayoutOverflow(format!(
+            "bss of {} bytes exceeds the {MAX_MATERIALIZED_BSS}-byte limit for materializing it",
+            image.bss_size
+        )));
     }
-    let mut i = 0usize;
-    while i < n_words {
-        let addr = text + 4 * i as u32;
-        let kind = ops.kind(words[i], addr);
-        let step = if ops.has_delay_slot(words[i], addr) {
-            2
-        } else {
-            1
-        };
-        match kind {
-            InsnKind::Branch { target } | InsnKind::Jump { target, .. } => {
-                if image.in_text(target) {
-                    leaders.insert(target);
-                }
-                if i + step < n_words {
-                    leaders.insert(addr + 4 * step as u32);
-                }
-            }
-            InsnKind::IndirectJump { .. } if i + step < n_words => {
-                leaders.insert(addr + 4 * step as u32);
-            }
-            _ => {}
-        }
-        i += step;
-    }
+    let text = image.text_addr..image.text_end();
+    let words = classify(image, machine_ops(image.machine), text.clone());
+    let routines = image
+        .symbols
+        .iter()
+        .filter(|s| s.kind == SymbolKind::Routine)
+        .map(|s| s.value);
+    let seeds = [text.start, image.entry].into_iter().chain(routines);
+    let starts = leaders(&words, text.clone(), seeds);
 
-    // Counter array: appended to the data segment, word-aligned.
-    let starts: Vec<u32> = leaders.into_iter().collect();
-    let pad = (4 - image.data.len() % 4) % 4;
-    let counters_base = image.data_addr + (image.data.len() + pad) as u32;
+    let mut out = image.clone();
+    out.data
+        .resize(image.data.len() + image.bss_size as usize, 0);
+    out.data.resize(out.data.len().next_multiple_of(4), 0);
+    out.bss_size = 0;
+    let counters_base = out.data_addr + out.data.len() as u32;
 
-    // Pass 1: new addresses. Each block grows by the 4-word preamble.
-    let mut new_addr_of: BTreeMap<u32, u32> = BTreeMap::new(); // old insn → new insn
-    let mut block_of_leader: HashMap<u32, usize> = HashMap::new();
-    let mut new_pc = text;
-    for (b, &bstart) in starts.iter().enumerate() {
-        let bend = starts
-            .get(b + 1)
-            .copied()
-            .unwrap_or(text + 4 * n_words as u32);
-        block_of_leader.insert(bstart, b);
-        new_pc += 16; // the preamble
-        let mut a = bstart;
-        while a < bend {
-            new_addr_of.insert(a, new_pc);
-            new_pc += 4;
-            a += 4;
-        }
-    }
-
-    // Pass 2: emit. Jumping to a block lands on its preamble, so
-    // transfer targets map to `preamble(start)` = new_addr_of[start]-16.
-    let target_map = |old: u32| -> Option<u32> {
-        block_of_leader.get(&old)?;
-        new_addr_of.get(&old).map(|&a| a - 16)
+    // Every block grows by the same four-word preamble, so the word at
+    // `a` in block `b` moves to `a + 16(b+1)`, and a transfer to leader
+    // `b` lands on its preamble at `leader + 16b`.
+    let preamble = |leader: u32| {
+        let b = starts.binary_search(&leader).ok()?;
+        Some(leader + 16 * b as u32)
     };
     let mut new_text: Vec<u8> = Vec::with_capacity(image.text.len() + starts.len() * 16);
-    let push = |w: u32, out: &mut Vec<u8>| out.extend_from_slice(&w.to_be_bytes());
     let mut counters = Vec::with_capacity(starts.len());
     for (b, &bstart) in starts.iter().enumerate() {
-        let bend = starts
-            .get(b + 1)
-            .copied()
-            .unwrap_or(text + 4 * n_words as u32);
+        let bend = starts.get(b + 1).copied().unwrap_or(text.end);
         let counter_addr = counters_base + 4 * b as u32;
         counters.push(BlockCounter {
             orig_start: bstart,
             counter_addr,
         });
-        let lo = (counter_addr & 0xffff) as i32;
-        let lo = if lo >= 0x8000 { lo - 0x10000 } else { lo };
-        let hi = counter_addr.wrapping_sub(lo as u32) >> 16;
-        push((15 << 26) | (26 << 16) | (hi & 0xffff), &mut new_text); // lui $k0
-        push(
-            (35 << 26) | (26 << 21) | (27 << 16) | (lo as u32 & 0xffff),
-            &mut new_text,
-        ); // lw $k1
-        push((9 << 26) | (27 << 21) | (27 << 16) | 1, &mut new_text); // addiu $k1,$k1,1
-        push(
-            (43 << 26) | (26 << 21) | (27 << 16) | (lo as u32 & 0xffff),
-            &mut new_text,
-        ); // sw $k1
-
-        let mut a = bstart;
-        while a < bend {
-            let w = words[((a - text) / 4) as usize];
-            let here = new_addr_of[&a];
-            let patched = match ops.kind(w, a) {
-                InsnKind::Branch { target } | InsnKind::Jump { target, links: _ }
-                    if image.in_text(target) =>
+        // %hi carries when %lo's sign bit is set.
+        let (hi, lo) = (
+            counter_addr.wrapping_add(0x8000) >> 16,
+            counter_addr & 0xffff,
+        );
+        for w in [
+            (15 << 26) | (26 << 16) | hi,              // lui   $k0, %hi(counter)
+            (35 << 26) | (26 << 21) | (27 << 16) | lo, // lw    $k1, %lo(counter)($k0)
+            (9 << 26) | (27 << 21) | (27 << 16) | 1,   // addiu $k1, $k1, 1
+            (43 << 26) | (26 << 21) | (27 << 16) | lo, // sw    $k1, %lo(counter)($k0)
+        ] {
+            new_text.extend_from_slice(&w.to_be_bytes());
+        }
+        for a in (bstart..bend).step_by(4) {
+            let Classified { word: w, kind, .. } = words[((a - text.start) / 4) as usize];
+            let here = a + 16 * (b as u32 + 1);
+            let patched = match kind {
+                InsnKind::Branch { target } | InsnKind::Jump { target, .. }
+                    if text.contains(&target) =>
                 {
-                    let nt = target_map(target).ok_or_else(|| {
+                    let nt = preamble(target).ok_or_else(|| {
                         EelError::Internal(format!("transfer target {target:#x} is not a leader"))
                     })?;
                     if w >> 26 <= 3 && w >> 26 >= 2 {
@@ -417,23 +345,20 @@ pub fn instrument_block_counters(image: &Image) -> Result<(Image, Vec<BlockCount
                 }
                 _ => w,
             };
-            push(patched, &mut new_text);
-            a += 4;
+            new_text.extend_from_slice(&patched.to_be_bytes());
         }
     }
 
-    let mut out = image.clone();
     out.text = new_text;
-    out.entry = target_map(image.entry)
+    out.entry = preamble(image.entry)
         .ok_or_else(|| EelError::Internal("entry point is not a block leader".into()))?;
-    out.data.extend(std::iter::repeat_n(0u8, pad));
-    out.data.extend(std::iter::repeat_n(0u8, 4 * starts.len()));
-    for s in &mut out.symbols {
-        if s.kind == SymbolKind::Routine && image.in_text(s.value) {
-            if let Some(nt) = target_map(s.value) {
-                s.value = nt;
-            }
-        }
+    out.data.resize(out.data.len() + 4 * starts.len(), 0);
+    for s in out
+        .symbols
+        .iter_mut()
+        .filter(|s| s.kind == SymbolKind::Routine)
+    {
+        s.value = preamble(s.value).unwrap_or(s.value);
     }
     out.symbols.push(Symbol::object(
         "__eel_counters",

@@ -77,7 +77,7 @@ pub use executable::{CfgBatchItem, CfgOutcome, DiscoverySource, Executable, Repl
 pub use fragment::routine_key;
 pub use generic::{
     generic_cfg, generic_disasm, generic_liveness, instrument_block_counters,
-    uses_generic_pipeline, BlockCounter, GenericBlock, GenericCfg, GenericLiveness,
+    uses_generic_pipeline, BlockCounter, GenericBlock, GenericCfg,
 };
 pub use instr::{AllocStats, Instruction, InstructionPool};
 pub use machine::{machine_ops, InsnKind, MachineOps};

@@ -20,7 +20,7 @@
 
 use crate::error::EelError;
 use eel_exe::{Image, Machine};
-use eel_isa::{Cond, Op, Reg};
+use eel_isa::{Cond, Op, Reg, RegSet};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -71,14 +71,20 @@ pub trait MachineOps: Send + Sync {
     /// without delay slots — alpha — returns `false` throughout.)
     fn has_delay_slot(&self, word: u32, pc: u32) -> bool;
 
-    /// Registers the instruction reads, as machine-conventional names
-    /// (`%o0` on SPARC, `$4`/`$hi` on MIPS). Names only need to be
-    /// consistent within a machine — liveness treats them as opaque keys.
-    fn reads(&self, word: u32) -> Vec<String>;
+    /// Registers the instruction reads. Register `k` is the `k`-th
+    /// register the machine's description declares, counting an array's
+    /// elements in order: `R[32]` is 0–31, then the scalars (SPARC's
+    /// `ICC` is 32 and `Y` 33; MIPS's `HI` is 32 and `LO` 33). The
+    /// hardwired zero register is never reported.
+    fn reads(&self, word: u32) -> RegSet;
 
-    /// Registers the instruction writes (same naming contract as
+    /// Registers the instruction writes (numbered as for
     /// [`MachineOps::reads`]).
-    fn writes(&self, word: u32) -> Vec<String>;
+    fn writes(&self, word: u32) -> RegSet;
+
+    /// The machine-conventional spelling of a register (`%o0` on SPARC,
+    /// `$4`/`$hi` on MIPS), for rendering output.
+    fn reg_name(&self, r: Reg) -> String;
 
     /// One-line disassembly in the machine's conventional syntax.
     fn disasm(&self, word: u32, pc: u32) -> String;
@@ -159,20 +165,16 @@ impl MachineOps for SparcOps {
         eel_isa::decode(word).is_delayed()
     }
 
-    fn reads(&self, word: u32) -> Vec<String> {
-        eel_isa::decode(word)
-            .reads()
-            .iter()
-            .map(|r| r.name())
-            .collect()
+    fn reads(&self, word: u32) -> RegSet {
+        eel_isa::decode(word).reads()
     }
 
-    fn writes(&self, word: u32) -> Vec<String> {
-        eel_isa::decode(word)
-            .writes()
-            .iter()
-            .map(|r| r.name())
-            .collect()
+    fn writes(&self, word: u32) -> RegSet {
+        eel_isa::decode(word).writes()
+    }
+
+    fn reg_name(&self, r: Reg) -> String {
+        r.name()
     }
 
     fn disasm(&self, word: u32, _pc: u32) -> String {
@@ -196,12 +198,24 @@ pub(crate) fn mips_machine() -> &'static eel_spawn::Machine {
     })
 }
 
-/// Spells a spawn register read/write as a conventional MIPS name.
-fn mips_reg_name(set: &str, index: u32) -> String {
-    match set {
-        "R" => format!("${index}"),
-        other => format!("${}", other.to_ascii_lowercase()),
-    }
+/// Each MIPS register set with its first register's number and its
+/// size: registers number in the description's declaration order.
+fn mips_reg_sets() -> impl Iterator<Item = (&'static str, u32, u32)> {
+    let decls = &mips_machine().description().registers;
+    decls.iter().scan(0, |next, d| {
+        *next += d.count;
+        Some((d.name.as_str(), *next - d.count, d.count))
+    })
+}
+
+/// Folds spawn's per-word `(set, index)` registers into a [`RegSet`].
+fn mips_regs(regs: Vec<(String, u32)>) -> RegSet {
+    regs.into_iter()
+        .filter_map(|(set, i)| {
+            let (_, first, _) = mips_reg_sets().find(|&(name, ..)| name == set)?;
+            Some(Reg((first + i) as u8))
+        })
+        .collect()
 }
 
 /// The operand fields MIPS disassembly spells, in output order.
@@ -269,32 +283,31 @@ impl MachineOps for MipsOps {
         }
     }
 
-    fn has_delay_slot(&self, word: u32, pc: u32) -> bool {
-        // MIPS-I: every taken transfer is delayed, with no annul bit.
-        !matches!(self.kind(word, pc), InsnKind::Fall | InsnKind::Invalid)
+    fn has_delay_slot(&self, word: u32, _pc: u32) -> bool {
+        // MIPS-I: every transfer is delayed, with no annul bit.
+        use eel_spawn::Class::{Branch, DirectJump, IndirectJump};
+        let class = mips_machine().decode(word).map(|d| d.spec.class);
+        matches!(class, Some(DirectJump | Branch | IndirectJump))
     }
 
-    fn reads(&self, word: u32) -> Vec<String> {
+    fn reads(&self, word: u32) -> RegSet {
         let m = mips_machine();
-        match m.decode(word) {
-            Some(d) => m
-                .reads(&d)
-                .into_iter()
-                .map(|(set, i)| mips_reg_name(&set, i))
-                .collect(),
-            None => Vec::new(),
-        }
+        m.decode(word)
+            .map_or_else(RegSet::new, |d| mips_regs(m.reads(&d)))
     }
 
-    fn writes(&self, word: u32) -> Vec<String> {
+    fn writes(&self, word: u32) -> RegSet {
         let m = mips_machine();
-        match m.decode(word) {
-            Some(d) => m
-                .writes(&d)
-                .into_iter()
-                .map(|(set, i)| mips_reg_name(&set, i))
-                .collect(),
-            None => Vec::new(),
+        m.decode(word)
+            .map_or_else(RegSet::new, |d| mips_regs(m.writes(&d)))
+    }
+
+    fn reg_name(&self, r: Reg) -> String {
+        let k = r.index() as u32;
+        match mips_reg_sets().find(|&(_, first, count)| k < first + count) {
+            Some(("R", first, _)) => format!("${}", k - first),
+            Some((set, ..)) => format!("${}", set.to_ascii_lowercase()),
+            None => format!("$r{k}"),
         }
     }
 
@@ -431,13 +444,14 @@ mod tests {
     #[test]
     fn mips_reads_writes_have_machine_names() {
         let ops = machine_ops(Machine::Mips);
+        let spell = |set: RegSet| set.iter().map(|r| ops.reg_name(r)).collect::<Vec<_>>();
         // addu $v0, $a0, $a1
-        let reads = ops.reads(0x0085_1021);
-        assert!(reads.contains(&"$4".to_string()), "{reads:?}");
-        assert!(reads.contains(&"$5".to_string()), "{reads:?}");
-        assert_eq!(ops.writes(0x0085_1021), vec!["$2".to_string()]);
-        // mflo $a0 reads $lo.
-        assert!(ops.reads(0x0000_2012).contains(&"$lo".to_string()));
+        assert_eq!(spell(ops.reads(0x0085_1021)), ["$4", "$5"]);
+        assert_eq!(spell(ops.writes(0x0085_1021)), ["$2"]);
+        // mflo $a0 reads $lo, register 33 after R[32] and HI.
+        assert_eq!(ops.reads(0x0000_2012), RegSet::of(&[Reg(33)]));
+        assert_eq!(ops.reg_name(Reg(33)), "$lo");
+        assert_eq!(ops.reg_name(Reg(32)), "$hi");
     }
 
     #[test]

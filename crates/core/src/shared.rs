@@ -62,7 +62,7 @@ impl Analysis {
         let _obs = eel_obs::span("core.analysis.compute");
         image.validate()?;
         let mut pool = InstructionPool::new();
-        let discovery = discover_routines(&image, &mut pool, true)?;
+        let discovery = discover_routines(&image, &mut pool)?;
         let routine_keys = discovery
             .routines
             .iter()

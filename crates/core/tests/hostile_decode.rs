@@ -3,10 +3,14 @@
 //! feeds random words and bit-flipped words of progen images (SPARC and
 //! its MIPS twin) through `eel_isa::decode` and the instruction queries,
 //! and through both machines' `MachineOps`, each at a random word-aligned
-//! pc (wrap-around included), under `catch_unwind`.
+//! pc (wrap-around included), under `catch_unwind`. Each word's MIPS
+//! register sets, spelled through the seam, must also name exactly the
+//! registers spawn's per-word reference reports.
 
 use eel_core::machine_ops;
 use eel_exe::Machine;
+use eel_isa::RegSet;
+use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// xorshift64*: a few lines of deterministic randomness, no crates.
@@ -63,15 +67,40 @@ fn exercise(word: u32, pc: u32) {
     }
 }
 
+/// Does the MIPS seam's register numbering spell the registers spawn's
+/// per-word `(set, index)` reference names, `$<index>` for `R` and
+/// `$<lowercase set>` otherwise?
+fn mips_regs_agree(spawn: &eel_spawn::Machine, word: u32) -> bool {
+    let ops = machine_ops(Machine::Mips);
+    let seam = |set: RegSet| set.iter().map(|r| ops.reg_name(r)).collect::<BTreeSet<_>>();
+    let spell = |regs: Vec<(String, u32)>| {
+        regs.into_iter()
+            .map(|(set, i)| match set.as_str() {
+                "R" => format!("${i}"),
+                other => format!("${}", other.to_ascii_lowercase()),
+            })
+            .collect::<BTreeSet<_>>()
+    };
+    let (reads, writes) = match spawn.decode(word) {
+        Some(d) => (spell(spawn.reads(&d)), spell(spawn.writes(&d))),
+        None => (BTreeSet::new(), BTreeSet::new()),
+    };
+    seam(ops.reads(word)) == reads && seam(ops.writes(word)) == writes
+}
+
 #[test]
 fn decoders_never_panic() {
     let mut rng = Rng(0x5eed_dec0_de00_0001);
     let words = corpus(&mut rng);
+    let spawn = eel_spawn::mips_machine().expect("mips.spawn");
     let mut panics = Vec::new();
+    let mut disagreements = Vec::new();
     for &word in &words {
         let pc = rng.next() & !3;
         if catch_unwind(AssertUnwindSafe(|| exercise(word, pc))).is_err() {
             panics.push(format!("{word:#010x} at pc {pc:#010x}"));
+        } else if !mips_regs_agree(&spawn, word) {
+            disagreements.push(format!("{word:#010x}"));
         }
     }
     assert!(
@@ -80,5 +109,12 @@ fn decoders_never_panic() {
         panics.len(),
         words.len(),
         panics.join(", ")
+    );
+    assert!(
+        disagreements.is_empty(),
+        "{} of {} words spell MIPS registers unlike spawn: {}",
+        disagreements.len(),
+        words.len(),
+        disagreements.join(", ")
     );
 }

@@ -8,7 +8,7 @@
 
 use eel_core::{
     generic_cfg, generic_disasm, generic_liveness, instrument_block_counters, machine_ops,
-    routine_key, Analysis, Executable, InsnKind,
+    routine_key, Analysis, BlockId, Executable, InsnKind,
 };
 use eel_exe::Machine;
 use std::sync::Arc;
@@ -83,7 +83,13 @@ fn mips_round_trip_with_block_counters() {
     // Liveness over description-derived reads/writes: the sp-relative
     // stack machine keeps $29 live everywhere.
     let live = generic_liveness(&image, &cfg);
-    assert!(live.live_in[0].contains("$29"), "{:?}", live.live_in[0]);
+    let ops = machine_ops(Machine::Mips);
+    let entry_live: Vec<String> = live
+        .live_in(BlockId::from_index(0))
+        .iter()
+        .map(|r| ops.reg_name(r))
+        .collect();
+    assert!(entry_live.iter().any(|r| r == "$29"), "{entry_live:?}");
 
     // Uninstrumented run, watching every block leader of every routine.
     let leaders: Vec<u32> = {
@@ -130,6 +136,28 @@ fn mips_round_trip_with_block_counters() {
     }
     assert!(compared >= 8, "only {compared} blocks compared");
     assert!(nonzero >= 4, "only {nonzero} blocks executed");
+}
+
+/// The block counters follow bss instead of overlaying it: the rewriter
+/// turns bss into zeroed data before appending them, so no counter
+/// shares a word with a bss variable.
+#[test]
+fn block_counters_land_past_bss() {
+    let mut image = mips_workload();
+    image.bss_size = 64;
+    let (edited, counters) = instrument_block_counters(&image).unwrap();
+    assert!(!counters.is_empty());
+    for c in &counters {
+        assert!(
+            c.counter_addr >= image.data_end(),
+            "counter for {:#x} at {:#x} is inside the original data or bss (end {:#x})",
+            c.orig_start,
+            c.counter_addr,
+            image.data_end()
+        );
+    }
+    edited.validate().unwrap();
+    assert_eq!(edited.bss_size, 0);
 }
 
 /// Identical bytes under different machine tags are different programs:

@@ -169,26 +169,3 @@ fn discovery_source_reports_symbols_vs_inference() {
         .iter()
         .any(|&id| exec.routine(id).name().starts_with("sub_")));
 }
-
-#[test]
-fn strip_aware_flag_gates_inference() {
-    let mut stripped = big_image();
-    stripped.strip();
-
-    // Legacy behavior (inference off): a symbol-less image still
-    // analyzes — entry point plus transitively reachable call targets —
-    // but finds strictly fewer routines than inference does.
-    let mut legacy = Executable::from_image(stripped.clone()).unwrap();
-    legacy.set_strip_aware(false);
-    legacy.read_contents().unwrap();
-    let legacy_count = legacy.all_routine_ids().len();
-
-    let mut inferred = Executable::from_image(stripped).unwrap();
-    inferred.read_contents().unwrap();
-    let inferred_count = inferred.all_routine_ids().len();
-    assert!(
-        inferred_count >= legacy_count,
-        "inference found {inferred_count} routines, legacy call-target \
-         seeding found {legacy_count}"
-    );
-}

@@ -26,9 +26,9 @@
 
 use crate::cache::CostClass;
 use eel_core::{
-    generic_cfg, generic_disasm, generic_liveness, instrument_block_counters,
-    uses_generic_pipeline, Analysis, Cfg, CfgOutcome, Executable, Liveness, Routine, RoutineId,
-    Snippet,
+    generic_cfg, generic_disasm, generic_liveness, instrument_block_counters, machine_ops,
+    uses_generic_pipeline, Analysis, BlockId, Cfg, CfgOutcome, Executable, Liveness, Routine,
+    RoutineId, Snippet,
 };
 use eel_exe::Image;
 use std::fmt::Write as _;
@@ -222,16 +222,18 @@ fn cfg_summary_generic(analysis: &Analysis) -> Result<Vec<u8>, String> {
 
 fn liveness_generic(analysis: &Analysis) -> Result<Vec<u8>, String> {
     let image = analysis.image();
+    let ops = machine_ops(image.machine);
     let mut out = String::new();
     for routine in analysis.routines() {
         let cfg = generic_cfg(image, routine).map_err(|e| err("liveness", e))?;
         let live = generic_liveness(image, &cfg);
-        let entry = cfg
-            .blocks
+        // The entry block is the first; names print in string order.
+        let mut regs: Vec<String> = live
+            .live_in(BlockId::from_index(0))
             .iter()
-            .position(|b| b.start == routine.start())
-            .unwrap_or(0);
-        let regs: Vec<&str> = live.live_in[entry].iter().map(String::as_str).collect();
+            .map(|r| ops.reg_name(r))
+            .collect();
+        regs.sort();
         let _ = writeln!(
             out,
             "{}: entry-live-in={{{}}} ({} regs)",
