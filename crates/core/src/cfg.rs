@@ -30,7 +30,7 @@ use eel_isa::{Category, Insn};
 
 mod build;
 
-pub(crate) use build::{build_cfg, BuildOutput};
+pub(crate) use build::build_cfg;
 
 /// Index of a block within its CFG.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]

@@ -15,7 +15,7 @@
 //!    displacement and dispatch table, append run-time support (the
 //!    address translator and tool-added routines), and emit a new image.
 
-use crate::cfg::{build_cfg as cfg_build, BuildOutput, Cfg};
+use crate::cfg::{build_cfg as cfg_build, Cfg};
 use crate::error::EelError;
 use crate::fragment::{self, FragmentMeta};
 use crate::instr::{AllocStats, InstructionPool};
@@ -130,20 +130,13 @@ impl AddrMap {
     }
 }
 
-/// A speculative CFG build from the parallel phase of
-/// [`Executable::build_all_cfgs_probed`], stamped with the routine
-/// snapshot it was built from. A later cross-routine side effect (§3.1
-/// stage 3 entry-point registration, stage 4 splitting) changes the
-/// routine, invalidating the speculation.
-type Speculation = (Routine, Result<BuildOutput, EelError>);
-
 /// One routine's result from [`Executable::build_all_cfgs_probed`].
 #[derive(Debug)]
 pub struct CfgBatchItem {
     /// The routine's id in this executable.
     pub id: RoutineId,
-    /// Snapshot of the routine as the sequential build loop observed it
-    /// (after all earlier routines' discovery side effects).
+    /// Snapshot of the routine after all earlier routines' discovery
+    /// side effects.
     pub routine: Routine,
     /// The routine's content key ([`crate::routine_key`]).
     pub key: u64,
@@ -620,23 +613,14 @@ impl Executable {
     /// [`EelError::DelaySlotTransfer`] for the documented unsupported
     /// shape.
     pub fn build_cfg(&mut self, id: RoutineId) -> Result<Cfg, EelError> {
-        self.build_cfg_full(id, None).map(|(cfg, _)| cfg)
+        self.build_cfg_full(id).map(|(cfg, _)| cfg)
     }
 
     /// [`Executable::build_cfg`] plus, when the build was clean — it read
     /// no words outside the extent, content the routine's key does not
     /// hash — the fragment meta recording its §3.1 side effects (stage-3
     /// escape targets, stage-4 trailing splits) for a hit to replay.
-    ///
-    /// `speculated` is the parallel phase's build of this routine. It is
-    /// honored only when the routine's inputs are still exactly what it
-    /// consumed; otherwise the routine is built afresh, the same
-    /// computation the speculation raced against.
-    fn build_cfg_full(
-        &mut self,
-        id: RoutineId,
-        mut speculated: Option<Speculation>,
-    ) -> Result<(Cfg, Option<FragmentMeta>), EelError> {
+    fn build_cfg_full(&mut self, id: RoutineId) -> Result<(Cfg, Option<FragmentMeta>), EelError> {
         let _obs = eel_obs::span("core.build_cfg");
         if !self.analyzed {
             return Err(EelError::NotAnalyzed);
@@ -648,27 +632,13 @@ impl Executable {
         let mut external = false;
         loop {
             let r = &self.routines[id.0];
-            let reused = match speculated.take() {
-                Some((stamp, result)) if stamp == *r => {
-                    eel_obs::counter!("core.parallel.speculation.hit").add(1);
-                    Some(result)
-                }
-                Some(_) => {
-                    eel_obs::counter!("core.parallel.speculation.stale").add(1);
-                    None
-                }
-                None => None,
-            };
-            let out = match reused {
-                Some(result) => result?,
-                None => cfg_build(
-                    &self.image,
-                    id,
-                    (r.start, r.end),
-                    &r.entries,
-                    self.jump_analysis,
-                )?,
-            };
+            let out = cfg_build(
+                &self.image,
+                id,
+                (r.start, r.end),
+                &r.entries,
+                self.jump_analysis,
+            )?;
             external |= out.external_reads;
             escapes.extend_from_slice(&out.escape_targets);
             self.register_entries(&out.escape_targets);
@@ -737,18 +707,19 @@ impl Executable {
         true
     }
 
-    /// Builds the CFG of **every** currently known routine, fanning the
-    /// per-routine builds out over `threads` scoped worker threads
-    /// (0 = one per core, 1 = fully sequential), and returns
+    /// Builds the CFG of **every** currently known routine and returns
     /// `(routine snapshot, CFG)` pairs **in routine order**: the probed
     /// batch of [`Executable::build_all_cfgs_probed`] with a tier that
     /// never hits.
     ///
+    /// `_threads` is ignored; it stays until the benchmark, which passes
+    /// it, drops it.
+    ///
     /// # Errors
     ///
     /// As [`Executable::build_all_cfgs_probed`].
-    pub fn build_all_cfgs(&mut self, threads: usize) -> Result<Vec<(Routine, Cfg)>, EelError> {
-        let items = self.build_all_cfgs_probed(threads, &mut |_| None, &|_| false)?;
+    pub fn build_all_cfgs(&mut self, _threads: usize) -> Result<Vec<(Routine, Cfg)>, EelError> {
+        let items = self.build_all_cfgs_probed(&mut |_| None, &|_| false)?;
         Ok(items
             .into_iter()
             .map(|item| match item.outcome {
@@ -775,30 +746,15 @@ impl Executable {
     /// fragment is stored with. The composed result is therefore
     /// byte-identical to building every routine live.
     ///
-    /// The returned [`Routine`] is the snapshot a sequential
-    /// `for id { routine(id).clone(); build_cfg(id) }` loop would have
-    /// observed — taken after all *earlier* routines' side effects but
-    /// before this routine's own build.
-    ///
-    /// # Determinism
-    ///
-    /// The output is **byte-for-byte identical** at every thread count.
-    /// The parallel phase only *speculates*: it runs the pure CFG builder
-    /// against a snapshot of every routine's extent and entries (skipping
-    /// routines whose fragment already validates), and the sequential
-    /// stitch phase accepts a speculative result only when those inputs
-    /// are still exact — any routine invalidated by a cross-routine
-    /// discovery is rebuilt sequentially. Side effects (entry-point
-    /// registration, hidden-routine splitting, instruction interning) all
-    /// happen in the stitch phase, in routine order.
+    /// Each item's [`Routine`] is a snapshot taken after all *earlier*
+    /// routines' side effects but before this routine's own build.
     ///
     /// # Errors
     ///
     /// As [`Executable::build_cfg`]; the first failing routine in
-    /// routine order wins, like the sequential loop.
+    /// routine order wins.
     pub fn build_all_cfgs_probed(
         &mut self,
-        threads: usize,
         load: &mut dyn FnMut(u64) -> Option<Vec<u8>>,
         payload_ok: &dyn Fn(&[u8]) -> bool,
     ) -> Result<Vec<CfgBatchItem>, EelError> {
@@ -811,41 +767,6 @@ impl Executable {
             loaded: HashMap::new(),
         };
         let ids = self.all_routine_ids();
-        let threads = crate::par::effective_threads(threads).min(ids.len().max(1));
-        let mut speculated: Vec<Option<Speculation>> = Vec::new();
-        if threads > 1 && ids.len() > 1 {
-            let _obs = eel_obs::span("core.parallel.build_all");
-            eel_obs::counter!("core.parallel.batches").add(1);
-            // Routines whose fragment already validates against the
-            // pre-batch state skip the speculative build; the stitch
-            // phase re-validates before trusting the fragment.
-            let snapshots: Vec<Option<Routine>> = ids
-                .iter()
-                .map(|&id| {
-                    let r = &self.routines[id.0];
-                    let key = fragment::routine_key(&self.image, r);
-                    probe.hit(r, key).is_none().then(|| r.clone())
-                })
-                .collect();
-            let image = &self.image;
-            let jump_analysis = self.jump_analysis;
-            let built = crate::par::fan_out_indexed(snapshots.len(), threads, |i| {
-                let r = snapshots[i].as_ref()?;
-                let started = std::time::Instant::now();
-                let out = cfg_build(image, ids[i], (r.start, r.end), &r.entries, jump_analysis);
-                eel_obs::histogram!("core.parallel.routine_us")
-                    .record(started.elapsed().as_micros() as u64);
-                Some(out)
-            });
-            speculated = snapshots
-                .into_iter()
-                .zip(built)
-                .map(|(r, out)| Some((r?, out?)))
-                .collect();
-        }
-        // Stitch phase: sequential, in routine order. This is the only
-        // place routine state mutates, so ordering matches the plain
-        // loop.
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
             let routine = self.routines[id.0].clone();
@@ -861,8 +782,7 @@ impl Executable {
                 self.register_entries(&meta.escapes);
                 (CfgOutcome::Hit(payload.clone()), None)
             } else {
-                let spec = speculated.get_mut(id.0).and_then(Option::take);
-                let (cfg, meta) = self.build_cfg_full(id, spec)?;
+                let (cfg, meta) = self.build_cfg_full(id)?;
                 (CfgOutcome::Built(cfg), meta.map(Replay))
             };
             out.push(CfgBatchItem {

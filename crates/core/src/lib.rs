@@ -57,7 +57,6 @@ mod generic;
 mod instr;
 mod layout;
 mod machine;
-pub mod par;
 mod routine;
 mod shared;
 mod snippet;

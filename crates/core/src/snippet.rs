@@ -36,9 +36,8 @@ pub struct RegAssignment {
 }
 
 /// Call-back type: `(instructions, placement_address, assignment)`.
-/// `Send` because CFGs (which carry pending snippet edits) cross thread
-/// boundaries in the per-routine parallel analysis kernel
-/// ([`crate::Executable::build_all_cfgs`]).
+/// `Send` so a CFG, which carries pending snippet edits, can move to
+/// another thread.
 pub type Callback = Box<dyn FnMut(&mut [Insn], u32, &RegAssignment) + Send>;
 
 /// Result of materializing a snippet: the placement-ready instructions,

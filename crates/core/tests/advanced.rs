@@ -112,7 +112,7 @@ fn snippet_callback_backpatches_final_addresses() {
     // The paper's call-back use case: record where instrumentation landed
     // for later backpatching. The callback receives the FINAL address.
     // (Arc/Mutex rather than Rc/RefCell: callbacks are Send so CFGs can
-    // cross threads in the parallel analysis kernel.)
+    // move between threads.)
     use std::sync::{Arc, Mutex};
 
     let image = compile_str("fn main() { return 9; }", &Options::default()).unwrap();

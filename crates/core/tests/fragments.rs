@@ -80,7 +80,7 @@ fn table(exec: &Executable) -> Vec<TableRow> {
 fn record(a: &Arc<Analysis>) -> (Vec<(u64, Vec<u8>)>, Vec<TableRow>) {
     let mut exec = Executable::from_analysis(a);
     let items = exec
-        .build_all_cfgs_probed(1, &mut |_| None, &|_| true)
+        .build_all_cfgs_probed(&mut |_| None, &|_| true)
         .unwrap();
     let mut fragments = Vec::new();
     for it in &items {
@@ -102,38 +102,32 @@ fn validated_hits_replay_side_effects_exactly() {
         assert!(!fragments.is_empty(), "some routine must be cacheable");
         let stored: HashMap<u64, Vec<u8>> = fragments.into_iter().collect();
 
-        for threads in [1, 2, 4] {
-            let mut exec = Executable::from_analysis(&a);
-            let mut loads: HashMap<u64, u32> = HashMap::new();
-            let mut load = |k: u64| {
-                *loads.entry(k).or_insert(0) += 1;
-                stored.get(&k).cloned()
-            };
-            let items = exec
-                .build_all_cfgs_probed(threads, &mut load, &|p| p == PAYLOAD)
-                .unwrap();
-            let hits: Vec<&[u8]> = items
-                .iter()
-                .filter_map(|it| match &it.outcome {
-                    CfgOutcome::Hit(payload) => Some(payload.as_slice()),
-                    CfgOutcome::Built(_) => None,
-                })
-                .collect();
-            assert_eq!(
-                hits.len(),
-                stored.len(),
-                "threads={threads}: every recorded routine is a hit"
-            );
-            assert!(hits.iter().all(|p| *p == PAYLOAD), "hits carry the payload");
-            assert!(
-                loads.values().all(|&n| n == 1),
-                "threads={threads}: each key is loaded once per batch: {loads:?}"
-            );
-            // The replayed side effects must leave the routine table —
-            // extents, entry points, split-off hidden routines — exactly
-            // as the live builds did: later layout passes consume it.
-            assert_eq!(table(&exec), cold_table, "threads={threads}");
-        }
+        let mut exec = Executable::from_analysis(&a);
+        let mut loads: HashMap<u64, u32> = HashMap::new();
+        let mut load = |k: u64| {
+            *loads.entry(k).or_insert(0) += 1;
+            stored.get(&k).cloned()
+        };
+        let items = exec
+            .build_all_cfgs_probed(&mut load, &|p| p == PAYLOAD)
+            .unwrap();
+        let hits: Vec<&[u8]> = items
+            .iter()
+            .filter_map(|it| match &it.outcome {
+                CfgOutcome::Hit(payload) => Some(payload.as_slice()),
+                CfgOutcome::Built(_) => None,
+            })
+            .collect();
+        assert_eq!(hits.len(), stored.len(), "every recorded routine is a hit");
+        assert!(hits.iter().all(|p| *p == PAYLOAD), "hits carry the payload");
+        assert!(
+            loads.values().all(|&n| n == 1),
+            "each key is loaded once per batch: {loads:?}"
+        );
+        // The replayed side effects must leave the routine table —
+        // extents, entry points, split-off hidden routines — exactly as
+        // the live builds did: later layout passes consume it.
+        assert_eq!(table(&exec), cold_table);
     }
 }
 
@@ -144,7 +138,7 @@ fn rejected_payloads_are_built_live() {
     let stored: HashMap<u64, Vec<u8>> = fragments.into_iter().collect();
     let mut exec = Executable::from_analysis(&a);
     let items = exec
-        .build_all_cfgs_probed(2, &mut |k| stored.get(&k).cloned(), &|_| false)
+        .build_all_cfgs_probed(&mut |k| stored.get(&k).cloned(), &|_| false)
         .unwrap();
     assert!(
         items
@@ -169,29 +163,26 @@ fn wrong_start_meta_is_rejected_and_rebuilt_live() {
         .zip(fragments.iter().cycle().skip(1))
         .map(|((key, _), (_, next))| (*key, next.clone()))
         .collect();
-    for threads in [1, 4] {
-        let mut exec = Executable::from_analysis(&a);
-        let items = exec
-            .build_all_cfgs_probed(threads, &mut |k| lying.get(&k).cloned(), &|_| true)
-            .unwrap();
-        assert!(
-            items
-                .iter()
-                .all(|it| matches!(it.outcome, CfgOutcome::Built(_))),
-            "threads={threads}: every mispositioned fragment falls back to a live build"
-        );
-        assert_eq!(table(&exec), cold_table, "threads={threads}");
-    }
+    let mut exec = Executable::from_analysis(&a);
+    let items = exec
+        .build_all_cfgs_probed(&mut |k| lying.get(&k).cloned(), &|_| true)
+        .unwrap();
+    assert!(
+        items
+            .iter()
+            .all(|it| matches!(it.outcome, CfgOutcome::Built(_))),
+        "every mispositioned fragment falls back to a live build"
+    );
+    assert_eq!(table(&exec), cold_table);
 }
 
 #[test]
-fn fanout_skip_with_stitch_miss_still_builds_live() {
-    // In the parallel path a fragment that validates against the
-    // pre-batch routine table skips the speculative build. If an earlier
-    // routine's build then changes this routine's inputs — main's branch
-    // registers a second entry of callee, which changes callee's key —
-    // the stitch-time probe misses and callee must be built live:
-    // never a stale fragment, never a missing CFG.
+fn fragment_under_a_key_lost_to_an_earlier_registration_is_never_replayed() {
+    // A fragment stored under callee's pre-batch key must not be
+    // replayed: main's build registers a second entry of callee (§3.1
+    // stage 3), which changes callee's key before callee's turn comes,
+    // so callee is built live — never a stale fragment, never a missing
+    // CFG — and the routine table equals a cold build.
     let a = side_effects_analysis();
     let (fragments, cold_table) = record(&a);
     assert!(
@@ -222,18 +213,13 @@ fn fanout_skip_with_stitch_miss_still_builds_live() {
         .find(|(key, _)| *key == post_key)
         .map(|(_, f)| f.clone())
         .expect("callee is clean");
-    let mut loads: Vec<u64> = Vec::new();
-    let mut load = |k: u64| {
-        loads.push(k);
-        (k == pre_key).then(|| callee_fragment.clone())
-    };
-    let items = exec.build_all_cfgs_probed(4, &mut load, &|_| true).unwrap();
-    assert!(loads.contains(&pre_key), "the fan-out probe saw the hit");
+    let mut load = |k: u64| (k == pre_key).then(|| callee_fragment.clone());
+    let items = exec.build_all_cfgs_probed(&mut load, &|_| true).unwrap();
     assert!(
         items
             .iter()
             .all(|it| matches!(it.outcome, CfgOutcome::Built(_))),
-        "a stitch-time miss must produce a live build"
+        "a key miss must produce a live build"
     );
     assert_eq!(table(&exec), cold_table);
 }

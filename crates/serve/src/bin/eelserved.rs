@@ -4,8 +4,7 @@
 //! eelserved [--addr HOST:PORT] [--workers N] [--queue N]
 //!           [--cache-bytes N] [--timeout-ms N]
 //!           [--cache-dir PATH] [--disk-bytes N]
-//!           [--session-window N] [--analysis-threads N]
-//!           [--write-hwm N]
+//!           [--session-window N] [--write-hwm N]
 //! ```
 //!
 //! Binds (default `127.0.0.1:7099`), prints a `listening on` line once
@@ -25,7 +24,7 @@ use std::time::Duration;
 
 const USAGE: &str = "usage: eelserved [--addr HOST:PORT] [--workers N] [--queue N] \
 [--cache-bytes N] [--timeout-ms N] [--cache-dir PATH] [--disk-bytes N] \
-[--session-window N] [--analysis-threads N] [--write-hwm N]";
+[--session-window N] [--write-hwm N]";
 
 fn main() -> ExitCode {
     eel_obs::init_from_env();
@@ -47,8 +46,7 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--addr" | "--workers" | "--queue" | "--cache-bytes" | "--timeout-ms"
-            | "--cache-dir" | "--disk-bytes" | "--session-window" | "--analysis-threads"
-            | "--write-hwm" => {
+            | "--cache-dir" | "--disk-bytes" | "--session-window" | "--write-hwm" => {
                 i += 1;
                 let Some(value) = args.get(i) else {
                     eprintln!("eelserved: {flag} needs a value");
@@ -64,7 +62,6 @@ fn main() -> ExitCode {
                     ("--timeout-ms", Ok(n)) => config.timeout = Duration::from_millis(n),
                     ("--disk-bytes", Ok(n)) => config.disk_bytes = n,
                     ("--session-window", Ok(n)) => config.session_window = n.max(1) as u32,
-                    ("--analysis-threads", Ok(n)) => config.analysis_threads = n as usize,
                     ("--write-hwm", Ok(n)) => config.write_hwm = n.max(1) as usize,
                     (_, Err(_)) => {
                         eprintln!("eelserved: {flag} needs a number, got {value:?}");

@@ -16,10 +16,9 @@
 //! [`Client::open_session`] / [`Client::batch`]): one connection
 //! carries many tagged requests, answered out of completion order
 //! under a server-granted in-flight window, with per-frame
-//! [`Response::Busy`] on overflow. Within one request, per-routine CFG
-//! builds fan out across threads ([`run_op_with`],
-//! `ServerConfig::analysis_threads`), byte-for-byte identical to the
-//! sequential result.
+//! [`Response::Busy`] on overflow. Each request's analysis runs on the
+//! executor that picked it up; the executor pool is the daemon's
+//! parallelism.
 //!
 //! Below the whole-image cache sits a **per-routine fragment tier**
 //! ([`FragmentTier`], [`run_op_fragments`]): each analysis op

@@ -56,7 +56,7 @@ pub trait FragmentTier {
 
 /// The always-miss tier: probes return nothing, stores vanish. With
 /// this tier [`run_op_fragments`] *is* the plain cold path, which is
-/// exactly how [`run_op_with`] is implemented — one code path, so the
+/// exactly how [`run_op`] is implemented — one code path, so the
 /// byte-identity of warm and cold composition is structural.
 pub struct NoFragments;
 
@@ -76,33 +76,30 @@ pub struct FragmentStats {
     pub total: u32,
 }
 
-/// Runs one cacheable operation against a shared analysis, sequentially
-/// (one analysis thread). Equivalent to `run_op_with(op, analysis, 1)`.
+/// Runs one cacheable operation against a shared analysis.
 ///
 /// # Errors
 ///
 /// A rendered message when the op is unknown or the underlying
 /// analysis/editing step fails.
 pub fn run_op(op: &str, analysis: &Analysis) -> Result<Vec<u8>, String> {
-    run_op_with(op, analysis, 1)
+    run_op_fragments(op, analysis, 1, &NoFragments).map(|(body, _)| body)
 }
 
-/// Runs one cacheable operation, fanning the per-routine CFG builds out
-/// over `threads` worker threads (0 = one per core, 1 = sequential) via
-/// [`Executable::build_all_cfgs_probed`]. The result is **byte-for-byte
-/// identical** at every thread count — parallelism here is purely a
-/// latency knob, never a cache-correctness concern.
+/// [`run_op`], errors included.
 ///
-/// # Errors
-///
-/// As [`run_op`].
-pub fn run_op_with(op: &str, analysis: &Analysis, threads: usize) -> Result<Vec<u8>, String> {
-    run_op_fragments(op, analysis, threads, &NoFragments).map(|(body, _)| body)
+/// `_threads` is ignored; it stays until the benchmark, which passes it,
+/// drops it.
+pub fn run_op_with(op: &str, analysis: &Analysis, _threads: usize) -> Result<Vec<u8>, String> {
+    run_op(op, analysis)
 }
 
-/// [`run_op_with`] with a per-routine [`FragmentTier`]: unchanged
+/// [`run_op`] with a per-routine [`FragmentTier`]: unchanged
 /// routines stitch from cache, fresh *clean* routines write their
 /// fragments back. Returns the composed body plus hit statistics.
+///
+/// `_threads` is ignored; it stays until the benchmark, which passes it,
+/// drops it.
 ///
 /// # Errors
 ///
@@ -110,7 +107,7 @@ pub fn run_op_with(op: &str, analysis: &Analysis, threads: usize) -> Result<Vec<
 pub fn run_op_fragments(
     op: &str,
     analysis: &Analysis,
-    threads: usize,
+    _threads: usize,
     tier: &dyn FragmentTier,
 ) -> Result<(Vec<u8>, FragmentStats), String> {
     // Machine dispatch: the WEF header tag picks the pipeline. A
@@ -124,11 +121,7 @@ pub fn run_op_fragments(
     if uses_generic_pipeline(analysis.machine()) {
         return run_op_generic(op, analysis).map(|b| (b, FragmentStats::default()));
     }
-    let batch = Batch {
-        analysis,
-        threads,
-        tier,
-    };
+    let batch = Batch { analysis, tier };
     match op {
         "disasm" => disasm(&batch),
         "cfg-summary" => cfg_summary(&batch),
@@ -280,11 +273,10 @@ enum Stitched {
     Live(Option<Vec<u8>>),
 }
 
-/// One fragment-cached SPARC op's inputs: the analysis, the CFG thread
-/// count and the fragment tier.
+/// One fragment-cached SPARC op's inputs: the analysis and the fragment
+/// tier.
 struct Batch<'a> {
     analysis: &'a Analysis,
-    threads: usize,
     tier: &'a dyn FragmentTier,
 }
 
@@ -310,7 +302,7 @@ impl Batch<'_> {
     ) -> Result<(Executable, FragmentStats), String> {
         let mut exec = Executable::from_analysis(self.analysis);
         let items = exec
-            .build_all_cfgs_probed(self.threads, &mut |key| self.tier.load(key, op), payload_ok)
+            .build_all_cfgs_probed(&mut |key| self.tier.load(key, op), payload_ok)
             .map_err(|e| err(op, e))?;
         let mut stats = FragmentStats::default();
         for item in items {
@@ -553,10 +545,10 @@ pub fn run_edit(analysis: &Arc<Analysis>, script: &str) -> Result<Vec<u8>, Strin
 /// that fails to install) the edits are redone against a purely rebuilt
 /// CFG — still byte-identical to cold.
 fn instrument(batch: &Batch) -> OpResult {
-    // CFG builds fan out first; editing (data reservation, snippet
-    // placement, install) stays sequential in routine order. Builds
-    // read only the original text, so batching them ahead of the edits
-    // changes nothing about the output.
+    // CFG builds run first; editing (data reservation, snippet
+    // placement, install) follows in routine order. Builds read only
+    // the original text, so batching them ahead of the edits changes
+    // nothing about the output.
     let payload_ok = |p: &[u8]| decode_instrument_payload(p).is_some();
     let (mut exec, stats) =
         batch.stitch("instrument", &payload_ok, |exec, routine, id, outcome| {
@@ -817,7 +809,7 @@ mod tests {
         let a = multi_routine_analysis();
         let routines = a.routines().len() as u32;
         for op in CACHED_OPS {
-            let cold = run_op_with(op, &a, 1).expect(op);
+            let cold = run_op(op, &a).expect(op);
             let tier = MemTier::default();
             let (first, s1) = run_op_fragments(op, &a, 1, &tier).expect(op);
             assert_eq!(first, cold, "{op}: tier-backed cold run matches plain");
@@ -855,7 +847,7 @@ mod tests {
     fn poisoned_fragments_fall_back_to_live_builds() {
         let a = multi_routine_analysis();
         for op in ["disasm", "cfg-summary", "liveness", "instrument"] {
-            let cold = run_op_with(op, &a, 1).expect(op);
+            let cold = run_op(op, &a).expect(op);
             let tier = MemTier::default();
             let _ = run_op_fragments(op, &a, 1, &tier).expect(op);
             // Corrupt every stored fragment: truncate to the version byte.

@@ -74,7 +74,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -107,13 +107,6 @@ pub struct ServerConfig {
     /// the granted window are answered per-frame with
     /// [`Response::Busy`] (the connection survives).
     pub session_window: u32,
-    /// Threads for the per-routine parallel CFG fan-out inside one
-    /// request. 1 pins analysis sequential; 0 adapts — each request
-    /// gets roughly `cores / active requests` threads, so a lone
-    /// request uses the whole machine and a full pipeline degrades to
-    /// one thread each (inter-request parallelism already saturates the
-    /// cores). Any other value is used as-is.
-    pub analysis_threads: usize,
     /// Per-connection write-buffer high-water mark in bytes: past this
     /// the reactor stops reading from the connection until the client
     /// drains replies below half the mark.
@@ -131,7 +124,6 @@ impl Default for ServerConfig {
             cache_dir: None,
             disk_bytes: 256 << 20,
             session_window: 32,
-            analysis_threads: 0,
             write_hwm: 4 << 20,
         }
     }
@@ -189,9 +181,6 @@ struct Shared {
     config: ServerConfig,
     local_addr: SocketAddr,
     stop: AtomicBool,
-    /// Requests currently executing (v1 and session alike); the
-    /// denominator of the adaptive intra-request thread split.
-    active_requests: AtomicUsize,
     /// Admitted one-shot requests waiting for (or held by the channel
     /// ahead of) an executor — the v1 admission-control quantity.
     queued_jobs: AtomicUsize,
@@ -244,7 +233,6 @@ impl Server {
         let shared = Arc::new(Shared {
             local_addr,
             stop: AtomicBool::new(false),
-            active_requests: AtomicUsize::new(0),
             queued_jobs: AtomicUsize::new(0),
             completions: Mutex::new(Vec::new()),
             wake_tx,
@@ -986,14 +974,6 @@ fn executor_loop(shared: &Shared, job_rx: &Mutex<mpsc::Receiver<Work>>) {
 
 fn handle_request(shared: &Shared, req: &Request) -> Response {
     eel_obs::counter!("serve.requests").add(1);
-    struct ActiveGuard<'a>(&'a Shared);
-    impl Drop for ActiveGuard<'_> {
-        fn drop(&mut self) {
-            self.0.active_requests.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-    shared.active_requests.fetch_add(1, Ordering::SeqCst);
-    let _active = ActiveGuard(shared);
     let started = Instant::now();
     let resp = match req.op.as_str() {
         "ping" => Response::Ok {
@@ -1024,9 +1004,27 @@ fn handle_request(shared: &Shared, req: &Request) -> Response {
         op if CACHED_OPS.contains(&op) => cached_op(shared, op, &req.payload),
         other => Response::Err(format!("unknown op {other:?}")),
     };
-    eel_obs::histogram(&format!("serve.latency.{}", req.op))
-        .record(started.elapsed().as_micros() as u64);
+    latency_histogram(&req.op).record(started.elapsed().as_micros() as u64);
     resp
+}
+
+/// The `serve.latency.<op>` histogram for a request's op. Only the ops
+/// the server knows (`CACHED_OPS` and the four it answers itself) get a
+/// name of their own; every other name a client sends shares
+/// `serve.latency.unknown`, so the registry stays bounded.
+fn latency_histogram(op: &str) -> &'static eel_obs::Histogram {
+    static KNOWN: OnceLock<Vec<(&str, eel_obs::Histogram)>> = OnceLock::new();
+    let known = KNOWN.get_or_init(|| {
+        CACHED_OPS
+            .iter()
+            .chain(&["edit", "ping", "metrics", "shutdown"])
+            .map(|&name| (name, eel_obs::histogram(&format!("serve.latency.{name}"))))
+            .collect()
+    });
+    known
+        .iter()
+        .find(|(name, _)| *name == op)
+        .map_or_else(|| eel_obs::histogram!("serve.latency.unknown"), |(_, h)| h)
 }
 
 fn cached_op(shared: &Shared, op: &str, payload: &Payload) -> Response {
@@ -1051,7 +1049,6 @@ fn cached_op(shared: &Shared, op: &str, payload: &Payload) -> Response {
     let disc = std::cell::Cell::new(None);
     let mach = std::cell::Cell::new(None);
     let resp = cached_result(shared, hash, op, op, || {
-        let threads = analysis_threads(shared);
         let tier = SharedFragmentTier { shared };
         analyze(shared, hash, &bytes).and_then(|a| {
             disc.set(Some(match a.discovery() {
@@ -1059,7 +1056,7 @@ fn cached_op(shared: &Shared, op: &str, payload: &Payload) -> Response {
                 eel_core::DiscoverySource::Inferred => Discovery::Inferred,
             }));
             mach.set(Some(a.machine()));
-            run_op_fragments(op, &a, threads, &tier).map(|(body, stats)| {
+            run_op_fragments(op, &a, 1, &tier).map(|(body, stats)| {
                 if stats.total > 0 {
                     eel_obs::counter!("serve.cache.fragment.hit").add(u64::from(stats.hits));
                     eel_obs::counter!("serve.cache.fragment.miss")
@@ -1234,23 +1231,6 @@ fn cached_result(
             machine: None,
         },
         Err(msg) => Response::Err(msg),
-    }
-}
-
-/// Resolves the per-request analysis thread count: the configured value,
-/// or — when 0 (auto) — the cores split evenly over the requests
-/// currently executing, so intra-request parallelism fills idle cores
-/// without oversubscribing a busy pipeline.
-fn analysis_threads(shared: &Shared) -> usize {
-    match shared.config.analysis_threads {
-        0 => {
-            let cores = std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1);
-            let active = shared.active_requests.load(Ordering::SeqCst).max(1);
-            (cores / active).max(1)
-        }
-        n => n,
     }
 }
 

@@ -208,6 +208,58 @@ fn hostile_streams_end_in_an_error_or_a_clean_close() {
     assert_eq!(frames.len(), 1, "only the HelloAck");
     assert_hello_ack(&frames[0]);
 
+    // Unknown ops under 200 distinct 1 KiB names: each gets an error
+    // reply, and all of them share `serve.latency.unknown`, so none adds
+    // a metric name to the registry.
+    let one_shot = |op: &str| {
+        let request = Request {
+            op: op.into(),
+            payload: eel_serve::Payload::none(),
+        };
+        exchange(addr, &frame(&request.encode()), false)
+    };
+    let metric_lines = || {
+        let frames = one_shot("metrics");
+        assert_eq!(frames.len(), 1);
+        match Response::decode(&frames[0]).expect("v1 reply decodes") {
+            Response::Ok { body, .. } => String::from_utf8(body).expect("utf-8 metrics"),
+            other => panic!("expected metrics, got {other:?}"),
+        }
+    };
+    let metric_names = |text: &str| -> std::collections::BTreeSet<String> {
+        let name = |line: &str| line.split_whitespace().nth(1).unwrap_or("").to_string();
+        text.lines().map(name).collect()
+    };
+    // Warm up the names the probe itself records: an unknown op's and
+    // the `metrics` op's own latency (recorded after it renders).
+    assert_v1_error(&one_shot("warm-up-unknown-op"), "unknown op");
+    metric_lines();
+    let before = metric_names(&metric_lines());
+    let names: Vec<String> = (0..200)
+        .map(|i| format!("{i:04}{}", "u".repeat(1020)))
+        .collect();
+    for name in &names {
+        assert_v1_error(&one_shot(name), "unknown op");
+    }
+    let metrics = metric_lines();
+    for line in metrics.lines() {
+        assert!(
+            !names.iter().any(|name| line.contains(name.as_str())),
+            "a client-chosen op name reached the metrics: {line:.80}"
+        );
+    }
+    assert_eq!(
+        metric_names(&metrics),
+        before,
+        "the probe added metric names"
+    );
+    let unknown = metrics
+        .lines()
+        .find_map(|line| line.strip_prefix("histogram serve.latency.unknown count="))
+        .and_then(|rest| rest.split_whitespace().next()?.parse::<u64>().ok())
+        .expect("a serve.latency.unknown histogram");
+    assert!(unknown >= 200, "serve.latency.unknown count={unknown}");
+
     // The daemon still serves a well-formed client.
     let frames = exchange(addr, &ping_v1(), false);
     assert_eq!(frames.len(), 1);
