@@ -85,12 +85,13 @@ fn main() {
     // ---- E-OBJ ----------------------------------------------------------
     println!("\n## §5 — instruction-object sharing\n");
     println!("Paper: sharing reduces allocated instruction objects ~4×.\n");
-    let a = exp_allocations();
+    let (sites, distinct) = exp_allocations();
     println!("| metric | value |");
     println!("|---|---|");
-    println!("| instruction sites | {} |", a.instruction_requests);
-    println!("| distinct objects allocated | {} |", a.instruction_objects);
-    println!("| sharing factor | {:.2}x |", a.sharing_factor());
+    println!("| instruction sites | {sites} |");
+    println!("| distinct words | {distinct} |");
+    let factor = sites as f64 / distinct as f64;
+    println!("| sharing factor | {factor:.2}x |");
 
     // ---- E-LOC ----------------------------------------------------------
     println!("\n## §4 — machine-description conciseness\n");

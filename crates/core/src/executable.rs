@@ -18,7 +18,6 @@
 use crate::cfg::{build_cfg as cfg_build, Cfg};
 use crate::error::EelError;
 use crate::fragment::{self, FragmentMeta};
-use crate::instr::{AllocStats, InstructionPool};
 use crate::layout::{lay_out_routine, Item, RoutineLayout, Tgt, TRANSLATOR};
 use crate::routine::Routine;
 use crate::shared::Analysis;
@@ -60,7 +59,6 @@ pub struct Executable {
     runtime_routines: Vec<(String, String)>,
     reserved_len: u32,
     reserved_init: Vec<(u32, Vec<u8>)>,
-    pool: InstructionPool,
     written: Written,
     /// Whether any observable edit was requested: an installed CFG with
     /// recorded edits, reserved data, a runtime routine, or a removal.
@@ -240,7 +238,6 @@ impl Executable {
             runtime_routines: Vec::new(),
             reserved_len: 0,
             reserved_init: Vec::new(),
-            pool: InstructionPool::new(),
             written: Written::No,
             dirty: false,
             jump_analysis: true,
@@ -319,7 +316,7 @@ impl Executable {
             return Ok(());
         }
         let _obs = eel_obs::span("core.read_contents");
-        let discovery = discover_routines(&self.image, &mut self.pool)?;
+        let discovery = discover_routines(&self.image)?;
         self.routines = discovery.routines;
         self.hidden_queue = discovery.hidden;
         self.discovery = discovery.source;
@@ -404,13 +401,9 @@ fn infer_stripped(image: &Image) -> eel_strip::InferredDiscovery {
 
 /// §3.1's staged symbol-table refinement as a pure function of the image:
 /// the shared implementation behind [`Executable::read_contents`] and
-/// [`Analysis::compute`]. Decoded text words are interned into `pool` for
-/// the §3.4 one-object-per-word accounting. When the symbol table yields
-/// no routine labels, stage 2 runs `eel-strip`'s inference.
-pub(crate) fn discover_routines(
-    image: &Image,
-    pool: &mut InstructionPool,
-) -> Result<Discovery, EelError> {
+/// [`Analysis::compute`]. When the symbol table yields no routine labels,
+/// stage 2 runs `eel-strip`'s inference.
+pub(crate) fn discover_routines(image: &Image) -> Result<Discovery, EelError> {
     let text = (image.text_addr, image.text_end());
     let ops = crate::machine::backend(image.machine)?;
 
@@ -421,7 +414,6 @@ pub(crate) fn discover_routines(
     let mut call_targets: Vec<u32> = Vec::new();
     let mut branch_edges: Vec<(u32, u32)> = Vec::new(); // (src, target)
     for (addr, word) in image.text_words() {
-        pool.intern(word);
         match ops.kind(word, addr) {
             crate::machine::InsnKind::Jump {
                 target: t,
@@ -595,11 +587,6 @@ impl Executable {
             .map(RoutineId)
     }
 
-    /// Instruction-object allocation statistics (experiment E-OBJ).
-    pub fn alloc_stats(&self) -> AllocStats {
-        self.pool.stats()
-    }
-
     /// Builds (or rebuilds) the routine's delay-slot-normalized CFG.
     ///
     /// Side effects reproduce §3.1's late stages: a trailing unreachable
@@ -648,12 +635,6 @@ impl Executable {
                     // Rebuild with the shrunk extent so the CFG and the
                     // later layout agree.
                     continue;
-                }
-            }
-            // Account instruction objects (shared pool, §3.4).
-            for b in &out.cfg.blocks {
-                for ia in &b.insns {
-                    self.pool.intern(ia.insn.word);
                 }
             }
             eel_obs::counter!("core.cfg.blocks").add(out.cfg.blocks.len() as u64);

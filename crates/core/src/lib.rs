@@ -12,7 +12,7 @@
 //! | `executable` | [`Executable`] — open, [`Executable::read_contents`] (four-stage symbol-table refinement, hidden-routine discovery), write an edited executable |
 //! | `routine` | [`Routine`] — name, extent, entry points |
 //! | CFG | [`Cfg`] — delay-slot-normalized basic blocks and edges, uneditable marking, dominators / loops / liveness / slicing, dispatch-table recovery |
-//! | instruction | [`Instruction`] — category + effect inquiries, one shared object per distinct machine word |
+//! | instruction | [`eel_isa::Insn`] — category + effect inquiries, stored decoded inline in each CFG block; identical words recur about 5× (§3.4's sharing, measured by `eel-bench`'s E-OBJ rather than allocated) |
 //! | snippet | [`Snippet`] — foreign code with scavenged register allocation, spill wrapping, and placement call-backs |
 //!
 //! Editing is *batch*: a tool records edits against the original CFG
@@ -54,7 +54,6 @@ mod error;
 mod executable;
 mod fragment;
 mod generic;
-mod instr;
 mod layout;
 mod machine;
 mod routine;
@@ -78,7 +77,6 @@ pub use generic::{
     generic_cfg, generic_disasm, generic_liveness, instrument_block_counters,
     uses_generic_pipeline, BlockCounter, GenericBlock, GenericCfg,
 };
-pub use instr::{AllocStats, Instruction, InstructionPool};
 pub use machine::{machine_ops, InsnKind, MachineOps};
 pub use routine::Routine;
 pub use shared::Analysis;

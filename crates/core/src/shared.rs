@@ -12,7 +12,6 @@
 use crate::error::EelError;
 use crate::executable::{discover_routines, DiscoverySource, RoutineId};
 use crate::fragment::routine_key;
-use crate::instr::InstructionPool;
 use crate::routine::Routine;
 use eel_exe::Image;
 use std::sync::Arc;
@@ -41,9 +40,8 @@ pub struct Analysis {
     image: Arc<Image>,
     routines: Vec<Routine>,
     hidden: Vec<RoutineId>,
-    /// Distinct machine words seen by discovery's interning pool,
-    /// recorded so [`Analysis::approx_bytes`] can charge for the
-    /// instruction objects every consumer re-interns.
+    /// Distinct machine words in the text segment, the per-word term of
+    /// [`Analysis::approx_bytes`].
     distinct_words: usize,
     /// Per-routine content keys ([`crate::routine_key`]), in discovery
     /// order — the identities the serve-side fragment tier caches under.
@@ -61,8 +59,10 @@ impl Analysis {
     pub fn compute(image: Arc<Image>) -> Result<Analysis, EelError> {
         let _obs = eel_obs::span("core.analysis.compute");
         image.validate()?;
-        let mut pool = InstructionPool::new();
-        let discovery = discover_routines(&image, &mut pool)?;
+        let discovery = discover_routines(&image)?;
+        let mut words: Vec<u32> = image.text_words().map(|(_, w)| w).collect();
+        words.sort_unstable();
+        words.dedup();
         let routine_keys = discovery
             .routines
             .iter()
@@ -72,7 +72,7 @@ impl Analysis {
             image,
             routines: discovery.routines,
             hidden: discovery.hidden,
-            distinct_words: pool.len(),
+            distinct_words: words.len(),
             routine_keys,
             discovery: discovery.source,
         })
@@ -86,9 +86,9 @@ impl Analysis {
         self.discovery
     }
 
-    /// Distinct machine words in the text segment, as counted by
-    /// discovery's interning pool (the paper's one-object-per-word
-    /// sharing, §3.4).
+    /// Distinct machine words in the text segment, the measure behind
+    /// §3.4's one-object-per-word sharing. CFG blocks store decoded
+    /// instructions inline, so this is a count, not a pool of objects.
     pub fn distinct_words(&self) -> usize {
         self.distinct_words
     }
@@ -127,20 +127,19 @@ impl Analysis {
     /// LRU byte budget. Counts the image segments, the symbol and routine
     /// tables (every routine name, synthetic ones included, since every
     /// consumer materializes them), per-heap-block allocator overhead,
-    /// and one interned instruction object per distinct machine word
-    /// (each [`crate::Executable::from_analysis`] re-interns the text
-    /// while serving this analysis). Calibrated against the measured
-    /// ~1.7–1.9× text-size retention from the cache-budget experiments;
-    /// deliberately still an estimate.
+    /// and a fixed allowance per distinct machine word. Calibrated
+    /// against the measured ~1.7–1.9× text-size retention from the
+    /// cache-budget experiments; deliberately still an estimate.
     pub fn approx_bytes(&self) -> usize {
         // Per-heap-block bookkeeping: malloc header plus size-class
         // rounding. Undercounting this was the bulk of the old
         // estimate's gap to measured retention.
         const ALLOC_OVERHEAD: usize = 16;
-        // An interned instruction: the `Rc` header (strong + weak
-        // counts), the decoded `Insn`, and the pool's map entry
-        // (key + handle) with its share of bucket slack.
-        const INTERNED_WORD: usize = 16
+        // A calibrated allowance per distinct word, sized as one shared
+        // instruction object (`Rc` header, decoded `Insn`, map entry).
+        // It stays so the analysis LRU holds the same images and
+        // `stat`'s `analysis-bytes` line does not change.
+        const PER_DISTINCT_WORD: usize = 16
             + std::mem::size_of::<eel_isa::Insn>()
             + std::mem::size_of::<(u32, usize)>()
             + ALLOC_OVERHEAD;
@@ -163,7 +162,7 @@ impl Analysis {
                     + ALLOC_OVERHEAD
             })
             .sum::<usize>();
-        let interned = self.distinct_words * INTERNED_WORD;
+        let per_word = self.distinct_words * PER_DISTINCT_WORD;
         // The per-routine content keys the fragment tier shares with
         // whole-image entries: one u64 per routine plus the Vec's own
         // heap block.
@@ -172,7 +171,7 @@ impl Analysis {
             + image
             + routines
             + self.hidden.len() * std::mem::size_of::<RoutineId>()
-            + interned
+            + per_word
             + fragment_keys
     }
 }

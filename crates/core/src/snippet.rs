@@ -17,7 +17,6 @@
 //! when `icc` is dead the wrap is skipped (the "faster test sequence").
 
 use crate::error::EelError;
-use crate::instr::substitute_regs;
 use eel_isa::{Builder, Insn, Op, Reg, RegSet, Src2};
 use std::collections::HashMap;
 use std::fmt;
@@ -354,7 +353,6 @@ impl Snippet {
                 Src2::Reg(Reg::G0),
             ));
         }
-        let body_start = out.len();
         let mut calls = Vec::new();
         for (i, insn) in self.body.iter().enumerate() {
             let placed = substitute_regs(*insn, &assignment.map);
@@ -363,7 +361,6 @@ impl Snippet {
             }
             out.push(placed);
         }
-        let _ = body_start;
         if let Some(t) = cc_temp {
             out.push(Builder::alu(
                 eel_isa::AluOp::Wrpsr,
@@ -390,6 +387,76 @@ impl Snippet {
         if let Some(cb) = self.callback.as_mut() {
             cb(insns, addr, assignment);
         }
+    }
+}
+
+/// Rewrites the registers of an instruction according to `map` (used by
+/// snippet register allocation, §3.5). Every GPR field of the instruction
+/// is looked up in `map`; unmapped registers pass through.
+fn substitute_regs(insn: Insn, map: &HashMap<Reg, Reg>) -> Insn {
+    let m = |r: Reg| *map.get(&r).unwrap_or(&r);
+    let ms = |s: Src2| match s {
+        Src2::Reg(r) => Src2::Reg(m(r)),
+        imm => imm,
+    };
+    let op = match insn.op {
+        Op::Sethi { rd, imm22 } => Op::Sethi { rd: m(rd), imm22 },
+        Op::Alu {
+            op,
+            cc,
+            rd,
+            rs1,
+            src2,
+        } => Op::Alu {
+            op,
+            cc,
+            rd: m(rd),
+            rs1: m(rs1),
+            src2: ms(src2),
+        },
+        Op::Jmpl { rd, rs1, src2 } => Op::Jmpl {
+            rd: m(rd),
+            rs1: m(rs1),
+            src2: ms(src2),
+        },
+        Op::Load {
+            width,
+            signed,
+            rd,
+            rs1,
+            src2,
+            fp,
+        } => Op::Load {
+            width,
+            signed,
+            rd: m(rd),
+            rs1: m(rs1),
+            src2: ms(src2),
+            fp,
+        },
+        Op::Store {
+            width,
+            rd,
+            rs1,
+            src2,
+            fp,
+        } => Op::Store {
+            width,
+            rd: m(rd),
+            rs1: m(rs1),
+            src2: ms(src2),
+            fp,
+        },
+        Op::Trap { cond, rs1, src2 } => Op::Trap {
+            cond,
+            rs1: m(rs1),
+            src2: ms(src2),
+        },
+        other @ (Op::Branch { .. } | Op::Call { .. } | Op::Unimp { .. } | Op::Invalid) => other,
+    };
+    Insn {
+        word: eel_isa::encode(&op),
+        op,
     }
 }
 
@@ -565,5 +632,32 @@ mod tests {
         let (mut insns, asg, _) = s.materialize(RegSet::new()).unwrap();
         s.run_callback(&mut insns, 0x2000, &asg);
         assert_eq!(insns[0].to_string(), "mov 7, %o1");
+    }
+
+    #[test]
+    fn substitute_rewrites_all_fields() {
+        let map: HashMap<Reg, Reg> = [(Reg(6), Reg(20)), (Reg(7), Reg(21))].into_iter().collect();
+        // The Figure 5 snippet body: counter increment through %g6/%g7.
+        let body = [
+            Builder::sethi_hi(Reg(6), 0x4000),
+            Builder::ld(Reg(7), Reg(6), Src2::Imm(0)),
+            Builder::add(Reg(7), Reg(7), Src2::Imm(1)),
+            Builder::st(Reg(7), Reg(6), Src2::Imm(0)),
+        ];
+        let rewritten: Vec<_> = body.iter().map(|i| substitute_regs(*i, &map)).collect();
+        assert_eq!(rewritten[0].to_string(), "sethi 0x10, %l4");
+        assert_eq!(rewritten[1].to_string(), "ld [%l4], %l5");
+        assert_eq!(rewritten[2].to_string(), "add %l5, 1, %l5");
+        assert_eq!(rewritten[3].to_string(), "st %l5, [%l4]");
+        // Unmapped registers pass through.
+        let same = substitute_regs(Builder::mov(Reg(9), Src2::Imm(3)), &map);
+        assert_eq!(same.to_string(), "mov 3, %o1");
+    }
+
+    #[test]
+    fn substitute_preserves_branches() {
+        let map: HashMap<Reg, Reg> = [(Reg(6), Reg(20))].into_iter().collect();
+        let b = Builder::ba(4);
+        assert_eq!(substitute_regs(b, &map), b);
     }
 }

@@ -775,21 +775,6 @@ fn uneditable_points_are_rejected() {
 }
 
 #[test]
-fn instruction_sharing_factor_is_substantial() {
-    let image = compile_str(PROGRAMS[2].1, &Options::default()).unwrap();
-    let mut exec = Executable::from_image(image).unwrap();
-    exec.read_contents().unwrap();
-    for id in exec.all_routine_ids() {
-        let _ = exec.build_cfg(id).unwrap();
-    }
-    let stats = exec.alloc_stats();
-    assert!(
-        stats.sharing_factor() > 1.5,
-        "instruction interning must share: {stats:?}"
-    );
-}
-
-#[test]
 fn disabling_jump_analysis_degrades_to_incomplete_cfgs() {
     // The ablation switch: without slicing, the switch's dispatch jump is
     // Unknown and the CFG incomplete (see the API's warning about what

@@ -409,8 +409,8 @@ pub enum Op {
 
 /// A decoded instruction: raw word plus structured operation.
 ///
-/// `Insn` is `Copy` and small; EEL's instruction *objects* (with identity
-/// and sharing, §3.4) are built on top of this in `eel-core`.
+/// `Insn` is `Copy` and small; `eel-core`'s CFG blocks store it inline
+/// rather than sharing one object per distinct word (§3.4).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Insn {
     /// The raw 32-bit encoding.

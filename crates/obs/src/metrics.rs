@@ -199,6 +199,15 @@ macro_rules! counter {
     }};
 }
 
+/// Caches a [`Gauge`] handle in a static, like [`crate::counter!`].
+#[macro_export]
+macro_rules! gauge {
+    ($name:expr) => {{
+        static __EEL_OBS_GAUGE: std::sync::OnceLock<$crate::Gauge> = std::sync::OnceLock::new();
+        __EEL_OBS_GAUGE.get_or_init(|| $crate::gauge($name))
+    }};
+}
+
 /// Caches a [`Histogram`] handle in a static, like [`crate::counter!`].
 #[macro_export]
 macro_rules! histogram {

@@ -141,7 +141,7 @@ impl DiskCache {
                 total += entry.metadata().map(|m| m.len()).unwrap_or(0);
             }
         }
-        eel_obs::gauge("serve.cache.disk.bytes").set(total as i64);
+        eel_obs::gauge!("serve.cache.disk.bytes").set(total as i64);
         Ok(())
     }
 
@@ -187,7 +187,7 @@ impl DiskCache {
         match decode_entry(&bytes, hash, op) {
             Some(payload) => {
                 eel_obs::counter!("serve.cache.disk.hit").add(1);
-                eel_obs::histogram("serve.latency.disk.load")
+                eel_obs::histogram!("serve.latency.disk.load")
                     .record(started.elapsed().as_micros() as u64);
                 Some(payload)
             }
@@ -221,7 +221,8 @@ impl DiskCache {
             return;
         }
         eel_obs::counter!("serve.cache.disk.write").add(1);
-        eel_obs::histogram("serve.latency.disk.spill").record(started.elapsed().as_micros() as u64);
+        eel_obs::histogram!("serve.latency.disk.spill")
+            .record(started.elapsed().as_micros() as u64);
         self.prune(&path);
     }
 
@@ -269,14 +270,14 @@ impl DiskCache {
                 }
             }
         }
-        eel_obs::gauge("serve.cache.disk.bytes").set(total as i64);
+        eel_obs::gauge!("serve.cache.disk.bytes").set(total as i64);
     }
 
     /// Re-publishes the retained-size gauge from a directory scan.
     fn publish_bytes(&self) {
         if let Ok(entries) = self.scan() {
             let total: u64 = entries.iter().map(|e| e.len).sum();
-            eel_obs::gauge("serve.cache.disk.bytes").set(total as i64);
+            eel_obs::gauge!("serve.cache.disk.bytes").set(total as i64);
         }
     }
 

@@ -144,8 +144,7 @@ fn unknown_op(other: &str) -> String {
 /// snippets. Output shapes mirror the SPARC renderings line for line so
 /// clients parse one format.
 fn run_op_generic(op: &str, analysis: &Analysis) -> Result<Vec<u8>, String> {
-    eel_obs::counter(&format!("serve.ops.{}.generic", op)).add(1);
-    match op {
+    let body = match op {
         "disasm" => disasm_generic(analysis),
         "cfg-summary" => cfg_summary_generic(analysis),
         "liveness" => liveness_generic(analysis),
@@ -155,8 +154,12 @@ fn run_op_generic(op: &str, analysis: &Analysis) -> Result<Vec<u8>, String> {
                 instrument_block_counters(analysis.image()).map_err(|e| err("instrument", e))?;
             Ok(edited.to_bytes())
         }
-        other => Err(unknown_op(other)),
-    }
+        other => return Err(unknown_op(other)),
+    };
+    // Counted only for known ops: a client-chosen name never reaches
+    // the registry.
+    eel_obs::counter(&format!("serve.ops.{op}.generic")).add(1);
+    body
 }
 
 fn disasm_generic(analysis: &Analysis) -> Result<Vec<u8>, String> {
@@ -694,6 +697,18 @@ mod tests {
         let live = String::from_utf8(run_op("liveness", &a).unwrap()).unwrap();
         assert!(live.contains("entry-live-in="), "{live}");
         assert!(live.contains("$29"), "{live}");
+    }
+
+    #[test]
+    fn unknown_generic_op_leaves_the_registry_alone() {
+        let a = mips_analysis();
+        let op = "no-such-generic-op";
+        assert!(run_op(op, &a).unwrap_err().contains("unknown op"));
+        let m = eel_obs::MetricsSnapshot::capture();
+        let names = m.counters.iter().map(|c| &c.name);
+        let names = names.chain(m.gauges.iter().map(|g| &g.name));
+        let mut names = names.chain(m.histograms.iter().map(|(n, _)| n));
+        assert!(!names.any(|n| n.contains(op)), "{op} registered a metric");
     }
 
     #[test]

@@ -70,6 +70,7 @@ use crate::reactor::{
 };
 use eel_core::Analysis;
 use eel_exe::Image;
+use std::borrow::Cow;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -635,7 +636,7 @@ impl<'a> Reactor<'a> {
             }
         }
         self.open_conns += 1;
-        eel_obs::gauge("serve.reactor.conns").set(self.open_conns as i64);
+        eel_obs::gauge!("serve.reactor.conns").set(self.open_conns as i64);
     }
 
     fn drop_conn(&mut self, slot: usize, entry: ConnEntry) {
@@ -648,13 +649,13 @@ impl<'a> Reactor<'a> {
             // Jobs still running for this connection will complete and
             // be discarded by the token generation check.
             self.total_inflight -= in_flight;
-            eel_obs::gauge("serve.session.inflight").set(self.total_inflight as i64);
+            eel_obs::gauge!("serve.session.inflight").set(self.total_inflight as i64);
             eel_obs::counter!("serve.session.closed").add(1);
         }
         self.gens[slot] += 1;
         self.free.push(slot);
         self.open_conns -= 1;
-        eel_obs::gauge("serve.reactor.conns").set(self.open_conns as i64);
+        eel_obs::gauge!("serve.reactor.conns").set(self.open_conns as i64);
     }
 
     fn put_back(&mut self, slot: usize, entry: ConnEntry) {
@@ -850,13 +851,13 @@ impl<'a> Reactor<'a> {
                 return;
             }
             let depth = self.shared.queued_jobs.fetch_add(1, Ordering::SeqCst) + 1;
-            eel_obs::gauge("serve.queue.depth").set(depth as i64);
+            eel_obs::gauge!("serve.queue.depth").set(depth as i64);
         }
         *in_flight += 1;
         if session {
             eel_obs::counter!("serve.session.requests").add(1);
             self.total_inflight += 1;
-            eel_obs::gauge("serve.session.inflight").set(self.total_inflight as i64);
+            eel_obs::gauge!("serve.session.inflight").set(self.total_inflight as i64);
         }
         self.outstanding += 1;
         let _ = self.job_tx.send(Work {
@@ -892,7 +893,7 @@ impl<'a> Reactor<'a> {
                 *in_flight -= 1;
                 if session {
                     self.total_inflight -= 1;
-                    eel_obs::gauge("serve.session.inflight").set(self.total_inflight as i64);
+                    eel_obs::gauge!("serve.session.inflight").set(self.total_inflight as i64);
                 }
             }
             self.queue_reply(&mut entry, &d.frame);
@@ -942,7 +943,7 @@ fn executor_loop(shared: &Shared, job_rx: &Mutex<mpsc::Receiver<Work>>) {
             // One-shot queue rules: leave the admission count, and never
             // serve a request that waited out its budget.
             let depth = shared.queued_jobs.fetch_sub(1, Ordering::SeqCst) - 1;
-            eel_obs::gauge("serve.queue.depth").set(depth as i64);
+            eel_obs::gauge!("serve.queue.depth").set(depth as i64);
             let waited = enqueued.elapsed();
             if waited >= shared.config.timeout {
                 eel_obs::counter!("serve.timeouts").add(1);
@@ -1028,10 +1029,10 @@ fn latency_histogram(op: &str) -> &'static eel_obs::Histogram {
 }
 
 fn cached_op(shared: &Shared, op: &str, payload: &Payload) -> Response {
-    let bytes = match payload {
-        Payload::Inline(b) => b.clone(),
+    let bytes: Cow<[u8]> = match payload {
+        Payload::Inline(b) => Cow::Borrowed(b),
         Payload::Path(p) => match std::fs::read(p) {
-            Ok(b) => b,
+            Ok(b) => Cow::Owned(b),
             Err(e) => return Response::Err(format!("cannot read {p}: {e}")),
         },
         Payload::Edit { .. } => {

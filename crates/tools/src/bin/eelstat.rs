@@ -8,9 +8,9 @@
 //! Loads the WEF image, analyzes it (`read_contents`), builds and lays
 //! out every routine (`write_edited`), then prints the eel-obs report:
 //! the span tree (load → CFG build → normalize → liveness → layout) with
-//! per-phase wall times, plus the block / edge / interned-instruction
-//! counters. `--run` additionally executes the program in the emulator so
-//! the dynamic `emu.*` counters appear.
+//! per-phase wall times, plus the block and edge counters. `--run`
+//! additionally executes the program in the emulator so the dynamic
+//! `emu.*` counters appear.
 //!
 //! Unlike the other tools, recording defaults to *on* (summary mode) when
 //! `EEL_OBS` is unset — reporting is this tool's whole job. `EEL_OBS`
