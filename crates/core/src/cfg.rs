@@ -544,25 +544,6 @@ impl Cfg {
         out
     }
 
-    /// Convenience for tests and tools: the dynamic successor blocks of a
-    /// block, skipping through delay-slot blocks to the "real" target.
-    pub fn real_successors(&self, block: BlockId) -> Vec<BlockId> {
-        let mut out = Vec::new();
-        for &e in &self.blocks[block.0].succs {
-            let mut to = self.edges[e.0].to;
-            while self.blocks[to.0].kind == BlockKind::DelaySlot
-                || self.blocks[to.0].kind == BlockKind::CallSurrogate
-            {
-                match self.blocks[to.0].succs.first() {
-                    Some(&next) => to = self.edges[next.0].to,
-                    None => break,
-                }
-            }
-            out.push(to);
-        }
-        out
-    }
-
     /// Finds registers that are completely unused by this routine —
     /// never read, never written, and not part of the calling convention
     /// surface. A snippet may use such a register anywhere in the routine

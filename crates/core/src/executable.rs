@@ -220,13 +220,9 @@ impl Executable {
         Executable::from_shared_image(Arc::new(image))
     }
 
-    /// Opens an image already shared behind an [`Arc`] (the eel-serve hot
-    /// path: many requests, one loaded image).
-    ///
-    /// # Errors
-    ///
-    /// [`EelError::BadImage`] when the image fails validation.
-    pub fn from_shared_image(image: Arc<Image>) -> Result<Executable, EelError> {
+    /// Opens an image already shared behind an [`Arc`]: the constructor
+    /// behind [`Executable::from_image`] and [`Executable::from_analysis`].
+    fn from_shared_image(image: Arc<Image>) -> Result<Executable, EelError> {
         image.validate()?;
         Ok(Executable {
             image,
@@ -256,12 +252,6 @@ impl Executable {
     /// The underlying image.
     pub fn image(&self) -> &Image {
         &self.image
-    }
-
-    /// The underlying image, shared: cloning the returned [`Arc`] lets
-    /// another `Executable` (or a cache) reuse the loaded image.
-    pub fn shared_image(&self) -> Arc<Image> {
-        Arc::clone(&self.image)
     }
 
     /// The original program entry point.

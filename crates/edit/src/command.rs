@@ -133,21 +133,6 @@ pub enum Command {
     Apply,
 }
 
-impl Command {
-    /// Whether the command records an edit in the session log (as opposed
-    /// to querying or controlling the session).
-    pub fn is_edit(&self) -> bool {
-        matches!(
-            self,
-            Command::InsertBefore { .. }
-                | Command::InsertAfter { .. }
-                | Command::Delete { .. }
-                | Command::Replace { .. }
-                | Command::Counter { .. }
-        )
-    }
-}
-
 impl fmt::Display for Command {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fn body(asm: &str) -> String {

@@ -63,14 +63,6 @@ impl Gauge {
         }
     }
 
-    /// Adjusts the value by `delta`.
-    #[inline]
-    pub fn adjust(&self, delta: i64) {
-        if crate::enabled() {
-            self.0.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
     /// The current value.
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)

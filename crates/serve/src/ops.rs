@@ -32,7 +32,7 @@ use eel_core::{
 };
 use eel_exe::Image;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The operations whose results flow through the content-addressed cache.
 /// (`ping`, `metrics`, and `shutdown` are control-plane requests handled
@@ -136,6 +136,42 @@ fn unknown_op(other: &str) -> String {
     format!("unknown op {other:?} (expected one of {CACHED_OPS:?}, edit, ping, metrics, shutdown)")
 }
 
+/// Per-op `serve.ops.<op>.<event>` counters over the fixed op names
+/// (`CACHED_OPS` plus `edit`). Each handle is built on its first event, so
+/// a name enters the registry exactly when a direct [`eel_obs::counter`]
+/// call would put it there; after that the request path takes neither a
+/// `format!` nor the registry lock.
+pub(crate) struct OpCounters {
+    event: &'static str,
+    handles: [OnceLock<eel_obs::Counter>; CACHED_OPS.len() + 1],
+}
+
+impl OpCounters {
+    const fn new(event: &'static str) -> OpCounters {
+        OpCounters {
+            event,
+            handles: [const { OnceLock::new() }; CACHED_OPS.len() + 1],
+        }
+    }
+
+    /// Counts one event for `op`. A name outside the fixed list counts
+    /// nowhere, so a client-chosen name never reaches the registry.
+    pub(crate) fn add(&self, op: &str) {
+        let Some(i) = CACHED_OPS.iter().chain(&["edit"]).position(|&o| o == op) else {
+            return;
+        };
+        self.handles[i]
+            .get_or_init(|| eel_obs::counter(&format!("serve.ops.{op}.{}", self.event)))
+            .add(1);
+    }
+}
+
+/// `serve.ops.<op>.computed`: results the server actually computed.
+pub(crate) static COMPUTED: OpCounters = OpCounters::new("computed");
+
+/// `serve.ops.<op>.generic`: ops answered by the generic pipeline.
+static GENERIC: OpCounters = OpCounters::new("generic");
+
 /// The generic (machine-dispatched) twins of the analysis ops, used for
 /// every non-SPARC image: disassembly, CFG statistics, and liveness
 /// come from the spawn-derived [`eel_core::MachineOps`] backend;
@@ -156,9 +192,7 @@ fn run_op_generic(op: &str, analysis: &Analysis) -> Result<Vec<u8>, String> {
         }
         other => return Err(unknown_op(other)),
     };
-    // Counted only for known ops: a client-chosen name never reaches
-    // the registry.
-    eel_obs::counter(&format!("serve.ops.{op}.generic")).add(1);
+    GENERIC.add(op);
     body
 }
 

@@ -60,7 +60,7 @@
 
 use crate::cache::{content_hash, CostClass, SingleFlightLru};
 use crate::disk::DiskCache;
-use crate::ops::{recompute_cost, run_edit, run_op_fragments, FragmentTier, CACHED_OPS};
+use crate::ops::{recompute_cost, run_edit, run_op_fragments, FragmentTier, CACHED_OPS, COMPUTED};
 use crate::proto::{
     CacheTier, Discovery, Payload, Request, Response, SessionFrame, SessionReply, MAX_FRAME,
     SESSION_VERSION,
@@ -1193,7 +1193,7 @@ fn cached_result(
                 return (Ok(Arc::new(body)), cost, class);
             }
         }
-        eel_obs::counter(&format!("serve.ops.{metric_op}.computed")).add(1);
+        COMPUTED.add(metric_op);
         let computed = compute().map(|mut body| {
             body.shrink_to_fit();
             Arc::new(body)

@@ -260,12 +260,4 @@ impl Description {
     pub fn def(&self, name: &str) -> Option<&SemDef> {
         self.defs.iter().find(|d| d.name == name)
     }
-
-    /// All instruction names declared by patterns.
-    pub fn instruction_names(&self) -> Vec<&str> {
-        self.patterns
-            .iter()
-            .flat_map(|p| p.names.iter().map(|s| s.as_str()))
-            .collect()
-    }
 }

@@ -4,16 +4,25 @@
 //! eelobjdump PROGRAM.wef [--cfg] [--symbols] [--trace FILE]
 //! ```
 //!
-//! Default: a disassembly listing with routine headers and data-range
-//! annotations (dispatch tables). `--cfg` prints per-routine CFG
-//! summaries; `--symbols` dumps the symbol table; `--trace FILE` writes
+//! Prints the body of the analysis service's `disasm` op
+//! ([`eel_serve::run_op`]): routine headers, one decoded instruction per
+//! line, dispatch-table words annotated as data. The offline listing and
+//! `eelctl disasm`'s are therefore the same bytes on every machine. `--cfg`
+//! appends the `cfg-summary` op's body (per-routine CFG statistics plus
+//! totals); `--symbols` dumps the symbol table first; `--trace FILE` writes
 //! an eel-obs trace of the analysis.
+//!
+//! `;` lines before the listing are header notes: the image's machine,
+//! and, for a symbol-less image, that routine names are synthetic.
 
-use eel_core::Executable;
+use eel_core::{Analysis, DiscoverySource};
 use eel_exe::Image;
+use eel_serve::run_op;
 use eel_tools::cli::Cli;
 use eel_tools::obs_cli::ObsSession;
+use std::io::Write as _;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 fn main() -> ExitCode {
     let mut obs = ObsSession::begin();
@@ -47,11 +56,18 @@ fn main() -> ExitCode {
         Ok(i) => i,
         Err(e) => return cli.fail(format_args!("cannot read {input}: {e}")),
     };
-
+    let analysis = match Analysis::compute(Arc::new(image)) {
+        Ok(a) => a,
+        Err(e) => return cli.fail(e),
+    };
+    // Built whole before anything is printed, so a failing op leaves no
+    // partial listing behind.
+    let mut out = Vec::new();
     if show_symbols {
-        println!("SYMBOL TABLE:");
-        for s in &image.symbols {
-            println!(
+        out.extend_from_slice(b"SYMBOL TABLE:\n");
+        for s in &analysis.image().symbols {
+            let _ = writeln!(
+                out,
                 "  {:#010x} {:<9} {:<6} {}",
                 s.value,
                 format!("{:?}", s.kind).to_lowercase(),
@@ -59,96 +75,28 @@ fn main() -> ExitCode {
                 s.name
             );
         }
-        println!();
+        out.push(b'\n');
     }
-
-    let mut exec = match Executable::from_image(image) {
-        Ok(e) => e,
-        Err(e) => return cli.fail(e),
-    };
-    if let Err(e) = exec.read_contents() {
-        return cli.fail(e);
-    }
-    if exec.discovery_source() == eel_core::DiscoverySource::Inferred {
-        println!("; discovery: inferred (no symbol table; routine names are synthetic)");
-        println!();
-    }
-    let generic = eel_core::uses_generic_pipeline(exec.image().machine);
-    if generic {
-        println!("; machine: {}", exec.image().machine.name());
-        println!();
-    }
-
-    for id in exec.all_routine_ids() {
-        let routine = exec.routine(id).clone();
-        if generic {
-            println!(
-                "{:#010x} <{}>{}:",
-                routine.start(),
-                routine.name(),
-                if routine.is_hidden() { " (hidden)" } else { "" }
-            );
-            let image = exec.image();
-            if show_cfg {
-                match eel_core::generic_cfg(image, &routine) {
-                    Ok(cfg) => {
-                        let edges: usize = cfg.blocks.iter().map(|b| b.succs.len()).sum();
-                        println!("    ; blocks={} edges={edges}", cfg.blocks.len());
-                    }
-                    Err(e) => eprintln!("eelobjdump: {}: {e}", routine.name()),
-                }
-            }
-            for line in eel_core::generic_disasm(image, &routine) {
-                println!("  {line}");
-            }
-            println!();
-            continue;
-        }
-        let cfg = match exec.build_cfg(id) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("eelobjdump: {}: {e}", routine.name());
-                continue;
-            }
-        };
-        println!(
-            "{:#010x} <{}>{}:",
-            routine.start(),
-            routine.name(),
-            if routine.is_hidden() { " (hidden)" } else { "" }
+    if analysis.discovery() == DiscoverySource::Inferred {
+        out.extend_from_slice(
+            b"; discovery: inferred (no symbol table; routine names are synthetic)\n\n",
         );
-        if show_cfg {
-            let s = cfg.stats();
-            println!(
-                "    ; blocks={} (delay={} surrogate={}) edges={} uneditable={:.0}%{}",
-                s.total_blocks(),
-                s.delay_slot_blocks,
-                s.call_surrogate_blocks,
-                s.edges,
-                100.0 * s.uneditable_edge_fraction(),
-                if cfg.is_incomplete() {
-                    " INCOMPLETE"
-                } else {
-                    ""
-                },
-            );
+    }
+    let _ = writeln!(out, "; machine: {}\n", analysis.machine().name());
+    let ops: &[&str] = if show_cfg {
+        &["disasm", "cfg-summary"]
+    } else {
+        &["disasm"]
+    };
+    for op in ops {
+        match run_op(op, &analysis) {
+            Ok(body) => out.extend_from_slice(&body),
+            Err(e) => return cli.fail(e),
         }
-        let image = exec.image();
-        let mut addr = routine.start();
-        while addr < routine.end() {
-            let word = image.word_at(addr).unwrap_or(0);
-            let in_table = cfg
-                .data_ranges()
-                .iter()
-                .any(|r| addr >= r.start && addr < r.end);
-            if in_table {
-                println!("  {addr:#010x}:  {word:08x}    .word {word:#010x}  ; dispatch table");
-            } else {
-                println!("  {addr:#010x}:  {word:08x}    {}", eel_isa::decode(word));
-            }
-            addr += 4;
-        }
-        println!();
+    }
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_all(&out).and_then(|()| stdout.flush()) {
+        return cli.fail(format_args!("cannot write the listing: {e}"));
     }
     obs.finish("eelobjdump");
     ExitCode::SUCCESS

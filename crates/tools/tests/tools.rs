@@ -585,3 +585,193 @@ fn eelstat_and_eelobjdump_work_on_stripped_images() {
     assert!(out.matches("<sub_").count() >= 3, "{out}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ------------------------------------------- offline tools over the op layer
+
+/// A program whose dense switch compiles to a dispatch table on SPARC.
+const SWITCH_PROGRAM: &str = r#"
+    fn classify(x) {
+        switch (x % 4) {
+            case 0: { return 10; }
+            case 1: { return 11; }
+            case 2: { return 12; }
+            case 3: { return 13; }
+            default: { return 99; }
+        }
+    }
+    fn helper(x) { return classify(x) * 2 + 1; }
+    fn main() {
+        var i; var t = 0;
+        for (i = 0; i < 40; i = i + 1) { t = t + helper(i); }
+        print(t);
+        return t % 251;
+    }"#;
+
+/// [`SWITCH_PROGRAM`] in the four image shapes the analysis service
+/// serves: SPARC gcc, SPARC SunPro, stripped SPARC gcc and MIPS.
+fn served_shapes() -> Vec<(&'static str, eel_exe::Image)> {
+    let sparc = |personality, strip| {
+        let opts = Options {
+            personality,
+            strip,
+            ..Options::default()
+        };
+        compile_str(SWITCH_PROGRAM, &opts).unwrap()
+    };
+    let workload = eel_progen::Workload {
+        name: "switch",
+        source: SWITCH_PROGRAM.into(),
+    };
+    let mips =
+        eel_progen::compile_machine(&workload, Personality::Gcc, eel_exe::Machine::Mips).unwrap();
+    vec![
+        ("gcc", sparc(Personality::Gcc, false)),
+        ("sunpro", sparc(Personality::SunPro, false)),
+        ("stripped", sparc(Personality::Gcc, true)),
+        ("mips", mips),
+    ]
+}
+
+/// Runs one tool binary on `wef` with `EEL_OBS` unset.
+fn run_tool(bin: &str, wef: &std::path::Path, args: &[&str]) -> std::process::Output {
+    std::process::Command::new(bin)
+        .arg(wef)
+        .args(args)
+        .env_remove("EEL_OBS")
+        .output()
+        .unwrap()
+}
+
+/// Drops eelobjdump's leading `;` header notes, each followed by a blank
+/// line.
+fn without_header_notes(listing: &str) -> &str {
+    let mut rest = listing;
+    while rest.starts_with(';') {
+        let line_end = rest.find('\n').map_or(rest.len(), |i| i + 1);
+        rest = rest[line_end..]
+            .strip_prefix('\n')
+            .unwrap_or(&rest[line_end..]);
+    }
+    rest
+}
+
+#[test]
+fn eelobjdump_prints_the_served_disasm_and_cfg_summary() {
+    let dir = std::env::temp_dir().join(format!("eel-objdump-ops-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (shape, image) in served_shapes() {
+        let wef = dir.join(format!("{shape}.wef"));
+        std::fs::write(&wef, image.to_bytes()).unwrap();
+        let analysis = eel_core::Analysis::compute(std::sync::Arc::new(image)).unwrap();
+        let op = |name| String::from_utf8(eel_serve::run_op(name, &analysis).unwrap()).unwrap();
+        let (disasm, summary) = (op("disasm"), op("cfg-summary"));
+
+        let plain = run_tool(env!("CARGO_BIN_EXE_eelobjdump"), &wef, &[]);
+        assert!(plain.status.success(), "{shape}: eelobjdump failed");
+        let plain = String::from_utf8(plain.stdout).unwrap();
+        assert_eq!(without_header_notes(&plain), disasm, "{shape}: listing");
+        assert!(plain.starts_with(';'), "{shape}: no header notes\n{plain}");
+
+        let cfg = run_tool(env!("CARGO_BIN_EXE_eelobjdump"), &wef, &["--cfg"]);
+        assert!(cfg.status.success(), "{shape}: eelobjdump --cfg failed");
+        let cfg = String::from_utf8(cfg.stdout).unwrap();
+        assert_eq!(
+            without_header_notes(&cfg),
+            format!("{disasm}{summary}"),
+            "{shape}: --cfg listing"
+        );
+        if shape == "sunpro" {
+            assert!(disasm.contains("; dispatch table"), "{disasm}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn eelstat_reports_the_cold_request_spans_on_both_machines() {
+    let dir = std::env::temp_dir().join(format!("eel-stat-spans-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let expected: &[(&str, &[&str])] = &[
+        (
+            "gcc",
+            &[
+                "core.build_cfg",
+                "core.liveness",
+                "core.layout",
+                "core.write_edited",
+            ],
+        ),
+        (
+            "mips",
+            &[
+                "core.generic.cfg",
+                "core.generic.liveness",
+                "core.generic.instrument",
+            ],
+        ),
+    ];
+    let shapes = served_shapes();
+    for &(shape, spans) in expected {
+        let image = &shapes.iter().find(|(s, _)| *s == shape).unwrap().1;
+        let wef = dir.join(format!("{shape}.wef"));
+        std::fs::write(&wef, image.to_bytes()).unwrap();
+        let stat = run_tool(env!("CARGO_BIN_EXE_eelstat"), &wef, &[]);
+        assert!(stat.status.success(), "{shape}: eelstat failed");
+        let report = String::from_utf8(stat.stdout).unwrap();
+        for span in spans {
+            assert!(report.contains(span), "{shape}: no {span} in\n{report}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn offline_tools_reject_malformed_images_without_panicking() {
+    let dir = std::env::temp_dir().join(format!("eel-malformed-tools-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let good = compile_str(small_program(), &Options::default())
+        .unwrap()
+        .to_bytes();
+    let with_word = |index: usize, value: u32| {
+        let mut bytes = good.clone();
+        bytes[4 * index..4 * index + 4].copy_from_slice(&value.to_be_bytes());
+        bytes
+    };
+    // Header words: 1 is the flags (machine tag in the low byte), 7 the
+    // bss size.
+    let cases: &[(&str, Vec<u8>, &[&str])] = &[
+        (
+            "truncated",
+            good[..good.len() / 2].to_vec(),
+            &["eelstat", "eelobjdump"],
+        ),
+        ("alpha-tagged", with_word(1, 2), &["eelstat", "eelobjdump"]),
+        (
+            "wrapping bss",
+            with_word(7, u32::MAX),
+            &["eelstat", "eelobjdump"],
+        ),
+        // Discovery and disassembly never touch the bss, but the cold
+        // path's `instrument` must refuse to materialize a gigabyte of it.
+        ("gigabyte bss", with_word(7, 1 << 30), &["eelstat"]),
+    ];
+    for (name, bytes, tools) in cases {
+        let wef = dir.join("bad.wef");
+        std::fs::write(&wef, bytes).unwrap();
+        for tool in *tools {
+            let bin = match *tool {
+                "eelstat" => env!("CARGO_BIN_EXE_eelstat"),
+                _ => env!("CARGO_BIN_EXE_eelobjdump"),
+            };
+            let out = run_tool(bin, &wef, &[]);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{tool} on {name}: {err}");
+            assert!(
+                err.starts_with(&format!("{tool}: ")),
+                "{tool} on {name}: {err}"
+            );
+            assert!(!err.contains("panicked"), "{tool} on {name}: {err}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
