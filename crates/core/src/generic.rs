@@ -20,7 +20,7 @@ use crate::executable::MAX_MATERIALIZED_BSS;
 use crate::machine::{machine_ops, InsnKind, MachineOps};
 use crate::routine::Routine;
 use eel_exe::{Image, Machine, Symbol, SymbolKind};
-use eel_isa::RegSet;
+use eel_isa::{write_hex, RegSet};
 use std::ops::Range;
 
 /// A basic block in a [`GenericCfg`].
@@ -207,17 +207,20 @@ pub fn generic_liveness(image: &Image, cfg: &GenericCfg) -> Liveness {
     )
 }
 
-/// Disassembles a routine extent into `addr: word  text` lines through
-/// the machine seam.
-pub fn generic_disasm(image: &Image, routine: &Routine) -> Vec<String> {
+/// Appends a routine extent's disassembly listing to `out` through the
+/// machine seam: one `  addr: word  text` line per word.
+pub fn generic_disasm(image: &Image, routine: &Routine, out: &mut String) {
     let ops = machine_ops(image.machine);
-    (routine.start()..routine.end())
-        .step_by(4)
-        .map(|addr| {
-            let word = image.word_at(addr).unwrap_or(0);
-            format!("{addr:#010x}: {word:08x}  {}", ops.disasm(word, addr))
-        })
-        .collect()
+    for addr in (routine.start()..routine.end()).step_by(4) {
+        let word = image.word_at(addr).unwrap_or(0);
+        out.push_str("  0x");
+        let _ = write_hex(out, addr, 8);
+        out.push_str(": ");
+        let _ = write_hex(out, word, 8);
+        out.push_str("  ");
+        ops.disasm(word, addr, out);
+        out.push('\n');
+    }
 }
 
 // ---- MIPS block-counter instrumentation --------------------------------

@@ -20,8 +20,7 @@
 
 use crate::error::EelError;
 use eel_exe::{Image, Machine};
-use eel_isa::{Cond, Op, Reg, RegSet};
-use std::collections::HashMap;
+use eel_isa::{write_dec, write_hex, Cond, Op, Reg, RegSet};
 use std::sync::OnceLock;
 
 /// What a machine word does to control flow — the classification every
@@ -86,8 +85,9 @@ pub trait MachineOps: Send + Sync {
     /// `$4`/`$hi` on MIPS), for rendering output.
     fn reg_name(&self, r: Reg) -> String;
 
-    /// One-line disassembly in the machine's conventional syntax.
-    fn disasm(&self, word: u32, pc: u32) -> String;
+    /// Appends one line of disassembly, without its newline, to `out`,
+    /// in the machine's conventional syntax.
+    fn disasm(&self, word: u32, pc: u32, out: &mut String);
 
     /// Does a compiler-shaped routine prologue start at `addr`? This is
     /// the signature eel-strip's inference rule 3 keys on; per-machine
@@ -177,8 +177,8 @@ impl MachineOps for SparcOps {
         r.name()
     }
 
-    fn disasm(&self, word: u32, _pc: u32) -> String {
-        eel_isa::decode(word).to_string()
+    fn disasm(&self, word: u32, _pc: u32, out: &mut String) {
+        let _ = eel_isa::decode(word).write_to(out);
     }
 
     fn is_prologue(&self, image: &Image, addr: u32) -> bool {
@@ -221,17 +221,31 @@ fn mips_regs(regs: Vec<(String, u32)>) -> RegSet {
 /// The operand fields MIPS disassembly spells, in output order.
 const MIPS_DISASM_FIELDS: [&str; 6] = ["rs", "rt", "rdf", "shamt", "imm16", "target"];
 
-/// Per instruction name, which [`MIPS_DISASM_FIELDS`] its symbolic reads
-/// or writes mention (bit `k` for field `k`). The semantics walk runs
-/// once per spec instead of once per disassembled word; names resolve to
-/// their first spec, as [`eel_spawn::Machine::symbolic_reads`] does.
-fn mips_field_uses() -> &'static HashMap<&'static str, u8> {
-    static USES: OnceLock<HashMap<&'static str, u8>> = OnceLock::new();
-    USES.get_or_init(|| {
+/// What MIPS disassembly reads of the description, resolved once: the
+/// [`MIPS_DISASM_FIELDS`] declarations and, by spec index, which of
+/// those fields the spec's symbolic reads or writes mention (bit `k` for
+/// field `k`). The semantics walk runs once per spec instead of once per
+/// disassembled word; names resolve to their first spec, as
+/// [`eel_spawn::Machine::symbolic_reads`] does.
+struct MipsListing {
+    fields: [eel_spawn::ast::FieldDecl; 6],
+    uses: Vec<u8>,
+}
+
+fn mips_listing() -> &'static MipsListing {
+    static LISTING: OnceLock<MipsListing> = OnceLock::new();
+    LISTING.get_or_init(|| {
         let m = mips_machine();
-        let mut uses = HashMap::new();
-        for spec in m.instructions() {
-            uses.entry(spec.name.as_str()).or_insert_with(|| {
+        let fields = MIPS_DISASM_FIELDS.map(|name| {
+            m.description()
+                .field(name)
+                .unwrap_or_else(|| panic!("mips.spawn declares field {name}"))
+                .clone()
+        });
+        let uses = m
+            .instructions()
+            .iter()
+            .map(|spec| {
                 let mut regs = m.symbolic_reads(&spec.name);
                 regs.extend(m.symbolic_writes(&spec.name));
                 let mut mask = 0u8;
@@ -243,9 +257,9 @@ fn mips_field_uses() -> &'static HashMap<&'static str, u8> {
                     }
                 }
                 mask
-            });
-        }
-        uses
+            })
+            .collect();
+        MipsListing { fields, uses }
     })
 }
 
@@ -311,27 +325,37 @@ impl MachineOps for MipsOps {
         }
     }
 
-    fn disasm(&self, word: u32, pc: u32) -> String {
+    fn disasm(&self, word: u32, pc: u32, out: &mut String) {
         let m = mips_machine();
         let Some(d) = m.decode(word) else {
-            return format!(".word {word:#010x}");
+            out.push_str(".word 0x");
+            let _ = write_hex(out, word, 8);
+            return;
         };
         if word == 0 {
-            return "nop".into();
+            out.push_str("nop");
+            return;
         }
-        let mut out = d.spec.name.clone();
+        out.push_str(&d.spec.name);
         // Operand spelling straight from the description's field values:
         // terse, but mechanical for any described machine.
-        let mut ops: Vec<String> = Vec::new();
-        let mask = mips_field_uses()
-            .get(d.spec.name.as_str())
-            .copied()
-            .unwrap_or(0);
-        for (k, field) in MIPS_DISASM_FIELDS.into_iter().enumerate() {
-            let uses = mask & (1 << k) != 0;
-            let v = m.field(field, word);
-            match field {
-                "rs" | "rt" | "rdf" if uses => ops.push(format!("${v}")),
+        let listing = mips_listing();
+        let uses = listing.uses[d.index];
+        let mut sep = " ";
+        let mut operand = |out: &mut String| {
+            out.push_str(sep);
+            sep = ", ";
+        };
+        let fields = MIPS_DISASM_FIELDS.iter().zip(&listing.fields);
+        for (k, (&name, field)) in fields.enumerate() {
+            let used = uses & (1 << k) != 0;
+            let v = field.extract(word);
+            match name {
+                "rs" | "rt" | "rdf" if used => {
+                    operand(out);
+                    out.push('$');
+                    let _ = write_dec(out, v.into());
+                }
                 // The immediate is structural, not a register-set read,
                 // so the symbolic-uses filter never sees it: any I-type
                 // word (opcode outside R-type 0 and J-type 2/3) carries
@@ -341,24 +365,27 @@ impl MachineOps for MipsOps {
                     if !matches!(word >> 26, 0 | 2 | 3)
                         && !matches!(d.spec.class, eel_spawn::Class::Branch) =>
                 {
-                    ops.push(format!("{}", v as u16 as i16));
+                    operand(out);
+                    let _ = write_dec(out, (v as u16 as i16).into());
                 }
-                "target" if uses => {
+                "target" if used => {
+                    operand(out);
                     let t = ((pc.wrapping_add(4)) & 0xf000_0000) | (v << 2);
-                    ops.push(format!("{t:#x}"));
+                    out.push_str("0x");
+                    let _ = write_hex(out, t, 1);
                 }
-                "shamt" if uses && d.spec.name.starts_with('s') => ops.push(format!("{v}")),
+                "shamt" if used && d.spec.name.starts_with('s') => {
+                    operand(out);
+                    let _ = write_dec(out, v.into());
+                }
                 _ => {}
             }
         }
         if let Some(target) = m.static_target(&d, pc) {
-            ops.push(format!("-> {target:#x}"));
+            operand(out);
+            out.push_str("-> 0x");
+            let _ = write_hex(out, target, 1);
         }
-        if !ops.is_empty() {
-            out.push(' ');
-            out.push_str(&ops.join(", "));
-        }
-        out
     }
 
     fn is_prologue(&self, image: &Image, addr: u32) -> bool {
@@ -391,6 +418,12 @@ impl MachineOps for MipsOps {
 mod tests {
     use super::*;
 
+    fn disasm(ops: &dyn MachineOps, word: u32, pc: u32) -> String {
+        let mut out = String::new();
+        ops.disasm(word, pc, &mut out);
+        out
+    }
+
     #[test]
     fn sparc_kinds_match_isa() {
         let ops = machine_ops(Machine::Sparc);
@@ -407,7 +440,7 @@ mod tests {
         assert!(ops.has_delay_slot(call, 0x1000));
         // A nop falls through and reads/writes nothing interesting.
         assert_eq!(ops.kind(0x0100_0000, 0x1000), InsnKind::Fall);
-        assert!(ops.disasm(0x0100_0000, 0).contains("nop"));
+        assert!(disasm(ops, 0x0100_0000, 0).contains("nop"));
     }
 
     #[test]
@@ -457,11 +490,11 @@ mod tests {
     #[test]
     fn mips_disasm_names_instructions() {
         let ops = machine_ops(Machine::Mips);
-        assert!(ops.disasm(0x0085_1021, 0).starts_with("addu"));
-        assert_eq!(ops.disasm(0, 0), "nop");
-        assert!(ops.disasm(0x03e0_0008, 0).starts_with("jr"));
+        assert!(disasm(ops, 0x0085_1021, 0).starts_with("addu"));
+        assert_eq!(disasm(ops, 0, 0), "nop");
+        assert!(disasm(ops, 0x03e0_0008, 0).starts_with("jr"));
         // An undecodable word prints as data.
-        assert!(ops.disasm(0xffff_ffff, 0).starts_with(".word"));
+        assert_eq!(disasm(ops, 0xffff_ffff, 0), ".word 0xffffffff");
     }
 
     #[test]

@@ -63,7 +63,8 @@ fn exercise(word: u32, pc: u32) {
     for machine in [Machine::Sparc, Machine::Mips] {
         let ops = machine_ops(machine);
         let _ = (ops.kind(word, pc), ops.has_delay_slot(word, pc));
-        let _ = (ops.reads(word), ops.writes(word), ops.disasm(word, pc));
+        let _ = (ops.reads(word), ops.writes(word));
+        ops.disasm(word, pc, &mut String::new());
     }
 }
 

@@ -120,20 +120,20 @@ impl MipsMachine {
                 return Err(RunError::BadFetch { pc });
             }
             let word = self.mem.load(pc, 4).ok_or(RunError::BadFetch { pc })?;
-            let spec = match self.decode_cache.get(&pc) {
-                Some(&i) => &specs[i],
+            let index = match self.decode_cache.get(&pc) {
+                Some(&i) => i,
                 None => {
-                    let d = machine.decode(word).ok_or(RunError::Illegal { pc, word })?;
-                    let i = specs
-                        .iter()
-                        .position(|s| std::ptr::eq(s, d.spec))
-                        .expect("decoded spec comes from this machine");
+                    let i = machine
+                        .decode(word)
+                        .ok_or(RunError::Illegal { pc, word })?
+                        .index;
                     if pc >= self.text_range.0 && pc < self.text_range.1 {
                         self.decode_cache.insert(pc, i);
                     }
-                    &specs[i]
+                    i
                 }
             };
+            let spec = &specs[index];
             // MIPS-I has no annul: every slot executes and costs a cycle.
             self.outcome.cycles += 1;
             self.outcome.executed += 1;
@@ -150,7 +150,7 @@ impl MipsMachine {
                 }
                 _ => {}
             }
-            let d = eel_spawn::Decoded { spec, word };
+            let d = eel_spawn::Decoded { spec, index, word };
             match machine
                 .execute(&d, &mut self.state, &mut self.mem)
                 .map_err(|e| RunError::BadImage(format!("description bug: {e}")))?

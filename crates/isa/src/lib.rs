@@ -53,6 +53,7 @@ mod semantics;
 
 pub use class::{Category, JumpKind};
 pub use decode::decode;
+pub use disasm::{write_dec, write_hex};
 pub use encode::{encode, Builder};
 pub use insn::{AluOp, Cond, Insn, MemWidth, Op, Src2};
 pub use reg::{Reg, RegSet};

@@ -59,17 +59,18 @@ impl Reg {
 
     /// The canonical assembly name (`%g0`, `%o3`, `%sp`, `%icc`, ...).
     pub fn name(self) -> String {
-        match self.0 {
-            14 => "%sp".to_string(),
-            30 => "%fp".to_string(),
-            0..=7 => format!("%g{}", self.0),
-            8..=15 => format!("%o{}", self.0 - 8),
-            16..=23 => format!("%l{}", self.0 - 16),
-            24..=31 => format!("%i{}", self.0 - 24),
-            32 => "%icc".to_string(),
-            33 => "%y".to_string(),
-            34 => "%psr".to_string(),
-            n => format!("%r{n}"),
+        self.to_string()
+    }
+
+    /// Writes the assembly name to `out` (what `Display` prints): a
+    /// static spelling for every named resource.
+    pub(crate) fn write_to<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
+        match NAMES.get(self.index()) {
+            Some(name) => out.write_str(name),
+            None => {
+                out.write_str("%r")?;
+                crate::write_dec(out, self.0.into())
+            }
         }
     }
 
@@ -104,15 +105,25 @@ impl Reg {
     }
 }
 
+/// The spellings of the named resources, by register index: the
+/// windowed banks with the `%sp`/`%fp` aliases, then `%icc`, `%y`, `%psr`.
+const NAMES: [&str; Reg::COUNT] = [
+    "%g0", "%g1", "%g2", "%g3", "%g4", "%g5", "%g6", "%g7", //
+    "%o0", "%o1", "%o2", "%o3", "%o4", "%o5", "%sp", "%o7", //
+    "%l0", "%l1", "%l2", "%l3", "%l4", "%l5", "%l6", "%l7", //
+    "%i0", "%i1", "%i2", "%i3", "%i4", "%i5", "%fp", "%i7", //
+    "%icc", "%y", "%psr",
+];
+
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name())
+        self.write_to(f)
     }
 }
 
 impl fmt::Debug for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name())
+        fmt::Display::fmt(self, f)
     }
 }
 
@@ -282,6 +293,32 @@ mod tests {
         assert_eq!(Reg::parse("%g8"), None);
         assert_eq!(Reg::parse("%r32"), None);
         assert_eq!(Reg::parse("%"), None);
+    }
+
+    /// The spelling rule the name table replaced, written out as rules.
+    fn spelled_by_rule(n: u8) -> String {
+        match n {
+            14 => "%sp".to_string(),
+            30 => "%fp".to_string(),
+            0..=7 => format!("%g{n}"),
+            8..=15 => format!("%o{}", n - 8),
+            16..=23 => format!("%l{}", n - 16),
+            24..=31 => format!("%i{}", n - 24),
+            32 => "%icc".to_string(),
+            33 => "%y".to_string(),
+            34 => "%psr".to_string(),
+            n => format!("%r{n}"),
+        }
+    }
+
+    #[test]
+    fn every_reg_spells_by_the_bank_rule() {
+        for n in 0..=255u8 {
+            let want = spelled_by_rule(n);
+            assert_eq!(Reg(n).to_string(), want, "Display of register {n}");
+            assert_eq!(Reg(n).name(), want, "name() of register {n}");
+            assert_eq!(format!("{:?}", Reg(n)), want, "Debug of register {n}");
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@ use eel_core::{
     RoutineId, Snippet,
 };
 use eel_exe::Image;
+use eel_isa::write_hex;
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 
@@ -207,9 +208,7 @@ fn disasm_generic(analysis: &Analysis) -> Result<Vec<u8>, String> {
             routine.name(),
             if routine.is_hidden() { " (hidden)" } else { "" }
         );
-        for line in generic_disasm(image, routine) {
-            let _ = writeln!(out, "  {line}");
-        }
+        generic_disasm(image, routine, &mut out);
         out.push('\n');
     }
     Ok(out.into_bytes())
@@ -382,33 +381,42 @@ fn disasm(batch: &Batch) -> OpResult {
                 Stitched::Hit
             }
             CfgOutcome::Built(cfg) => {
-                let body = disasm_body(image, routine, &cfg);
-                out.push_str(&body);
-                Stitched::Live(Some(body.into_bytes()))
+                let body = out.len();
+                disasm_body(image, routine, &cfg, &mut out);
+                Stitched::Live(Some(out.as_bytes()[body..].to_vec()))
             }
         })
     })?;
     Ok((out.into_bytes(), stats))
 }
 
-fn disasm_body(image: &Image, routine: &Routine, cfg: &Cfg) -> String {
-    let mut out = String::new();
-    let mut addr = routine.start();
-    while addr < routine.end() {
+/// Appends a routine's listing body (every word, dispatch-table words as
+/// data, then a blank line) to `out`.
+fn disasm_body(image: &Image, routine: &Routine, cfg: &Cfg, out: &mut String) {
+    // A cursor over the tables in start order: the first table not yet
+    // behind `addr` holds it, if any does.
+    let mut tables = cfg.data_ranges().to_vec();
+    tables.sort_by_key(|r| r.start);
+    let mut next = 0;
+    for addr in (routine.start()..routine.end()).step_by(4) {
         let word = image.word_at(addr).unwrap_or(0);
-        let in_table = cfg
-            .data_ranges()
-            .iter()
-            .any(|r| addr >= r.start && addr < r.end);
-        if in_table {
-            let _ = writeln!(out, "  {addr:#010x}:  .word {word:#010x}  ; dispatch table");
-        } else {
-            let _ = writeln!(out, "  {addr:#010x}:  {}", eel_isa::decode(word));
+        while tables.get(next).is_some_and(|r| r.end <= addr) {
+            next += 1;
         }
-        addr += 4;
+        let in_table = tables.get(next).is_some_and(|r| r.start <= addr);
+        out.push_str("  0x");
+        let _ = write_hex(out, addr, 8);
+        if in_table {
+            out.push_str(":  .word 0x");
+            let _ = write_hex(out, word, 8);
+            out.push_str("  ; dispatch table");
+        } else {
+            out.push_str(":  ");
+            let _ = eel_isa::decode(word).write_to(out);
+        }
+        out.push('\n');
     }
     out.push('\n');
-    out
 }
 
 /// Per-routine CFG statistics plus whole-program totals. A fragment is

@@ -37,6 +37,8 @@ pub enum Class {
 pub struct Decoded<'m> {
     /// The matched instruction.
     pub spec: &'m InsnSpec,
+    /// The matched instruction's position in [`Machine::instructions`].
+    pub index: usize,
     /// The raw word.
     pub word: u32,
 }
@@ -56,6 +58,43 @@ pub struct InsnSpec {
     /// transferring — distinguishes calls from plain jumps (Figure 6's
     /// shim then resolves the SPARC overloading by operand).
     pub links: bool,
+}
+
+impl InsnSpec {
+    /// Does `word` satisfy every matcher term of this instruction? The
+    /// decoder picks the first instruction, in description order, for
+    /// which this holds.
+    pub fn matches(&self, word: u32) -> bool {
+        self.matcher.iter().all(|t| t.matches(word))
+    }
+
+    /// `(mask, value)`: the bits every word this instruction matches has
+    /// fixed, with their values. These are the bits of the top-level field
+    /// comparisons (a named constraint with one alternative counts as
+    /// top-level); alternatives fix nothing.
+    pub fn fixed_bits(&self) -> (u32, u32) {
+        fn add(terms: &[MTerm], mask: &mut u32, value: &mut u32) {
+            for t in terms {
+                match t {
+                    MTerm::Cmp {
+                        lo,
+                        width,
+                        mask: m,
+                        value: v,
+                    } => {
+                        let field = (((1u64 << width) - 1) as u32) & m.unwrap_or(u32::MAX);
+                        *mask |= field << lo;
+                        *value |= (v & field) << lo;
+                    }
+                    MTerm::Any(alts) if alts.len() == 1 => add(&alts[0], mask, value),
+                    MTerm::Any(_) => {}
+                }
+            }
+        }
+        let (mut mask, mut value) = (0, 0);
+        add(&self.matcher, &mut mask, &mut value);
+        (mask, value)
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -94,6 +133,74 @@ impl MTerm {
 pub struct Machine {
     desc: Description,
     insns: Vec<InsnSpec>,
+    index: DecodeIndex,
+}
+
+/// The decoder's index over the instructions' fixed bits. A split keys
+/// on the longest run of bits every instruction under it fixes (MIPS:
+/// the 6-bit `op` field, then `funct` under `op` 0; SPARC: `op`, then
+/// `op2` or `op3`); a child holds, in description order, the
+/// instructions whose fixed bits agree with its key. A word's first
+/// match within its leaf is therefore its first match over all
+/// instructions.
+#[derive(Debug)]
+enum DecodeIndex {
+    /// Candidate instruction indices, in description order.
+    Leaf(Vec<usize>),
+    /// Children by `(word >> lo) & mask`.
+    Split {
+        lo: u32,
+        mask: u32,
+        children: Vec<DecodeIndex>,
+    },
+}
+
+/// The widest key one split takes: 4096 children.
+const MAX_KEY_BITS: u32 = 12;
+
+impl DecodeIndex {
+    /// Indexes `members` (indices into `fixed`, each instruction's
+    /// [`InsnSpec::fixed_bits`]) on the bits outside `keyed` they all
+    /// fix. Two or more members that share no such bit stay one leaf.
+    fn new(fixed: &[(u32, u32)], members: Vec<usize>, keyed: u32) -> DecodeIndex {
+        let common = members.iter().fold(!keyed, |acc, &i| acc & fixed[i].0);
+        if members.len() < 2 || common == 0 {
+            return DecodeIndex::Leaf(members);
+        }
+        let (mut lo, mut width) = (0, 0);
+        let mut bit = 0;
+        while bit < 32 {
+            let run = (common >> bit).trailing_ones();
+            if run > width {
+                (lo, width) = (bit, run);
+            }
+            bit += run.max(1);
+        }
+        let mask = ((1u64 << width.min(MAX_KEY_BITS)) - 1) as u32;
+        // Every member fixes the key bits, so each joins exactly one child.
+        let mut groups = vec![Vec::new(); mask as usize + 1];
+        for i in members {
+            groups[((fixed[i].1 >> lo) & mask) as usize].push(i);
+        }
+        let children = groups
+            .into_iter()
+            .map(|group| DecodeIndex::new(fixed, group, keyed | mask << lo))
+            .collect();
+        DecodeIndex::Split { lo, mask, children }
+    }
+
+    /// The candidate instructions for `word`, in description order.
+    fn candidates(&self, word: u32) -> &[usize] {
+        let mut node = self;
+        loop {
+            match node {
+                DecodeIndex::Leaf(members) => return members,
+                DecodeIndex::Split { lo, mask, children } => {
+                    node = &children[((word >> lo) & mask) as usize];
+                }
+            }
+        }
+    }
 }
 
 impl Machine {
@@ -169,7 +276,9 @@ impl Machine {
                 });
             }
         }
-        Ok(Machine { desc, insns })
+        let fixed: Vec<(u32, u32)> = insns.iter().map(InsnSpec::fixed_bits).collect();
+        let index = DecodeIndex::new(&fixed, (0..insns.len()).collect(), 0);
+        Ok(Machine { desc, insns, index })
     }
 
     /// The underlying description.
@@ -183,12 +292,19 @@ impl Machine {
     }
 
     /// Decodes a word: the first matching instruction, or `None` for an
-    /// invalid encoding.
+    /// invalid encoding. Only the instructions of the word's index
+    /// leaf are tried.
     pub fn decode(&self, word: u32) -> Option<Decoded<'_>> {
-        self.insns
+        self.index
+            .candidates(word)
             .iter()
-            .find(|i| i.matcher.iter().all(|t| t.matches(word)))
-            .map(|spec| Decoded { spec, word })
+            .copied()
+            .find(|&i| self.insns[i].matches(word))
+            .map(|index| Decoded {
+                spec: &self.insns[index],
+                index,
+                word,
+            })
     }
 
     /// Extracts a named field from a word.
