@@ -74,11 +74,11 @@ fn exercise(word: u32, pc: u32) {
 fn mips_regs_agree(spawn: &eel_spawn::Machine, word: u32) -> bool {
     let ops = machine_ops(Machine::Mips);
     let seam = |set: RegSet| set.iter().map(|r| ops.reg_name(r)).collect::<BTreeSet<_>>();
-    let spell = |regs: Vec<(String, u32)>| {
-        regs.into_iter()
-            .map(|(set, i)| match set.as_str() {
-                "R" => format!("${i}"),
-                other => format!("${}", other.to_ascii_lowercase()),
+    let spell = |regs: RegSet| {
+        regs.iter()
+            .map(|r| match spawn.register(r).expect("a declared register") {
+                ("R", i) => format!("${i}"),
+                (other, _) => format!("${}", other.to_ascii_lowercase()),
             })
             .collect::<BTreeSet<_>>()
     };

@@ -4,8 +4,9 @@
 //! semantics, observed instruction by instruction.
 //!
 //! The two sides are independently derived artifacts — the analysis
-//! walks the semantic AST symbolically (`collect_stmt_regs`,
-//! `static_target`), the evaluator interprets it — so disagreement means
+//! reads the per-instruction tables `Machine::build` derives from one
+//! symbolic walk of the semantic AST (register uses and defs, `npc`
+//! forms, widths), the evaluator interprets the AST — so disagreement means
 //! a bug in one derivation or the other, exactly the property the SPARC
 //! suite checks against the handwritten `eel_isa` twin. MIPS has no
 //! handwritten twin (that is the point of the port), so the oracle here
@@ -29,7 +30,7 @@
 
 use eel_emu::mips::spawn_machine;
 use eel_emu::MipsMachine;
-use eel_isa::Memory;
+use eel_isa::{Memory, RegSet};
 use eel_spawn::{Class, Decoded, Machine, SpawnEvent, SpawnState};
 use std::collections::{BTreeSet, HashMap};
 
@@ -105,6 +106,16 @@ fn seed_b() -> SpawnState {
     st
 }
 
+/// A register set as spawn's `(set name, index)` pairs.
+fn cells(m: &Machine, regs: RegSet) -> Vec<(String, u32)> {
+    regs.iter()
+        .map(|r| {
+            let (set, i) = m.register(r).expect("a declared register");
+            (set.to_string(), i)
+        })
+        .collect()
+}
+
 fn reg_cell(set: &str, i: u32) -> String {
     match set {
         "R" => format!("R[{i}]"),
@@ -156,7 +167,7 @@ fn check_word(m: &Machine, word: u32, pre: &SpawnState) -> u32 {
 
     // Class vs observed control flow vs static_target.
     let target = m.static_target(&d, pre.pc);
-    let reads = m.reads(&d);
+    let reads = cells(m, m.reads(&d));
     match d.spec.class {
         Class::Computation | Class::Load | Class::Store | Class::System => {
             assert_eq!(next, seq, "{name}: non-transfer must fall through");
@@ -188,8 +199,7 @@ fn check_word(m: &Machine, word: u32, pre: &SpawnState) -> u32 {
     // Link discipline: a linking transfer writes pc + 8 (the return
     // point past the delay slot) into exactly one register.
     if d.spec.links {
-        let links: Vec<u32> = m
-            .writes(&d)
+        let links: Vec<u32> = cells(m, m.writes(&d))
             .iter()
             .filter(|(set, i)| set == "R" && base.post.r[*i as usize] == pre.pc.wrapping_add(8))
             .map(|(_, i)| *i)
@@ -202,8 +212,7 @@ fn check_word(m: &Machine, word: u32, pre: &SpawnState) -> u32 {
     }
 
     // Write soundness: every changed cell is declared.
-    let declared: BTreeSet<String> = m
-        .writes(&d)
+    let declared: BTreeSet<String> = cells(m, m.writes(&d))
         .iter()
         .map(|(set, i)| reg_cell(set, *i))
         .collect();
@@ -279,7 +288,7 @@ fn check_word(m: &Machine, word: u32, pre: &SpawnState) -> u32 {
             alt.stores, base.stores,
             "{name}: stores depend on unread {cell}"
         );
-        for (set, i) in m.writes(&d) {
+        for (set, i) in cells(m, m.writes(&d)) {
             let (got, want) = match set.as_str() {
                 "R" => (alt.post.r[i as usize], base.post.r[i as usize]),
                 "HI" => (alt.post.hi, base.post.hi),

@@ -53,10 +53,15 @@ pub trait FragmentTier {
     fn load(&self, key: u64, op: &str) -> Option<Vec<u8>>;
     /// Stores a freshly computed fragment for `(routine_key, op)`.
     fn store(&self, key: u64, op: &str, bytes: &[u8]);
+    /// Does `store` keep anything? When it does not, ops build no
+    /// fragment payloads and call `store` never.
+    fn keeps_fragments(&self) -> bool {
+        true
+    }
 }
 
-/// The always-miss tier: probes return nothing, stores vanish. With
-/// this tier [`run_op_fragments`] *is* the plain cold path, which is
+/// The always-miss tier: probes return nothing and nothing is stored.
+/// With this tier [`run_op_fragments`] *is* the plain cold path, which is
 /// exactly how [`run_op`] is implemented — one code path, so the
 /// byte-identity of warm and cold composition is structural.
 pub struct NoFragments;
@@ -66,6 +71,9 @@ impl FragmentTier for NoFragments {
         None
     }
     fn store(&self, _key: u64, _op: &str, _bytes: &[u8]) {}
+    fn keeps_fragments(&self) -> bool {
+        false
+    }
 }
 
 /// How much of an op's work the fragment tier absorbed.
@@ -305,7 +313,7 @@ enum Stitched {
     /// Rendered from the fragment's payload.
     Hit,
     /// Rendered live, with the op payload to store when the build was
-    /// clean (`None`: nothing to store).
+    /// clean (`None`: nothing to store, or a tier that keeps nothing).
     Live(Option<Vec<u8>>),
 }
 
@@ -383,7 +391,12 @@ fn disasm(batch: &Batch) -> OpResult {
             CfgOutcome::Built(cfg) => {
                 let body = out.len();
                 disasm_body(image, routine, &cfg, &mut out);
-                Stitched::Live(Some(out.as_bytes()[body..].to_vec()))
+                Stitched::Live(
+                    batch
+                        .tier
+                        .keeps_fragments()
+                        .then(|| out.as_bytes()[body..].to_vec()),
+                )
             }
         })
     })?;
@@ -459,12 +472,14 @@ fn cfg_summary(batch: &Batch) -> OpResult {
                 blocks += b;
                 edges += e;
                 insns += i;
-                let mut payload = Vec::with_capacity(24 + suffix.len());
-                payload.extend_from_slice(&b.to_be_bytes());
-                payload.extend_from_slice(&e.to_be_bytes());
-                payload.extend_from_slice(&i.to_be_bytes());
-                payload.extend_from_slice(suffix.as_bytes());
-                Stitched::Live(Some(payload))
+                Stitched::Live(batch.tier.keeps_fragments().then(|| {
+                    let mut payload = Vec::with_capacity(24 + suffix.len());
+                    payload.extend_from_slice(&b.to_be_bytes());
+                    payload.extend_from_slice(&e.to_be_bytes());
+                    payload.extend_from_slice(&i.to_be_bytes());
+                    payload.extend_from_slice(suffix.as_bytes());
+                    payload
+                }))
             }
         })
     })?;
@@ -503,7 +518,7 @@ fn liveness(batch: &Batch) -> OpResult {
                 let entry = live.live_in(cfg.entry_block());
                 let suffix = format!(": entry-live-in={entry} ({} regs)\n", entry.len());
                 out.push_str(&suffix);
-                Stitched::Live(Some(suffix.into_bytes()))
+                Stitched::Live(batch.tier.keeps_fragments().then(|| suffix.into_bytes()))
             }
         })
     })?;
@@ -600,6 +615,9 @@ fn instrument(batch: &Batch) -> OpResult {
             let payload = match outcome {
                 CfgOutcome::Built(cfg) => {
                     let (reserve, base) = instrument_routine(exec, cfg, None)?;
+                    if !batch.tier.keeps_fragments() {
+                        return Ok(Stitched::Live(None));
+                    }
                     let plan = exec.serialize_layout(id).map(|layout| {
                         let mut payload = Vec::with_capacity(8 + layout.len());
                         payload.extend_from_slice(&reserve.to_be_bytes());

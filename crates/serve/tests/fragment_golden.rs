@@ -11,12 +11,14 @@
 //! generic pipeline, which stores no fragments.
 //!
 //! The second test counts tier loads: at any thread count, one request
-//! loads each `(routine_key, op)` at most once.
+//! loads each `(routine_key, op)` at most once. The third shows that a
+//! tier which keeps nothing is never stored to, and that the bodies are
+//! still `run_op`'s.
 
 mod common;
 
 use eel_core::Analysis;
-use eel_serve::{run_op_fragments, FragmentTier};
+use eel_serve::{run_op, run_op_fragments, FragmentTier};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -203,11 +205,14 @@ fn stored_fragments_match_the_recorded_digests() {
     assert_eq!(got, GOLDEN.trim(), "\n--- got ---\n{got}\n");
 }
 
-/// A shared in-memory tier that counts loads per `(key, op)`.
+/// A shared in-memory tier that counts loads per `(key, op)` and store
+/// calls; with `drops` set it keeps nothing and says so.
 #[derive(Default)]
 struct Counting {
+    drops: bool,
     stored: Mutex<HashMap<(u64, String), Vec<u8>>>,
     loads: Mutex<HashMap<(u64, String), u32>>,
+    stores: Mutex<u32>,
 }
 
 impl FragmentTier for Counting {
@@ -225,10 +230,16 @@ impl FragmentTier for Counting {
             .cloned()
     }
     fn store(&self, key: u64, op: &str, bytes: &[u8]) {
-        self.stored
-            .lock()
-            .unwrap()
-            .insert((key, op.to_string()), bytes.to_vec());
+        *self.stores.lock().unwrap() += 1;
+        if !self.drops {
+            self.stored
+                .lock()
+                .unwrap()
+                .insert((key, op.to_string()), bytes.to_vec());
+        }
+    }
+    fn keeps_fragments(&self) -> bool {
+        !self.drops
     }
 }
 
@@ -253,6 +264,28 @@ fn each_routine_key_is_loaded_at_most_once_per_request() {
                     );
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn a_tier_that_keeps_nothing_is_never_stored_to() {
+    for shape in ["gcc", "sunpro", "stripped"] {
+        let analysis = analysis(shape, 10);
+        for op in OPS {
+            let tier = Counting {
+                drops: true,
+                ..Counting::default()
+            };
+            let (body, stats) = run_op_fragments(op, &analysis, 1, &tier).expect(op);
+            assert!(stats.total > 0, "{shape} {op}: the op stitches routines");
+            assert_eq!(stats.hits, 0, "{shape} {op}: nothing to hit");
+            assert_eq!(*tier.stores.lock().unwrap(), 0, "{shape} {op}: stored");
+            assert_eq!(body, run_op(op, &analysis).expect(op), "{shape} {op}");
+            // A keeping tier is stored to for the same request.
+            let keeping = Counting::default();
+            run_op_fragments(op, &analysis, 1, &keeping).expect(op);
+            assert!(*keeping.stores.lock().unwrap() > 0, "{shape} {op}");
         }
     }
 }

@@ -118,6 +118,7 @@ pub fn description_lines(src: &str) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eel_isa::{Reg, RegSet};
 
     #[test]
     fn all_shipped_descriptions_build() {
@@ -210,14 +211,14 @@ mod tests {
         // addu $2, $4, $5
         let d = m.decode(0x0085_1021).unwrap();
         let reads = m.reads(&d);
-        assert!(reads.contains(&("R".into(), 4)));
-        assert!(reads.contains(&("R".into(), 5)));
-        assert_eq!(m.writes(&d), vec![("R".into(), 2)]);
+        assert!(reads.contains(Reg(4)));
+        assert!(reads.contains(Reg(5)));
+        assert_eq!(m.writes(&d), RegSet::of(&[Reg(2)]));
         // sw reads both address base and the stored value.
         let d = m.decode(0xafa8_0000).unwrap();
         let reads = m.reads(&d);
-        assert!(reads.contains(&("R".into(), 29)));
-        assert!(reads.contains(&("R".into(), 8)));
+        assert!(reads.contains(Reg(29)));
+        assert!(reads.contains(Reg(8)));
         assert!(m.writes(&d).is_empty());
     }
 
@@ -308,8 +309,10 @@ mod tests {
         );
         // div now reports HI and LO as written, so liveness sees both.
         let writes = m.writes(&d);
-        assert!(writes.contains(&("HI".into(), 0)));
-        assert!(writes.contains(&("LO".into(), 0)));
+        assert_eq!(m.register(Reg(32)), Some(("HI", 0)));
+        assert_eq!(m.register(Reg(33)), Some(("LO", 0)));
+        assert!(writes.contains(Reg(32)));
+        assert!(writes.contains(Reg(33)));
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use crate::ast::*;
 use crate::SpawnError;
+use eel_isa::{Reg, RegSet};
 use std::collections::HashMap;
 
 /// Machine-level instruction classes derivable from semantics.
@@ -58,6 +59,20 @@ pub struct InsnSpec {
     /// transferring — distinguishes calls from plain jumps (Figure 6's
     /// shim then resolves the SPARC overloading by operand).
     pub links: bool,
+    /// The fields a register operand's index names: bit `k` for the
+    /// description's `k`-th field (MIPS `addu`: `rs`, `rt` and `rdf`).
+    pub operand_fields: u64,
+    /// The fields the semantics mention anywhere, `val`s included (MIPS
+    /// `addiu`: `rs`, `rt` and, through `simm`, `imm16`).
+    pub mentioned_fields: u64,
+    /// Registers read, in walk order.
+    uses: Vec<RegRef>,
+    /// Registers written, in walk order.
+    defs: Vec<RegRef>,
+    /// Right-hand sides of `npc :=`, in walk order.
+    npc: Vec<FieldExpr>,
+    /// Width of the first memory access in walk order.
+    mem_width: Option<u32>,
 }
 
 impl InsnSpec {
@@ -128,12 +143,103 @@ impl MTerm {
     }
 }
 
+/// An expression over instruction fields and `pc`, resolved once by
+/// [`Machine::build`]: fields by declaration index, `val`s inlined. What
+/// the fields cannot determine (registers, memory, builtins, unknown
+/// names) is `Opaque`.
+#[derive(Debug, Clone)]
+enum FieldExpr {
+    Num(u32),
+    Pc,
+    Field(usize),
+    SxField(usize),
+    Sxm(Box<FieldExpr>, u32),
+    Bin(BinOp, Box<FieldExpr>, Box<FieldExpr>),
+    Cond(Box<FieldExpr>, Box<FieldExpr>, Box<FieldExpr>),
+    Opaque,
+}
+
+impl FieldExpr {
+    fn for_each(&self, f: &mut impl FnMut(&FieldExpr)) {
+        f(self);
+        match self {
+            FieldExpr::Sxm(e, _) => e.for_each(f),
+            FieldExpr::Bin(_, a, b) => {
+                a.for_each(f);
+                b.for_each(f);
+            }
+            FieldExpr::Cond(c, a, b) => {
+                c.for_each(f);
+                a.for_each(f);
+                b.for_each(f);
+            }
+            _ => {}
+        }
+    }
+
+    /// Does the word alone determine the value?
+    fn field_only(&self) -> bool {
+        let mut only = true;
+        self.for_each(&mut |e| only &= !matches!(e, FieldExpr::Pc | FieldExpr::Opaque));
+        only
+    }
+
+    /// The fields named, as a mask by declaration index.
+    fn field_mask(&self) -> u64 {
+        let mut mask = 0;
+        self.for_each(&mut |e| {
+            if let FieldExpr::Field(k) | FieldExpr::SxField(k) = e {
+                mask |= 1 << k;
+            }
+        });
+        mask
+    }
+
+    /// Rust source over `field_*(word)` extractors, for code generation;
+    /// `None` beyond constants, fields and bitwise/additive operators.
+    fn render(&self, fields: &[FieldDecl]) -> Option<String> {
+        match self {
+            FieldExpr::Num(n) => Some(n.to_string()),
+            FieldExpr::Field(k) => Some(format!("field_{}(word)", fields[*k].name)),
+            FieldExpr::Bin(op, a, b) => {
+                let (a, b) = (a.render(fields)?, b.render(fields)?);
+                let op = match op {
+                    BinOp::Add => "+",
+                    BinOp::Sub => "-",
+                    BinOp::Or => "|",
+                    BinOp::And => "&",
+                    BinOp::Xor => "^",
+                    _ => return None,
+                };
+                Some(format!("({a} {op} {b})"))
+            }
+            _ => None,
+        }
+    }
+}
+
+/// One register operand of an instruction: register `first + index` of
+/// the set declared `set`-th (when `index < count`), provided every guard
+/// `(condition, arm)` holds — a field-only condition of an enclosing
+/// `c ? a : b`, nonzero for the `a` arm. SPARC's `src2` gives `rs2` the
+/// guard `(i = 1, false)`, so `rs2` is read only in register form.
+#[derive(Debug, Clone)]
+struct RegRef {
+    set: usize,
+    first: u32,
+    count: u32,
+    index: FieldExpr,
+    guards: Vec<(FieldExpr, bool)>,
+}
+
 /// The derived machine: decoder, classifier, analyzer, evaluator input.
 #[derive(Debug)]
 pub struct Machine {
     desc: Description,
     insns: Vec<InsnSpec>,
     index: DecodeIndex,
+    /// The hardwired zero register, `R[0]`, which reads and writes omit.
+    zero: RegSet,
 }
 
 /// The decoder's index over the instructions' fixed bits. A split keys
@@ -238,6 +344,24 @@ impl Machine {
             }
         }
 
+        // Registers number in declaration order, an array's elements in
+        // turn, and must fit a `RegSet`.
+        let firsts: Vec<u32> = desc
+            .registers
+            .iter()
+            .scan(0, |next, d| {
+                *next += d.count;
+                Some(*next - d.count)
+            })
+            .collect();
+        let total: u32 = desc.registers.iter().map(|d| d.count).sum();
+        if total > 64 || desc.fields.len() > 64 {
+            return Err(SpawnError::Semantic(format!(
+                "{total} registers and {} fields: at most 64 of each",
+                desc.fields.len()
+            )));
+        }
+
         let mut insns = Vec::new();
         for pat in &desc.patterns {
             for (k, name) in pat.names.iter().enumerate() {
@@ -267,18 +391,47 @@ impl Machine {
                         }
                     };
                 }
+                let mut walk = Walk {
+                    desc: &desc,
+                    firsts: &firsts,
+                    guards: Vec::new(),
+                    uses: Vec::new(),
+                    defs: Vec::new(),
+                    npc: Vec::new(),
+                    mem_width: None,
+                    operand_fields: 0,
+                    mentioned_fields: 0,
+                };
+                for s in sem.iter().flatten() {
+                    walk.stmt(s)?;
+                }
                 insns.push(InsnSpec {
                     name: name.clone(),
                     class,
                     matcher,
                     sem,
                     links,
+                    operand_fields: walk.operand_fields,
+                    mentioned_fields: walk.mentioned_fields,
+                    uses: walk.uses,
+                    defs: walk.defs,
+                    npc: walk.npc,
+                    mem_width: walk.mem_width,
                 });
             }
         }
         let fixed: Vec<(u32, u32)> = insns.iter().map(InsnSpec::fixed_bits).collect();
         let index = DecodeIndex::new(&fixed, (0..insns.len()).collect(), 0);
-        Ok(Machine { desc, insns, index })
+        let zero = match desc.registers.iter().position(|d| d.name == "R") {
+            Some(k) => RegSet::of(&[Reg(firsts[k] as u8)]),
+            None => RegSet::new(),
+        };
+        Ok(Machine {
+            desc,
+            insns,
+            index,
+            zero,
+        })
     }
 
     /// The underlying description.
@@ -319,33 +472,46 @@ impl Machine {
             .extract(word)
     }
 
-    /// Registers read by this instruction instance: `(set name, index)`.
-    /// Indices resolve through the word's fields; scalar sets use index 0.
-    pub fn reads(&self, d: &Decoded<'_>) -> Vec<(String, u32)> {
-        let mut out = Vec::new();
-        if let Some(sem) = &d.spec.sem {
-            for s in sem {
-                collect_stmt_regs(&self.desc, s, d.word, true, &mut out);
+    /// The register `r` names, as its set's name and its index within
+    /// the set; `None` past the last declared register.
+    pub fn register(&self, r: Reg) -> Option<(&str, u32)> {
+        let mut k = u32::from(r.0);
+        for d in &self.desc.registers {
+            if k < d.count {
+                return Some((&d.name, k));
             }
+            k -= d.count;
         }
-        out.sort();
-        out.dedup();
-        out.retain(|(set, i)| !(set == "R" && *i == 0));
-        out
+        None
     }
 
-    /// Registers written by this instruction instance.
-    pub fn writes(&self, d: &Decoded<'_>) -> Vec<(String, u32)> {
-        let mut out = Vec::new();
-        if let Some(sem) = &d.spec.sem {
-            for s in sem {
-                collect_stmt_regs(&self.desc, s, d.word, false, &mut out);
+    /// Registers read by this instruction instance. Register `k` is the
+    /// `k`-th register the description declares, an array's elements in
+    /// order (SPARC: `R[32]` 0–31, `ICC` 32, `Y` 33); see
+    /// [`Machine::register`]. `R[0]` is never reported.
+    pub fn reads(&self, d: &Decoded<'_>) -> RegSet {
+        self.regs(&d.spec.uses, d.word)
+    }
+
+    /// Registers written by this instruction instance (numbered as for
+    /// [`Machine::reads`]).
+    pub fn writes(&self, d: &Decoded<'_>) -> RegSet {
+        self.regs(&d.spec.defs, d.word)
+    }
+
+    fn regs(&self, refs: &[RegRef], word: u32) -> RegSet {
+        let fields = &self.desc.fields;
+        let mut set = RegSet::new();
+        for r in refs {
+            let guarded = r.guards.iter().all(|(c, arm)| {
+                eval_field_expr(fields, c, word, None).is_some_and(|v| (v != 0) == *arm)
+            });
+            let i = eval_field_expr(fields, &r.index, word, None).unwrap_or(0);
+            if guarded && i < r.count {
+                set.insert(Reg((r.first + i) as u8));
             }
         }
-        out.sort();
-        out.dedup();
-        out.retain(|(set, i)| !(set == "R" && *i == 0));
-        out
+        set.without(self.zero)
     }
 
     /// Symbolic (Rust-source) read set for code generation: register
@@ -354,25 +520,30 @@ impl Machine {
     /// (conservative), matching what generated analysis code can know
     /// statically.
     pub fn symbolic_reads(&self, name: &str) -> Vec<(String, String)> {
-        self.symbolic_regs(name, true)
+        self.symbolic_regs(name, |spec| &spec.uses)
     }
 
     /// Symbolic write set (see [`Machine::symbolic_reads`]).
     pub fn symbolic_writes(&self, name: &str) -> Vec<(String, String)> {
-        self.symbolic_regs(name, false)
+        self.symbolic_regs(name, |spec| &spec.defs)
     }
 
-    fn symbolic_regs(&self, name: &str, reads: bool) -> Vec<(String, String)> {
+    fn symbolic_regs(
+        &self,
+        name: &str,
+        refs: impl Fn(&InsnSpec) -> &[RegRef],
+    ) -> Vec<(String, String)> {
         let Some(spec) = self.insns.iter().find(|i| i.name == name) else {
             return Vec::new();
         };
-        let Some(sem) = &spec.sem else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for s in sem {
-            collect_symbolic(&self.desc, s, reads, &mut out);
-        }
+        let mut out: Vec<(String, String)> = refs(spec)
+            .iter()
+            .map(|r| {
+                let index = r.index.render(&self.desc.fields);
+                let set = self.desc.registers[r.set].name.clone();
+                (set, index.unwrap_or_else(|| "0".to_string()))
+            })
+            .collect();
         out.sort();
         out.dedup();
         out
@@ -387,66 +558,158 @@ impl Machine {
     /// This is how spawn-derived analyses compute branch and call targets
     /// without any handwritten per-ISA target arithmetic.
     pub fn static_target(&self, d: &Decoded<'_>, pc: u32) -> Option<u32> {
-        fn find(desc: &Description, stmts: &[Stmt], word: u32, pc: u32) -> Option<u32> {
-            for s in stmts {
-                match s {
-                    Stmt::Assign(LValue::Npc, e) => {
-                        if let Some(t) = eval_static_expr(desc, e, word, pc) {
-                            return Some(t);
-                        }
-                    }
-                    Stmt::If(_, a, b) => {
-                        if let Some(t) = find(desc, a, word, pc).or_else(|| find(desc, b, word, pc))
-                        {
-                            return Some(t);
-                        }
-                    }
-                    Stmt::Par(g) => {
-                        if let Some(t) = find(desc, g, word, pc) {
-                            return Some(t);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            None
-        }
+        let fields = &self.desc.fields;
         d.spec
-            .sem
-            .as_ref()
-            .and_then(|sem| find(&self.desc, sem, d.word, pc))
+            .npc
+            .iter()
+            .find_map(|e| eval_field_expr(fields, e, d.word, Some(pc)))
     }
 
     /// Memory access width in bytes, if the instruction touches memory.
     pub fn mem_width(&self, d: &Decoded<'_>) -> Option<u32> {
-        fn find_stmt(s: &Stmt) -> Option<u32> {
-            match s {
-                Stmt::Assign(LValue::Mem(_, w), _) => Some(*w),
-                Stmt::Assign(_, e) => find_expr(e),
-                Stmt::If(c, a, b) => find_expr(c)
-                    .or_else(|| a.iter().find_map(find_stmt))
-                    .or_else(|| b.iter().find_map(find_stmt)),
-                Stmt::Par(g) => g.iter().find_map(find_stmt),
-                Stmt::Trap(e) => find_expr(e),
-                Stmt::Annul => None,
+        d.spec.mem_width
+    }
+}
+
+/// One walk over an instruction's semantics, gathering its
+/// [`InsnSpec`] tables.
+struct Walk<'d> {
+    desc: &'d Description,
+    /// Each register set's first register number.
+    firsts: &'d [u32],
+    /// The field-only conditions around the current expression.
+    guards: Vec<(FieldExpr, bool)>,
+    uses: Vec<RegRef>,
+    defs: Vec<RegRef>,
+    npc: Vec<FieldExpr>,
+    mem_width: Option<u32>,
+    operand_fields: u64,
+    mentioned_fields: u64,
+}
+
+impl Walk<'_> {
+    fn stmt(&mut self, s: &Stmt) -> Result<(), SpawnError> {
+        match s {
+            Stmt::Assign(lv, e) => {
+                if let LValue::Mem(_, w) = lv {
+                    self.mem_width.get_or_insert(*w);
+                }
+                self.expr(e)?;
+                match lv {
+                    // Indices of written registers are *read* as fields,
+                    // not register reads.
+                    LValue::Reg(set, idx) => {
+                        let r = self.reg(set, idx.as_deref())?;
+                        self.defs.push(r);
+                    }
+                    LValue::Npc => self.npc.push(self.lower(e)),
+                    LValue::Mem(a, _) => self.expr(a)?,
+                }
+            }
+            Stmt::If(c, a, b) => {
+                self.expr(c)?;
+                for s in a.iter().chain(b) {
+                    self.stmt(s)?;
+                }
+            }
+            Stmt::Trap(e) => self.expr(e)?,
+            Stmt::Annul => {}
+            Stmt::Par(g) => {
+                for s in g {
+                    self.stmt(s)?;
+                }
             }
         }
-        fn find_expr(e: &Expr) -> Option<u32> {
-            match e {
-                Expr::Mem(_, w) => Some(*w),
-                Expr::Sxm(e, _) => find_expr(e),
-                Expr::Bin(_, a, b) => find_expr(a).or_else(|| find_expr(b)),
-                Expr::Cond(c, a, b) => find_expr(c)
-                    .or_else(|| find_expr(a))
-                    .or_else(|| find_expr(b)),
-                Expr::Apply(_, args) => args.iter().find_map(find_expr),
-                _ => None,
+        Ok(())
+    }
+
+    fn expr(&mut self, e: &Expr) -> Result<(), SpawnError> {
+        match e {
+            Expr::Reg(set, idx) => {
+                let r = self.reg(set, idx.as_deref())?;
+                self.uses.push(r);
             }
+            Expr::Field(_) | Expr::SxField(_) => {
+                self.mentioned_fields |= self.lower(e).field_mask()
+            }
+            Expr::Val(n) => {
+                if let Some(v) = self.desc.val(n) {
+                    self.expr(v)?;
+                }
+            }
+            Expr::Mem(a, w) => {
+                self.mem_width.get_or_insert(*w);
+                self.expr(a)?;
+            }
+            Expr::Sxm(e, _) => self.expr(e)?,
+            Expr::Bin(_, a, b) => {
+                self.expr(a)?;
+                self.expr(b)?;
+            }
+            Expr::Cond(c, a, b) => {
+                // A field-only condition (like `i = 1`) guards its arms;
+                // any other reads all three.
+                self.expr(c)?;
+                let cond = self.lower(c);
+                if cond.field_only() {
+                    for (arm, taken) in [(a, true), (b, false)] {
+                        self.guards.push((cond.clone(), taken));
+                        self.expr(arm)?;
+                        self.guards.pop();
+                    }
+                } else {
+                    self.expr(a)?;
+                    self.expr(b)?;
+                }
+            }
+            // Constant condition tests (`always`, `n`) read nothing; a
+            // production spawn would constant-fold them away.
+            Expr::Apply(f, args) if f != "always" && f != "n" => {
+                for a in args {
+                    self.expr(a)?;
+                }
+            }
+            _ => {}
         }
-        d.spec
-            .sem
-            .as_ref()
-            .and_then(|sem| sem.iter().find_map(find_stmt))
+        Ok(())
+    }
+
+    fn reg(&mut self, set: &str, idx: Option<&Expr>) -> Result<RegRef, SpawnError> {
+        let k = self
+            .desc
+            .registers
+            .iter()
+            .position(|d| d.name == set)
+            .ok_or_else(|| SpawnError::Semantic(format!("unknown register set {set:?}")))?;
+        let index = idx.map_or(FieldExpr::Num(0), |e| self.lower(e));
+        self.operand_fields |= index.field_mask();
+        self.mentioned_fields |= index.field_mask();
+        Ok(RegRef {
+            set: k,
+            first: self.firsts[k],
+            count: self.desc.registers[k].count,
+            index,
+            guards: self.guards.clone(),
+        })
+    }
+
+    fn lower(&self, e: &Expr) -> FieldExpr {
+        let field = |f: &str| self.desc.fields.iter().position(|d| d.name == f);
+        let lower = |e: &Expr| Box::new(self.lower(e));
+        match e {
+            Expr::Num(n) => FieldExpr::Num(*n),
+            Expr::Pc => FieldExpr::Pc,
+            Expr::Field(f) => field(f).map_or(FieldExpr::Opaque, FieldExpr::Field),
+            Expr::SxField(f) => field(f).map_or(FieldExpr::Opaque, FieldExpr::SxField),
+            Expr::Sxm(e, bits) => FieldExpr::Sxm(lower(e), *bits),
+            Expr::Val(n) => self
+                .desc
+                .val(n)
+                .map_or(FieldExpr::Opaque, |v| self.lower(v)),
+            Expr::Bin(op, a, b) => FieldExpr::Bin(*op, lower(a), lower(b)),
+            Expr::Cond(c, a, b) => FieldExpr::Cond(lower(c), lower(a), lower(b)),
+            _ => FieldExpr::Opaque,
+        }
     }
 }
 
@@ -692,265 +955,32 @@ fn derive_class(desc: &Description, stmts: &[Stmt]) -> (Class, bool) {
     (class, links)
 }
 
-/// Accumulates register reads or writes for one instance.
-fn collect_stmt_regs(
-    desc: &Description,
-    s: &Stmt,
-    word: u32,
-    reads: bool,
-    out: &mut Vec<(String, u32)>,
-) {
-    match s {
-        Stmt::Assign(lv, e) => {
-            if reads {
-                collect_expr_regs(desc, e, word, out);
-                // Indices of written registers are *read* as fields, not
-                // register reads; nothing to add for the lvalue except a
-                // memory address computation.
-                if let LValue::Mem(a, _) = lv {
-                    collect_expr_regs(desc, a, word, out);
-                }
-            } else if let LValue::Reg(set, idx) = lv {
-                let i = idx
-                    .as_ref()
-                    .and_then(|e| eval_field_expr(desc, e, word))
-                    .unwrap_or(0);
-                out.push((set.clone(), i));
-            }
-        }
-        Stmt::If(c, a, b) => {
-            if reads {
-                collect_expr_regs(desc, c, word, out);
-            }
-            for s in a.iter().chain(b) {
-                collect_stmt_regs(desc, s, word, reads, out);
-            }
-        }
-        Stmt::Trap(e) => {
-            if reads {
-                collect_expr_regs(desc, e, word, out);
-            }
-        }
-        Stmt::Annul => {}
-        Stmt::Par(g) => {
-            for s in g {
-                collect_stmt_regs(desc, s, word, reads, out);
-            }
-        }
-    }
-}
-
-fn collect_expr_regs(desc: &Description, e: &Expr, word: u32, out: &mut Vec<(String, u32)>) {
+/// Evaluates a field expression for `word`; `pc` resolves `Pc` (for
+/// static control-transfer targets). `None` where the fields and `pc`
+/// do not determine the value.
+fn eval_field_expr(fields: &[FieldDecl], e: &FieldExpr, word: u32, pc: Option<u32>) -> Option<u32> {
+    let sx = |v: u32, bits: u32| {
+        let sh = 32 - bits;
+        (((v << sh) as i32) >> sh) as u32
+    };
     match e {
-        Expr::Reg(set, idx) => {
-            let i = idx
-                .as_ref()
-                .and_then(|e| eval_field_expr(desc, e, word))
-                .unwrap_or(0);
-            out.push((set.clone(), i));
-        }
-        Expr::Val(n) => {
-            if let Some(v) = desc.val(n) {
-                collect_expr_regs(desc, v, word, out);
-            }
-        }
-        Expr::Sxm(e, _) | Expr::Mem(e, _) => collect_expr_regs(desc, e, word, out),
-        Expr::Bin(_, a, b) => {
-            collect_expr_regs(desc, a, word, out);
-            collect_expr_regs(desc, b, word, out);
-        }
-        Expr::Cond(c, a, b) => {
-            // Evaluate field-only conditions (like `i = 1`) to prune the
-            // untaken arm — this is what lets `src2` report rs2 only in
-            // register form.
-            if let Some(cv) = eval_field_expr(desc, c, word) {
-                if cv != 0 {
-                    collect_expr_regs(desc, a, word, out);
-                } else {
-                    collect_expr_regs(desc, b, word, out);
-                }
-            } else {
-                collect_expr_regs(desc, c, word, out);
-                collect_expr_regs(desc, a, word, out);
-                collect_expr_regs(desc, b, word, out);
-            }
-        }
-        Expr::Apply(f, args) => {
-            // Constant condition tests (`always`, `n`) read nothing; a
-            // production spawn would constant-fold them away.
-            if f == "always" || f == "n" {
-                return;
-            }
-            for a in args {
-                collect_expr_regs(desc, a, word, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Evaluates an expression that depends only on instruction fields and
-/// constants. `None` if it touches registers/memory/pc.
-pub(crate) fn eval_field_expr(desc: &Description, e: &Expr, word: u32) -> Option<u32> {
-    match e {
-        Expr::Num(n) => Some(*n),
-        Expr::Field(f) => desc.field(f).map(|fd| fd.extract(word)),
-        Expr::SxField(f) => desc.field(f).map(|fd| {
-            let v = fd.extract(word);
-            let sh = 32 - fd.width();
-            (((v << sh) as i32) >> sh) as u32
-        }),
-        Expr::Sxm(e, bits) => eval_field_expr(desc, e, word).map(|v| {
-            let sh = 32 - bits;
-            (((v << sh) as i32) >> sh) as u32
-        }),
-        Expr::Val(n) => desc.val(n).and_then(|v| eval_field_expr(desc, v, word)),
-        Expr::Bin(op, a, b) => {
-            let a = eval_field_expr(desc, a, word)?;
-            let b = eval_field_expr(desc, b, word)?;
+        FieldExpr::Num(n) => Some(*n),
+        FieldExpr::Pc => pc,
+        FieldExpr::Field(k) => Some(fields[*k].extract(word)),
+        FieldExpr::SxField(k) => Some(sx(fields[*k].extract(word), fields[*k].width())),
+        FieldExpr::Sxm(e, bits) => eval_field_expr(fields, e, word, pc).map(|v| sx(v, *bits)),
+        FieldExpr::Bin(op, a, b) => {
+            let a = eval_field_expr(fields, a, word, pc)?;
+            let b = eval_field_expr(fields, b, word, pc)?;
             Some(crate::eval::apply_binop(*op, a, b))
         }
-        Expr::Cond(c, a, b) => {
-            let c = eval_field_expr(desc, c, word)?;
-            if c != 0 {
-                eval_field_expr(desc, a, word)
+        FieldExpr::Cond(c, a, b) => {
+            if eval_field_expr(fields, c, word, pc)? != 0 {
+                eval_field_expr(fields, a, word, pc)
             } else {
-                eval_field_expr(desc, b, word)
+                eval_field_expr(fields, b, word, pc)
             }
         }
-        _ => None,
-    }
-}
-
-/// Like [`eval_field_expr`] but additionally resolves `pc`, for static
-/// control-transfer target computation.
-fn eval_static_expr(desc: &Description, e: &Expr, word: u32, pc: u32) -> Option<u32> {
-    match e {
-        Expr::Pc => Some(pc),
-        Expr::Num(n) => Some(*n),
-        Expr::Field(f) => desc.field(f).map(|fd| fd.extract(word)),
-        Expr::SxField(f) => desc.field(f).map(|fd| {
-            let v = fd.extract(word);
-            let sh = 32 - fd.width();
-            (((v << sh) as i32) >> sh) as u32
-        }),
-        Expr::Sxm(e, bits) => eval_static_expr(desc, e, word, pc).map(|v| {
-            let sh = 32 - bits;
-            (((v << sh) as i32) >> sh) as u32
-        }),
-        Expr::Val(n) => desc
-            .val(n)
-            .and_then(|v| eval_static_expr(desc, v, word, pc)),
-        Expr::Bin(op, a, b) => {
-            let a = eval_static_expr(desc, a, word, pc)?;
-            let b = eval_static_expr(desc, b, word, pc)?;
-            Some(crate::eval::apply_binop(*op, a, b))
-        }
-        Expr::Cond(c, a, b) => {
-            let c = eval_static_expr(desc, c, word, pc)?;
-            if c != 0 {
-                eval_static_expr(desc, a, word, pc)
-            } else {
-                eval_static_expr(desc, b, word, pc)
-            }
-        }
-        _ => None,
-    }
-}
-
-/// Renders an index expression as Rust source over `field_*` extractors;
-/// `None` when it depends on run-time state.
-fn render_index(desc: &Description, e: &Expr) -> Option<String> {
-    match e {
-        Expr::Num(n) => Some(n.to_string()),
-        Expr::Field(f) => desc.field(f).map(|_| format!("field_{f}(word)")),
-        Expr::Bin(op, a, b) => {
-            let (a, b) = (render_index(desc, a)?, render_index(desc, b)?);
-            let op = match op {
-                BinOp::Add => "+",
-                BinOp::Sub => "-",
-                BinOp::Or => "|",
-                BinOp::And => "&",
-                BinOp::Xor => "^",
-                _ => return None,
-            };
-            Some(format!("({a} {op} {b})"))
-        }
-        Expr::Val(n) => desc.val(n).and_then(|v| render_index(desc, v)),
-        _ => None,
-    }
-}
-
-fn collect_symbolic(desc: &Description, s: &Stmt, reads: bool, out: &mut Vec<(String, String)>) {
-    match s {
-        Stmt::Assign(lv, e) => {
-            if reads {
-                collect_symbolic_expr(desc, e, out);
-                if let LValue::Mem(a, _) = lv {
-                    collect_symbolic_expr(desc, a, out);
-                }
-            } else if let LValue::Reg(set, idx) = lv {
-                let rendered = idx
-                    .as_ref()
-                    .and_then(|e| render_index(desc, e))
-                    .unwrap_or_else(|| "0".to_string());
-                out.push((set.clone(), rendered));
-            }
-        }
-        Stmt::If(c, a, b) => {
-            if reads {
-                collect_symbolic_expr(desc, c, out);
-            }
-            for s in a.iter().chain(b) {
-                collect_symbolic(desc, s, reads, out);
-            }
-        }
-        Stmt::Trap(e) => {
-            if reads {
-                collect_symbolic_expr(desc, e, out);
-            }
-        }
-        Stmt::Annul => {}
-        Stmt::Par(g) => {
-            for s in g {
-                collect_symbolic(desc, s, reads, out);
-            }
-        }
-    }
-}
-
-fn collect_symbolic_expr(desc: &Description, e: &Expr, out: &mut Vec<(String, String)>) {
-    match e {
-        Expr::Reg(set, idx) => {
-            let rendered = idx
-                .as_ref()
-                .and_then(|e| render_index(desc, e))
-                .unwrap_or_else(|| "0".to_string());
-            out.push((set.clone(), rendered));
-        }
-        Expr::Val(n) => {
-            if let Some(v) = desc.val(n) {
-                collect_symbolic_expr(desc, v, out);
-            }
-        }
-        Expr::Sxm(e, _) | Expr::Mem(e, _) => collect_symbolic_expr(desc, e, out),
-        Expr::Bin(_, a, b) => {
-            collect_symbolic_expr(desc, a, out);
-            collect_symbolic_expr(desc, b, out);
-        }
-        Expr::Cond(c, a, b) => {
-            collect_symbolic_expr(desc, c, out);
-            collect_symbolic_expr(desc, a, out);
-            collect_symbolic_expr(desc, b, out);
-        }
-        Expr::Apply(f, args) => {
-            if f == "always" || f == "n" {
-                return;
-            }
-            for a in args {
-                collect_symbolic_expr(desc, a, out);
-            }
-        }
-        _ => {}
+        FieldExpr::Opaque => None,
     }
 }

@@ -6,7 +6,7 @@
 //! "the spawn-generated code ran at the same speed" — functionally, here,
 //! *behaved identically*.
 
-use eel_isa::{decode as hw_decode, Category, MachineState, Memory, Reg, StepEvent};
+use eel_isa::{decode as hw_decode, Category, MachineState, Memory, Reg, RegSet, StepEvent};
 use eel_spawn::{sparc_machine, sparc_shim, Machine, SpawnEvent, SpawnState};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
@@ -34,9 +34,10 @@ fn to_reg(set: &str, i: u32) -> Option<Reg> {
     }
 }
 
-fn regset(list: Vec<(String, u32)>) -> BTreeSet<Reg> {
-    list.into_iter()
-        .filter_map(|(s, i)| to_reg(&s, i))
+fn regset(set: RegSet) -> BTreeSet<Reg> {
+    set.iter()
+        .filter_map(|r| machine().register(r))
+        .filter_map(|(s, i)| to_reg(s, i))
         .collect()
 }
 
