@@ -39,13 +39,10 @@ impl CallGraph {
         let mut graph = CallGraph::default();
         for caller in exec.all_routine_ids() {
             let cfg = exec.build_cfg(caller)?;
-            let mut sites: Vec<(u32, Option<u32>)> = cfg
-                .call_sites()
-                .iter()
-                .map(|&(a, t)| (a, Some(t)))
-                .collect();
+            let mut sites: Vec<(u32, Option<u32>)> =
+                cfg.call_sites().map(|(a, t)| (a, Some(t))).collect();
             // Unresolved indirect calls.
-            for (addr, res) in cfg.indirect_calls.iter().map(|i| (i.addr, &i.resolution)) {
+            for (addr, res) in cfg.call_infos().iter().map(|i| (i.addr, &i.resolution)) {
                 match res {
                     crate::JumpResolution::Literal { target, .. } => {
                         sites.push((addr, Some(*target)))

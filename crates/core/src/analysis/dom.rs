@@ -3,9 +3,9 @@
 //! Dominators underpin EEL's natural-loop detection and give tools a
 //! standard way to reason about control structure (§3.3).
 
-use crate::cfg::{BlockId, Cfg};
+use crate::cfg::{BlockId, CfgShape};
 
-/// The dominator tree of a [`Cfg`], rooted at the virtual entry block.
+/// The dominator tree of a [`crate::Cfg`], rooted at the virtual entry block.
 #[derive(Debug, Clone)]
 pub struct Dominators {
     /// `idom[b]` = immediate dominator of block `b` (`idom[entry] =
@@ -15,7 +15,7 @@ pub struct Dominators {
 
 impl Dominators {
     /// Computes dominators for every block reachable from the entry.
-    pub fn compute(cfg: &Cfg) -> Dominators {
+    pub fn compute(cfg: &CfgShape) -> Dominators {
         let n = cfg.block_count();
         // Reverse postorder over the successor graph.
         let mut order: Vec<BlockId> = Vec::with_capacity(n);
@@ -25,8 +25,7 @@ impl Dominators {
         seen[cfg.entry_block().index()] = true;
         while let Some(&mut (b, ref mut i)) = stack.last_mut() {
             let succs = cfg.block(b).succ();
-            if *i < succs.len() {
-                let e = succs[*i];
+            if let Some(e) = succs.get(*i) {
                 *i += 1;
                 let to = cfg.edge(e).to;
                 if !seen[to.index()] {
@@ -53,7 +52,7 @@ impl Dominators {
             for &b in order.iter().skip(1) {
                 // Intersect dominators of all processed predecessors.
                 let mut new_idom: Option<BlockId> = None;
-                for &e in cfg.block(b).pred() {
+                for e in cfg.block(b).pred() {
                     let p = cfg.edge(e).from;
                     if idom[p.index()].is_none() {
                         continue;

@@ -16,7 +16,7 @@
 //!   `%sp`/`%fp`/`%i*`).
 //! * [`EXIT_LIVE`] is the conservative live set at routine exit.
 
-use crate::cfg::{Block, BlockId, BlockKind, Cfg, EdgeId};
+use crate::cfg::{Block, BlockId, BlockKind, CfgShape, EdgeId};
 use eel_isa::{Reg, RegSet};
 
 /// Registers a callee may read: its arguments and the stack pointer.
@@ -67,7 +67,7 @@ fn block_use_def(block: &Block) -> (RegSet, RegSet) {
     }
     let mut uses = RegSet::new();
     let mut defs = RegSet::new();
-    for ia in &block.insns {
+    for ia in block.insns {
         uses = uses.union(ia.insn.reads().without(defs));
         defs = defs.union(ia.insn.writes());
     }
@@ -76,16 +76,15 @@ fn block_use_def(block: &Block) -> (RegSet, RegSet) {
 
 impl Liveness {
     /// Runs the backward fixpoint over the whole CFG.
-    pub fn compute(cfg: &Cfg) -> Liveness {
+    pub fn compute(cfg: &CfgShape) -> Liveness {
         let _obs = eel_obs::span("core.liveness");
-        let use_def: Vec<(RegSet, RegSet)> = cfg.blocks.iter().map(block_use_def).collect();
+        let use_def: Vec<(RegSet, RegSet)> = cfg.blocks().map(|(_, b)| block_use_def(&b)).collect();
+        let (off, dest) = cfg.succ_blocks();
         Liveness::solve(
             &use_def,
             |b| {
-                cfg.blocks[b]
-                    .succs
-                    .iter()
-                    .map(|&e| cfg.edges[e.index()].to.index())
+                let row = &dest[off[b] as usize..off[b + 1] as usize];
+                row.iter().map(|&t| t as usize)
             },
             Some((cfg.exit_block().index(), exit_live())),
         )
@@ -142,22 +141,22 @@ impl Liveness {
     }
 
     /// Registers live immediately *before* instruction `idx` of block `b`.
-    pub fn live_before(&self, cfg: &Cfg, b: BlockId, idx: usize) -> RegSet {
+    pub fn live_before(&self, cfg: &CfgShape, b: BlockId, idx: usize) -> RegSet {
         let block = cfg.block(b);
         let mut live = self.live_out[b.index()];
-        for ia in block.insns[idx..].iter().rev() {
+        for ia in block.insns.iter().skip(idx).rev() {
             live = live.without(ia.insn.writes()).union(ia.insn.reads());
         }
         live
     }
 
     /// Registers live immediately *after* instruction `idx` of block `b`.
-    pub fn live_after(&self, cfg: &Cfg, b: BlockId, idx: usize) -> RegSet {
+    pub fn live_after(&self, cfg: &CfgShape, b: BlockId, idx: usize) -> RegSet {
         self.live_before(cfg, b, idx + 1)
     }
 
     /// Registers live along an edge (live-in of its destination).
-    pub fn live_on_edge(&self, cfg: &Cfg, e: EdgeId) -> RegSet {
+    pub fn live_on_edge(&self, cfg: &CfgShape, e: EdgeId) -> RegSet {
         self.live_in[cfg.edge(e).to.index()]
     }
 }

@@ -1,7 +1,7 @@
 //! Natural-loop detection from back edges (paper §3.3).
 
 use crate::analysis::dom::Dominators;
-use crate::cfg::{BlockId, Cfg, EdgeId};
+use crate::cfg::{BlockId, CfgShape, EdgeId};
 use std::collections::BTreeSet;
 
 /// A natural loop: a back edge plus the set of blocks that reach it.
@@ -36,9 +36,10 @@ impl NaturalLoop {
 ///
 /// Loops sharing a header are reported separately (one per back edge), as
 /// in the classical construction.
-pub fn natural_loops(cfg: &Cfg, dom: &Dominators) -> Vec<NaturalLoop> {
+pub fn natural_loops(cfg: &CfgShape, dom: &Dominators) -> Vec<NaturalLoop> {
     let mut loops = Vec::new();
-    for (eid, edge) in cfg.edges.iter().enumerate() {
+    for eid in 0..cfg.edge_count() {
+        let edge = cfg.edge(EdgeId(eid));
         let (t, h) = (edge.from, edge.to);
         if !dom.is_reachable(t) || !dom.dominates(h, t) {
             continue;
@@ -52,7 +53,7 @@ pub fn natural_loops(cfg: &Cfg, dom: &Dominators) -> Vec<NaturalLoop> {
             if !blocks.insert(b) {
                 continue;
             }
-            for &pe in cfg.block(b).pred() {
+            for pe in cfg.block(b).pred() {
                 let p = cfg.edge(pe).from;
                 if dom.is_reachable(p) {
                     stack.push(p);

@@ -9,7 +9,7 @@
 //! further, and **impossible** instructions read floating-point state (the
 //! tracer refuses to follow them).
 
-use crate::cfg::{BlockId, BlockKind, Cfg};
+use crate::cfg::{BlockId, BlockKind, CfgShape};
 use eel_isa::Reg;
 use std::collections::{HashMap, HashSet};
 
@@ -28,7 +28,7 @@ pub enum SliceMark {
 /// `mark_as_easy` / `mark_as_hard` / `mark_as_impossible`).
 #[derive(Debug)]
 pub struct Slicer<'a> {
-    cfg: &'a Cfg,
+    cfg: &'a CfgShape,
     marks: HashMap<(BlockId, usize), SliceMark>,
     /// `(block, reg)` pairs whose backward walk from block end has
     /// already been performed (loop termination).
@@ -37,7 +37,7 @@ pub struct Slicer<'a> {
 
 impl<'a> Slicer<'a> {
     /// Creates a slicer for a CFG.
-    pub fn new(cfg: &'a Cfg) -> Slicer<'a> {
+    pub fn new(cfg: &'a CfgShape) -> Slicer<'a> {
         Slicer {
             cfg,
             marks: HashMap::new(),
@@ -56,11 +56,9 @@ impl<'a> Slicer<'a> {
         let b = self.cfg.block(block);
         // Walk backwards within the block.
         for i in (0..idx.min(b.insns.len())).rev() {
-            let insn = b.insns[i].insn;
             if let Some(found) = self.examine(block, i, reg) {
                 return found;
             }
-            let _ = insn;
         }
         // Call surrogates define the convention's clobber set.
         if b.kind == BlockKind::CallSurrogate && super::live::call_defs().contains(reg) {
@@ -71,7 +69,7 @@ impl<'a> Slicer<'a> {
         if !self.visited.insert((block, reg)) {
             return true; // already walking this (loop); assume defined
         }
-        let preds: Vec<BlockId> = b.pred().iter().map(|&e| self.cfg.edge(e).from).collect();
+        let preds: Vec<BlockId> = b.pred().iter().map(|e| self.cfg.edge(e).from).collect();
         if preds.is_empty() {
             return false; // reached entry: an argument or global state
         }
@@ -87,7 +85,7 @@ impl<'a> Slicer<'a> {
     /// `(block, i)` define `reg`, and if so, how is it marked?
     /// `Some(found)` ends the in-block walk; `None` continues it.
     fn examine(&mut self, block: BlockId, i: usize, reg: Reg) -> Option<bool> {
-        let insn = self.cfg.block(block).insns[i].insn;
+        let insn = self.cfg.block(block).insns.get(i).expect("in range").insn;
         if !insn.writes().contains(reg) {
             return None;
         }
@@ -113,7 +111,7 @@ impl<'a> Slicer<'a> {
     /// instruction `idx` of `block` (the tracer's per-reference entry
     /// point). Returns `false` when some path lacked a definition.
     pub fn slice_address(&mut self, block: BlockId, idx: usize) -> bool {
-        let insn = self.cfg.block(block).insns[idx].insn;
+        let insn = self.cfg.block(block).insns.get(idx).expect("in range").insn;
         let mut ok = true;
         for reg in insn.address_reads().iter() {
             ok &= self.backward_slice(block, idx, reg);

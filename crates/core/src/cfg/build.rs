@@ -10,7 +10,10 @@
 //! 2. **Materialize** — leaders split the covered addresses into normal
 //!    blocks; delay-slot blocks, call surrogates, entry/exit blocks, and
 //!    edges are synthesized per the normalization rules; uneditable
-//!    blocks/edges are marked.
+//!    blocks/edges are marked. Blocks and edges go straight into the flat
+//!    record arrays of a [`ShapeDraft`] — a normal block is its leader and
+//!    length, a delay-slot block its one address — with no per-block
+//!    allocation and no instruction copies.
 //!
 //! The scan also reports the paper's §3.1 stage-3/4 discoveries to the
 //! caller: escape targets (entry points of *other* routines) and a
@@ -18,14 +21,14 @@
 
 use super::*;
 use crate::analysis::jumptable::resolve_indirect;
-use crate::executable::RoutineId;
 use eel_exe::Image;
 use eel_isa::{Cond, JumpKind, Op};
 
 /// What the builder learned beyond the CFG itself.
 pub(crate) struct BuildOutput {
-    /// The finished CFG.
-    pub cfg: Cfg,
+    /// The materialized graph, packed into a [`CfgShape`] once the
+    /// caller knows the build's §3.1 side effects.
+    pub draft: ShapeDraft,
     /// First address of a trailing unreachable valid-code region — a
     /// hidden-routine candidate (§3.1 stage 4).
     pub trailing_unreachable: Option<u32>,
@@ -77,10 +80,11 @@ struct CtiRec {
 const LEADER: u8 = 1;
 const SCANNED: u8 = 2;
 const COVERED: u8 = 4;
+/// A covered word that decodes as invalid: its block dead-ends there.
+const INVALID: u8 = 8;
 
 pub(crate) fn build_cfg(
     image: &Image,
-    routine: RoutineId,
     extent: (u32, u32),
     entries: &[u32],
     jump_analysis: bool,
@@ -163,6 +167,7 @@ pub(crate) fn build_cfg(
             if insn.category() == eel_isa::Category::Invalid {
                 // Reachable invalid instruction: the routine contains data
                 // (§3.1 stage 4). Dead-end the block.
+                flags[i] |= INVALID;
                 break;
             }
             if !insn.is_delayed() {
@@ -192,6 +197,9 @@ pub(crate) fn build_cfg(
                 // The slot word belongs to this transfer even when
                 // annulled-always (it just never executes).
                 flags[i + 1] |= COVERED;
+                if d.category() == eel_isa::Category::Invalid {
+                    flags[i + 1] |= INVALID;
+                }
             }
 
             let mut push_leader = |a: u32, worklist: &mut Vec<u32>| {
@@ -317,28 +325,19 @@ pub(crate) fn build_cfg(
 
     drop(scan_obs);
     let _obs = eel_obs::span("core.cfg.normalize");
-    let mut cfg = Cfg {
-        routine,
-        blocks: Vec::new(),
-        edges: Vec::new(),
-        entry: BlockId(0),
-        exit: BlockId(0),
-        entry_addrs: entries.to_vec(),
-        data_ranges,
+    let mut cfg = ShapeDraft {
+        entries: entries.to_vec(),
+        calls: call_sites,
         indirect_jumps,
         indirect_calls,
-        call_sites,
         incomplete,
-        extent,
-        edits: Vec::new(),
+        ..ShapeDraft::default()
     };
-    let entry = push_block(&mut cfg, BlockKind::Entry, start, true);
-    let exit = push_block(&mut cfg, BlockKind::Exit, end, false);
-    cfg.entry = entry;
-    cfg.exit = exit;
+    let entry = cfg.push_block(BlockKind::Entry, start, true);
+    let exit = cfg.push_block(BlockKind::Exit, end, false);
 
-    // Covered leaders start normal blocks, in address order. Fill each
-    // with its instructions and record how it ends.
+    // Covered leaders start normal blocks, in address order. Measure each
+    // and record how it ends.
     enum Ending {
         Cti(u32, usize),
         FallTo(u32),
@@ -347,10 +346,9 @@ pub(crate) fn build_cfg(
     let is_block = |f: u8| f & (LEADER | COVERED) == LEADER | COVERED;
     let mut block_at: Vec<Option<BlockId>> = vec![None; words];
     let mut endings: Vec<(BlockId, Ending)> = Vec::new();
-    let mut insns: Vec<InsnAt> = Vec::new();
     for i in (0..words).filter(|&i| is_block(flags[i])) {
         let leader = base + 4 * i as u32;
-        let bid = push_block(&mut cfg, BlockKind::Normal, leader, true);
+        let bid = cfg.push_block(BlockKind::Normal, leader, true);
         block_at[i] = Some(bid);
         let mut pc = leader;
         let ending = loop {
@@ -363,22 +361,15 @@ pub(crate) fn build_cfg(
             if in_table[j] || flags[j] & COVERED == 0 {
                 break Ending::DeadEnd;
             }
-            let insn = eel_isa::decode(image.word_at(pc).unwrap_or(0));
-            insns.push(InsnAt {
-                addr: Some(pc),
-                insn,
-            });
+            pc += 4;
             if let Some(k) = cti_at[j] {
-                break Ending::Cti(pc, k as usize);
+                break Ending::Cti(pc - 4, k as usize);
             }
-            if insn.category() == eel_isa::Category::Invalid {
+            if flags[j] & INVALID != 0 {
                 break Ending::DeadEnd;
             }
-            pc += 4;
         };
-        // One exact-size allocation per block instead of growth steps.
-        cfg.blocks[bid.0].insns = insns.as_slice().to_vec();
-        insns.clear();
+        cfg.normal_len.push((pc - leader) / 4);
         endings.push((bid, ending));
     }
     let block_of = |a: u32| slot(a).and_then(|i| block_at[i]);
@@ -386,7 +377,7 @@ pub(crate) fn build_cfg(
     // Entry edges.
     for &e in entries {
         if let Some(b) = block_of(e) {
-            add_edge(&mut cfg, entry, b, EdgeKind::Fall, true);
+            cfg.add_edge(entry, b, EdgeKind::Fall, true);
         }
     }
 
@@ -396,7 +387,7 @@ pub(crate) fn build_cfg(
             Ending::DeadEnd => {}
             Ending::FallTo(a) => {
                 if let Some(to) = block_of(a) {
-                    add_edge(&mut cfg, bid, to, EdgeKind::Fall, true);
+                    cfg.add_edge(bid, to, EdgeKind::Fall, true);
                 }
             }
             Ending::Cti(addr, k) => {
@@ -410,7 +401,7 @@ pub(crate) fn build_cfg(
         .iter()
         .rposition(|f| f & COVERED != 0)
         .map_or(start, |i| base + 4 * i as u32 + 4); // delay slots are covered too
-    let last_data = cfg.data_ranges.iter().map(|r| r.end).max().unwrap_or(start);
+    let last_data = data_ranges.iter().map(|r| r.end).max().unwrap_or(start);
     let mut tail = last_used.max(last_data).max(start);
     // Skip padding (invalid words) to the first plausible instruction.
     let mut trailing_unreachable = None;
@@ -426,42 +417,17 @@ pub(crate) fn build_cfg(
     escape_targets.sort_unstable();
     escape_targets.dedup();
     Ok(BuildOutput {
-        cfg,
+        draft: cfg,
         trailing_unreachable,
         escape_targets,
         external_reads,
     })
 }
 
-fn push_block(cfg: &mut Cfg, kind: BlockKind, addr: u32, editable: bool) -> BlockId {
-    cfg.blocks.push(Block {
-        kind,
-        addr,
-        insns: Vec::new(),
-        editable,
-        preds: Vec::new(),
-        succs: Vec::new(),
-    });
-    BlockId(cfg.blocks.len() - 1)
-}
-
-fn add_edge(cfg: &mut Cfg, from: BlockId, to: BlockId, kind: EdgeKind, editable: bool) -> EdgeId {
-    let id = EdgeId(cfg.edges.len());
-    cfg.edges.push(Edge {
-        from,
-        to,
-        kind,
-        editable,
-    });
-    cfg.blocks[from.0].succs.push(id);
-    cfg.blocks[to.0].preds.push(id);
-    id
-}
-
 /// Creates a delay-slot block holding `delay` on the way from `from`,
 /// returning it (or `from` when there is no delay instruction to place).
 fn delay_block(
-    cfg: &mut Cfg,
+    cfg: &mut ShapeDraft,
     from: BlockId,
     site: u32,
     delay: Option<Insn>,
@@ -469,13 +435,9 @@ fn delay_block(
     editable: bool,
 ) -> BlockId {
     match delay {
-        Some(d) => {
-            let b = push_block(cfg, BlockKind::DelaySlot, site + 4, editable);
-            cfg.blocks[b.0].insns.push(InsnAt {
-                addr: Some(site + 4),
-                insn: d,
-            });
-            add_edge(cfg, from, b, kind, editable);
+        Some(_) => {
+            let b = cfg.push_block(BlockKind::DelaySlot, site + 4, editable);
+            cfg.add_edge(from, b, kind, editable);
             b
         }
         None => from,
@@ -485,7 +447,7 @@ fn delay_block(
 /// Connects the block ending in the transfer at `addr`; `target_block`
 /// resolves an in-routine address to its block (present iff covered).
 fn connect_cti(
-    cfg: &mut Cfg,
+    cfg: &mut ShapeDraft,
     target_block: &impl Fn(u32) -> Option<BlockId>,
     bid: BlockId,
     addr: u32,
@@ -519,16 +481,16 @@ fn connect_cti(
                 match t {
                     Target::In(a) => {
                         if let Some(tb) = target_block(*a) {
-                            add_edge(cfg, src, tb, kind_from_src, true);
+                            cfg.add_edge(src, tb, kind_from_src, true);
                         }
                     }
                     Target::Out(a) => {
                         // Interprocedural branch: escapes the routine.
                         if src != bid {
                             // delay block on an escaping path is uneditable
-                            cfg.blocks[src.0].editable = false;
+                            cfg.fix_block(src);
                         }
-                        add_edge(cfg, src, exit, EdgeKind::Escape { target: *a }, false);
+                        cfg.add_edge(src, exit, EdgeKind::Escape { target: *a }, false);
                     }
                 }
             }
@@ -541,9 +503,9 @@ fn connect_cti(
                     bid
                 };
                 if let Some(fb) = target_block(*f) {
-                    add_edge(cfg, src, fb, EdgeKind::Fall, true);
+                    cfg.add_edge(src, fb, EdgeKind::Fall, true);
                 } else if !in_extent(*f) {
-                    add_edge(cfg, src, exit, EdgeKind::Escape { target: *f }, false);
+                    cfg.add_edge(src, exit, EdgeKind::Escape { target: *f }, false);
                 }
             }
         }
@@ -551,24 +513,24 @@ fn connect_cti(
             // block → delay (uneditable) → surrogate → return site.
             let dly = delay_block(cfg, bid, addr, delay, EdgeKind::CallFlow, false);
             if dly != bid {
-                cfg.blocks[dly.0].editable = false;
+                cfg.fix_block(dly);
             }
-            let surr = push_block(cfg, BlockKind::CallSurrogate, addr, false);
-            add_edge(cfg, dly, surr, EdgeKind::CallFlow, false);
+            let surr = cfg.push_block(BlockKind::CallSurrogate, addr, false);
+            cfg.add_edge(dly, surr, EdgeKind::CallFlow, false);
             let ret_site = addr + 8;
             if let Some(rb) = target_block(ret_site) {
-                add_edge(cfg, surr, rb, EdgeKind::Fall, true);
+                cfg.add_edge(surr, rb, EdgeKind::Fall, true);
             } else {
                 // Callee never returns here (e.g. call at extent end).
-                add_edge(cfg, surr, exit, EdgeKind::Fall, false);
+                cfg.add_edge(surr, exit, EdgeKind::Fall, false);
             }
         }
         CtiSucc::Return => {
             let dly = delay_block(cfg, bid, addr, delay, EdgeKind::ReturnFlow, false);
             if dly != bid {
-                cfg.blocks[dly.0].editable = false;
+                cfg.fix_block(dly);
             }
-            add_edge(cfg, dly, exit, EdgeKind::ReturnFlow, false);
+            cfg.add_edge(dly, exit, EdgeKind::ReturnFlow, false);
         }
         CtiSucc::IndirectJump { resolution } => match resolution {
             JumpResolution::Table { targets, .. } => {
@@ -584,13 +546,13 @@ fn connect_cti(
                             } else {
                                 EdgeKind::Fall
                             };
-                            add_edge(cfg, dly, tb, kind, true);
+                            cfg.add_edge(dly, tb, kind, true);
                         }
                         None => {
                             if dly != bid {
-                                cfg.blocks[dly.0].editable = false;
+                                cfg.fix_block(dly);
                             }
-                            add_edge(cfg, dly, exit, EdgeKind::Escape { target: t }, false);
+                            cfg.add_edge(dly, exit, EdgeKind::Escape { target: t }, false);
                         }
                     }
                 }
@@ -604,22 +566,22 @@ fn connect_cti(
                         } else {
                             EdgeKind::Fall
                         };
-                        add_edge(cfg, dly, tb, kind, true);
+                        cfg.add_edge(dly, tb, kind, true);
                     }
                     None => {
                         if dly != bid {
-                            cfg.blocks[dly.0].editable = false;
+                            cfg.fix_block(dly);
                         }
-                        add_edge(cfg, dly, exit, EdgeKind::Escape { target: *target }, false);
+                        cfg.add_edge(dly, exit, EdgeKind::Escape { target: *target }, false);
                     }
                 }
             }
             JumpResolution::Unknown => {
                 let dly = delay_block(cfg, bid, addr, delay, EdgeKind::RuntimeIndirect, false);
                 if dly != bid {
-                    cfg.blocks[dly.0].editable = false;
+                    cfg.fix_block(dly);
                 }
-                add_edge(cfg, dly, exit, EdgeKind::RuntimeIndirect, false);
+                cfg.add_edge(dly, exit, EdgeKind::RuntimeIndirect, false);
             }
         },
     }

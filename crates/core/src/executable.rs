@@ -15,12 +15,12 @@
 //!    displacement and dispatch table, append run-time support (the
 //!    address translator and tool-added routines), and emit a new image.
 
-use crate::cfg::{build_cfg as cfg_build, Cfg};
+use crate::cfg::{build_cfg as cfg_build, BuildEffects, Cfg, CfgShape};
 use crate::error::EelError;
 use crate::fragment::{self, FragmentMeta};
 use crate::layout::{lay_out_routine, Item, RoutineLayout, Tgt, TRANSLATOR};
 use crate::routine::Routine;
-use crate::shared::Analysis;
+use crate::shared::{Analysis, ShapeCells};
 use eel_exe::{Image, Symbol, SymbolKind};
 use eel_isa::{Builder, Insn, Op};
 use std::collections::{BTreeMap, HashMap};
@@ -66,6 +66,9 @@ pub struct Executable {
     /// image byte for byte instead of re-laying the program out.
     dirty: bool,
     jump_analysis: bool,
+    /// The shared analysis' per-routine shape cells, for an executable
+    /// opened with [`Executable::from_analysis`].
+    shapes: Option<Arc<ShapeCells>>,
 }
 
 /// What [`Executable::write_edited`] emits for one routine.
@@ -147,9 +150,6 @@ pub struct CfgBatchItem {
 }
 
 /// How [`Executable::build_all_cfgs_probed`] produced a routine.
-// Most items are builds, each moved once into its renderer: boxing the
-// CFG would only add an allocation per routine.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum CfgOutcome {
     /// Built live.
@@ -237,6 +237,7 @@ impl Executable {
             written: Written::No,
             dirty: false,
             jump_analysis: true,
+            shapes: None,
         })
     }
 
@@ -286,6 +287,7 @@ impl Executable {
         exec.hidden_queue = analysis.hidden_queue().to_vec();
         exec.discovery = analysis.discovery();
         exec.analyzed = true;
+        exec.shapes = Some(Arc::clone(analysis.shape_cells()));
         exec
     }
 
@@ -577,7 +579,9 @@ impl Executable {
             .map(RoutineId)
     }
 
-    /// Builds (or rebuilds) the routine's delay-slot-normalized CFG.
+    /// Builds (or rebuilds) the routine's delay-slot-normalized CFG. This
+    /// is always a live build into a shape of its own; batches
+    /// ([`Executable::build_all_cfgs`]) share an [`Analysis`]' shapes.
     ///
     /// Side effects reproduce §3.1's late stages: a trailing unreachable
     /// region splits off as a new hidden routine (stage 4), and
@@ -590,54 +594,85 @@ impl Executable {
     /// [`EelError::DelaySlotTransfer`] for the documented unsupported
     /// shape.
     pub fn build_cfg(&mut self, id: RoutineId) -> Result<Cfg, EelError> {
-        self.build_cfg_full(id).map(|(cfg, _)| cfg)
-    }
-
-    /// [`Executable::build_cfg`] plus, when the build was clean — it read
-    /// no words outside the extent, content the routine's key does not
-    /// hash — the fragment meta recording its §3.1 side effects (stage-3
-    /// escape targets, stage-4 trailing splits) for a hit to replay.
-    fn build_cfg_full(&mut self, id: RoutineId) -> Result<(Cfg, Option<FragmentMeta>), EelError> {
         let _obs = eel_obs::span("core.build_cfg");
         if !self.analyzed {
             return Err(EelError::NotAnalyzed);
         }
         self.require_sparc("the editable CFG pipeline")?;
-        let _ = self.routines.get(id.0).ok_or(EelError::BadRoutine(id.0))?;
-        let mut escapes: Vec<u32> = Vec::new();
-        let mut splits: Vec<u32> = Vec::new();
-        let mut external = false;
+        let r = self.routines.get(id.0).ok_or(EelError::BadRoutine(id.0))?;
+        let mut effects = BuildEffects {
+            snapshot_end: r.end,
+            snapshot_entries: r.entries.clone(),
+            ..BuildEffects::default()
+        };
         loop {
             let r = &self.routines[id.0];
-            let out = cfg_build(
-                &self.image,
-                id,
-                (r.start, r.end),
-                &r.entries,
-                self.jump_analysis,
-            )?;
-            external |= out.external_reads;
-            escapes.extend_from_slice(&out.escape_targets);
+            let extent = (r.start, r.end);
+            let out = cfg_build(&self.image, extent, &r.entries, self.jump_analysis)?;
+            effects.external_reads |= out.external_reads;
+            effects.escapes.extend_from_slice(&out.escape_targets);
             self.register_entries(&out.escape_targets);
             if let Some(t) = out.trailing_unreachable {
                 if self.split_trailing(id, t) {
-                    splits.push(t);
+                    effects.splits.push(t);
                     // Rebuild with the shrunk extent so the CFG and the
                     // later layout agree.
                     continue;
                 }
             }
-            eel_obs::counter!("core.cfg.blocks").add(out.cfg.blocks.len() as u64);
-            eel_obs::counter!("core.cfg.edges").add(out.cfg.edges.len() as u64);
-            escapes.sort_unstable();
-            escapes.dedup();
-            let meta = (!external).then(|| FragmentMeta {
-                start: self.routines[id.0].start,
-                escapes,
-                splits,
-            });
-            return Ok((out.cfg, meta));
+            eel_obs::counter!("core.cfg.blocks").add(out.draft.block_addr.len() as u64);
+            eel_obs::counter!("core.cfg.edges").add(out.draft.from.len() as u64);
+            effects.escapes.sort_unstable();
+            effects.escapes.dedup();
+            let shape = out.draft.finish(&self.image, extent, effects);
+            return Ok(Cfg::new(id, Arc::new(shape)));
         }
+    }
+
+    /// A batch's build of routine `id`. When this executable came from an
+    /// [`Analysis`] whose cell for `id` holds a shape built from the same
+    /// routine snapshot, that shape is shared and the §3.1 side effects
+    /// its build performed are replayed; otherwise the routine is built
+    /// live, and the live build fills an empty cell. The cell's lock makes
+    /// the fill single-flight: a concurrent batch waits for the shape
+    /// instead of building it again.
+    fn build_cfg_shared(&mut self, id: RoutineId) -> Result<Cfg, EelError> {
+        let cells = self.shapes.clone().filter(|_| self.jump_analysis);
+        let Some(cell) = cells.as_ref().and_then(|c| c.cell(id.0)) else {
+            return self.build_cfg(id);
+        };
+        // The cell changes in one store after the build, so a build that
+        // panicked under the lock left it valid (empty).
+        let mut slot = cell
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some(shape) = slot.as_ref() {
+            let r = &self.routines[id.0];
+            if shape.extent().0 != r.start || shape.snapshot() != (r.end, r.entries.as_slice()) {
+                // Built from another routine snapshot: no sharing.
+                drop(slot);
+                let cfg = self.build_cfg(id)?;
+                if let Some(cells) = &cells {
+                    cells.built(None);
+                }
+                return Ok(cfg);
+            }
+            let shape = Arc::clone(shape);
+            drop(slot);
+            // Splits first, as the live build performed them before its
+            // final round of registrations.
+            for &t in shape.splits() {
+                self.split_trailing(id, t);
+            }
+            self.register_entries(shape.escapes());
+            return Ok(Cfg::new(id, shape));
+        }
+        let cfg = self.build_cfg(id)?;
+        *slot = Some(Arc::clone(cfg.shape()));
+        if let Some(cells) = &cells {
+            cells.built(Some(cfg.shape()));
+        }
+        Ok(cfg)
     }
 
     /// §3.1 stage 3: each interprocedural target becomes an entry point
@@ -680,8 +715,10 @@ impl Executable {
 
     /// Builds the CFG of **every** currently known routine and returns
     /// `(routine snapshot, CFG)` pairs **in routine order**: the probed
-    /// batch of [`Executable::build_all_cfgs_probed`] with a tier that
-    /// never hits.
+    /// batch of [`Executable::build_all_cfgs_probed`] without a fragment
+    /// tier, so no routine's content key is hashed. Each routine's
+    /// [`Routine`] is a snapshot taken after all *earlier* routines' side
+    /// effects but before its own build.
     ///
     /// `_threads` is ignored; it stays until the benchmark, which passes
     /// it, drops it.
@@ -690,14 +727,16 @@ impl Executable {
     ///
     /// As [`Executable::build_all_cfgs_probed`].
     pub fn build_all_cfgs(&mut self, _threads: usize) -> Result<Vec<(Routine, Cfg)>, EelError> {
-        let items = self.build_all_cfgs_probed(&mut |_| None, &|_| false)?;
-        Ok(items
-            .into_iter()
-            .map(|item| match item.outcome {
-                CfgOutcome::Built(cfg) => (item.routine, cfg),
-                CfgOutcome::Hit(_) => unreachable!("a tier that never loads never hits"),
-            })
-            .collect())
+        if !self.analyzed {
+            return Err(EelError::NotAnalyzed);
+        }
+        let ids = self.all_routine_ids();
+        let mut out = Vec::with_capacity(ids.len());
+        for id in ids {
+            let routine = self.routines[id.0].clone();
+            out.push((routine, self.build_cfg_shared(id)?));
+        }
+        Ok(out)
     }
 
     /// Builds the CFG of every currently known routine in routine order,
@@ -753,8 +792,9 @@ impl Executable {
                 self.register_entries(&meta.escapes);
                 (CfgOutcome::Hit(payload.clone()), None)
             } else {
-                let (cfg, meta) = self.build_cfg_full(id)?;
-                (CfgOutcome::Built(cfg), meta.map(Replay))
+                let cfg = self.build_cfg_shared(id)?;
+                let replay = replay_meta(cfg.shape()).map(Replay);
+                (CfgOutcome::Built(cfg), replay)
             };
             out.push(CfgBatchItem {
                 id,
@@ -778,14 +818,17 @@ impl Executable {
     ///
     /// As the underlying CFG builder.
     pub fn build_cfg_snapshot(&self, id: RoutineId, routine: &Routine) -> Result<Cfg, EelError> {
-        Ok(cfg_build(
-            &self.image,
-            id,
-            (routine.start, routine.end),
-            &routine.entries,
-            self.jump_analysis,
-        )?
-        .cfg)
+        let extent = (routine.start, routine.end);
+        let out = cfg_build(&self.image, extent, &routine.entries, self.jump_analysis)?;
+        let effects = BuildEffects {
+            snapshot_end: routine.end,
+            snapshot_entries: routine.entries.clone(),
+            escapes: out.escape_targets,
+            splits: Vec::new(),
+            external_reads: out.external_reads,
+        };
+        let shape = out.draft.finish(&self.image, extent, effects);
+        Ok(Cfg::new(id, Arc::new(shape)))
     }
 
     /// Serializes the installed layout of a routine (its instrumentation
@@ -1224,6 +1267,17 @@ impl Executable {
         self.written = Written::Relaid(map);
         Ok(edited)
     }
+}
+
+/// The fragment meta recording a shape's §3.1 side effects for a hit to
+/// replay — present only for a clean build, one that read no words
+/// outside its extent, content the routine's key does not hash.
+fn replay_meta(shape: &CfgShape) -> Option<FragmentMeta> {
+    (!shape.external_reads()).then(|| FragmentMeta {
+        start: shape.extent().0,
+        escapes: shape.escapes().to_vec(),
+        splits: shape.splits().to_vec(),
+    })
 }
 
 fn branch_disp(here: u32, target: u32) -> Result<i32, EelError> {

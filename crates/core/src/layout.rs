@@ -190,13 +190,17 @@ struct Word {
 /// Lays out one routine from its (possibly edited) CFG.
 pub(crate) fn lay_out_routine(image: &Image, mut cfg: Cfg) -> Result<RoutineLayout, EelError> {
     let _obs = eel_obs::span("core.layout");
+    // Placement: liveness (computed on first need, so a pass-through
+    // routine never pays for it) plus every edit's snippet
+    // materialization.
+    let place_obs = eel_obs::span("core.layout.place");
     let edits = std::mem::take(&mut cfg.edits);
-    let (start, end) = cfg.extent;
+    let (start, end) = cfg.extent();
     let cfg = &cfg;
     let mut lay = Layouter {
         image,
         cfg,
-        liveness: Liveness::compute(cfg),
+        liveness: std::cell::OnceCell::new(),
         items: Vec::new(),
         placed: Vec::new(),
         snippet_store: Vec::new(),
@@ -205,9 +209,9 @@ pub(crate) fn lay_out_routine(image: &Image, mut cfg: Cfg) -> Result<RoutineLayo
         stub_items: Vec::new(),
         start,
         words: vec![Word::default(); (end - start).div_ceil(4) as usize],
-        block_label: vec![None; cfg.blocks.len()],
-        block_sn: vec![Vec::new(); cfg.blocks.len()],
-        edge_sn: vec![Vec::new(); cfg.edges.len()],
+        block_label: vec![None; cfg.block_count()],
+        block_sn: vec![Vec::new(); cfg.block_count()],
+        edge_sn: vec![Vec::new(); cfg.edge_count()],
         entry_sn: Vec::new(),
         groups: Vec::new(),
         units: Vec::new(),
@@ -223,16 +227,16 @@ pub(crate) fn lay_out_routine(image: &Image, mut cfg: Cfg) -> Result<RoutineLayo
             }
             (EditPoint::Before(addr), Some(s)) => {
                 let (b, i, w) = lay.insn_point(addr)?;
-                let p = lay.place(s, lay.liveness.live_before(cfg, b, i))?;
+                let p = lay.place(s, lay.live().live_before(cfg, b, i))?;
                 lay.words[w].before.push(p);
             }
             (EditPoint::After(addr), Some(s)) => {
                 let (b, i, w) = lay.insn_point(addr)?;
-                let p = lay.place(s, lay.liveness.live_after(cfg, b, i))?;
+                let p = lay.place(s, lay.live().live_after(cfg, b, i))?;
                 lay.words[w].after.push(p);
             }
             (EditPoint::Edge(e), Some(s)) => {
-                let live = lay.liveness.live_on_edge(cfg, e);
+                let live = lay.live().live_on_edge(cfg, e);
                 let p = lay.place(s, live)?;
                 lay.edge_sn[e.index()].push(p);
             }
@@ -242,7 +246,7 @@ pub(crate) fn lay_out_routine(image: &Image, mut cfg: Cfg) -> Result<RoutineLayo
                     let store = lay.store_snippet(s);
                     lay.entry_sn.push(store);
                 } else {
-                    let live = lay.liveness.live_in(b);
+                    let live = lay.live().live_in(b);
                     let p = lay.place(s, live)?;
                     lay.block_sn[b.index()].push(p);
                 }
@@ -252,6 +256,8 @@ pub(crate) fn lay_out_routine(image: &Image, mut cfg: Cfg) -> Result<RoutineLayo
     }
 
     // ---- address-ordered units --------------------------------------------
+    drop(place_obs);
+    let _emit_obs = eel_obs::span("core.layout.emit");
     for (bid, b) in cfg.blocks() {
         if b.kind != BlockKind::Normal || b.insns.is_empty() {
             continue;
@@ -262,7 +268,7 @@ pub(crate) fn lay_out_routine(image: &Image, mut cfg: Cfg) -> Result<RoutineLayo
         // Delay-slot words are consumed by their transfer site.
         let delay = b.insns.last().filter(|ia| ia.insn.is_delayed());
         let delay = delay.and_then(|ia| ia.addr).map(|a| a + 4);
-        for a in b.insns.iter().filter_map(|ia| ia.addr).chain(delay) {
+        for a in b.insns.addrs().chain(delay) {
             if let Some(i) = lay.slot(a) {
                 lay.words[i].used = true;
             }
@@ -372,7 +378,7 @@ pub(crate) fn lay_out_routine(image: &Image, mut cfg: Cfg) -> Result<RoutineLayo
 
 /// The CFG's resolved indirect jumps, then its indirect calls.
 fn resolutions(cfg: &Cfg) -> impl Iterator<Item = &IndirectJumpInfo> {
-    cfg.indirect_jumps.iter().chain(&cfg.indirect_calls)
+    cfg.jump_infos().iter().chain(cfg.call_infos())
 }
 
 /// How the indirect transfer at `addr` resolved.
@@ -386,9 +392,8 @@ fn resolution(list: &[IndirectJumpInfo], addr: u32) -> &JumpResolution {
 /// The first successor edge of `bid` of the given kind.
 fn succ_of_kind(cfg: &Cfg, bid: BlockId, kind: EdgeKind) -> Option<EdgeId> {
     cfg.block(bid)
-        .succs
+        .succ()
         .iter()
-        .copied()
         .find(|&e| cfg.edge(e).kind == kind)
 }
 
@@ -404,9 +409,9 @@ fn delay_slot_insn(cfg: &Cfg, b: BlockId) -> Option<Insn> {
 /// first delay-slot successor.
 fn terminator_delay(cfg: &Cfg, bid: BlockId) -> Option<Insn> {
     cfg.block(bid)
-        .succs
+        .succ()
         .iter()
-        .find_map(|&e| delay_slot_insn(cfg, cfg.edge(e).to))
+        .find_map(|e| delay_slot_insn(cfg, cfg.edge(e).to))
 }
 
 /// The delay instruction of the transfer at `addr`, replayed at its own
@@ -437,7 +442,7 @@ fn refs(list: &[usize]) -> impl Iterator<Item = Item> + '_ {
 struct Layouter<'a> {
     image: &'a Image,
     cfg: &'a Cfg,
-    liveness: Liveness,
+    liveness: std::cell::OnceCell<Liveness>,
     items: Vec<Item>,
     placed: Vec<PlacedSnippet>,
     snippet_store: Vec<Snippet>,
@@ -479,6 +484,11 @@ enum PathDest {
 }
 
 impl<'a> Layouter<'a> {
+    /// The routine's liveness, computed on first use.
+    fn live(&self) -> &Liveness {
+        self.liveness.get_or_init(|| Liveness::compute(self.cfg))
+    }
+
     fn fresh_label(&mut self) -> usize {
         self.labels += 1;
         self.labels - 1
@@ -604,10 +614,10 @@ impl<'a> Layouter<'a> {
             .extend(self.block_label[bid.index()].map(Item::Label));
 
         // Entry points bind here; entry snippets are placed per entry.
-        if cfg.entry_addrs.contains(&addr) {
+        if cfg.entry_addrs().contains(&addr) {
             self.items.push(Item::MapOrig(addr));
             for k in 0..self.entry_sn.len() {
-                let live = self.liveness.live_in(bid);
+                let live = self.live().live_in(bid);
                 let p = self.place_stored(self.entry_sn[k], live)?;
                 self.items.push(Item::SnippetRef(p));
             }
@@ -676,10 +686,10 @@ impl<'a> Layouter<'a> {
         let edge = cfg.edge(e1);
         let delay = delay_slot_insn(cfg, edge.to);
         let to = cfg.block(edge.to);
-        let (edges, dest) = match (to.kind, to.succs.first()) {
-            (BlockKind::DelaySlot, Some(&e2)) => (vec![e1, e2], self.edge_dest(cfg.edge(e2))),
+        let (edges, dest) = match (to.kind, to.succ().first()) {
+            (BlockKind::DelaySlot, Some(e2)) => (vec![e1, e2], self.edge_dest(&cfg.edge(e2))),
             (BlockKind::DelaySlot, None) => (vec![e1], PathDest::DeadEnd),
-            _ => (vec![e1], self.edge_dest(edge)),
+            _ => (vec![e1], self.edge_dest(&edge)),
         };
         Path { edges, delay, dest }
     }
@@ -757,7 +767,7 @@ impl<'a> Layouter<'a> {
                     Ok(())
                 }
                 Some(eel_isa::JumpKind::IndirectCall) => {
-                    let res = resolution(&cfg.indirect_calls, addr);
+                    let res = resolution(cfg.call_infos(), addr);
                     self.emit_call(bid, addr, insn, Some(res))
                 }
                 _ => self.emit_indirect_jump(bid, addr, insn),
@@ -864,10 +874,9 @@ impl<'a> Layouter<'a> {
         match (insn.op, indirect) {
             (Op::Call { .. }, _) => {
                 let target = cfg
-                    .call_sites
-                    .iter()
+                    .call_sites()
                     .find(|(a, _)| *a == addr)
-                    .map(|(_, t)| *t)
+                    .map(|(_, t)| t)
                     .ok_or_else(|| EelError::Internal(format!("unrecorded call {addr:#x}")))?;
                 self.items.push(Item::CallTo {
                     target: Tgt::Orig(target),
@@ -900,12 +909,12 @@ impl<'a> Layouter<'a> {
         }
 
         // Snippets on the surrogate → return edge go right after the call.
-        if let Some(&e) = cfg.block(surrogate).succs.first() {
+        if let Some(e) = cfg.block(surrogate).succ().first() {
             self.items.extend(refs(&self.edge_sn[e.index()]));
             // The return block is addr+8, which is emitted next in address
             // order, so no explicit jump is needed; if the return site is
             // elsewhere (odd layouts), branch explicitly.
-            if let PathDest::Block(b) = self.edge_dest(cfg.edge(e)) {
+            if let PathDest::Block(b) = self.edge_dest(&cfg.edge(e)) {
                 if cfg.block(b).addr != addr + 8 {
                     let target = self.block_tgt(b);
                     branch_nop(&mut self.items, Cond::Always, target, None);
@@ -918,11 +927,11 @@ impl<'a> Layouter<'a> {
     fn emit_indirect_jump(&mut self, bid: BlockId, addr: u32, insn: Insn) -> Result<(), EelError> {
         let cfg = self.cfg;
         let block = cfg.block(bid);
-        match resolution(&cfg.indirect_jumps, addr) {
+        match resolution(cfg.jump_infos(), addr) {
             JumpResolution::Table { table_addr, .. } => {
                 // Gather per-target paths.
                 let mut paths: Vec<(u32, Path)> = Vec::new();
-                for &e in &block.succs {
+                for e in block.succ() {
                     let path = self.walk_path(e);
                     let t = match path.dest {
                         PathDest::Block(b) => cfg.block(b).addr,
@@ -954,7 +963,7 @@ impl<'a> Layouter<'a> {
             }
             JumpResolution::Literal { target, base_insns } => {
                 // Edge snippets (single known target) go before the jump.
-                for &e in &block.succs {
+                for e in block.succ() {
                     let snippets = self.path_snippets(&self.walk_path(e));
                     self.items.extend(refs(&snippets));
                 }
@@ -977,7 +986,7 @@ impl<'a> Layouter<'a> {
                     return Err(EelError::Internal("indirect jump is not jmpl".into()));
                 };
                 // Scratch registers must be dead here.
-                let live = self.liveness.live_before(cfg, bid, block.insns.len() - 1);
+                let live = self.live().live_before(cfg, bid, block.insns.len() - 1);
                 if live.contains(Reg(6)) || live.contains(Reg(7)) {
                     return Err(EelError::TranslationClash { addr });
                 }

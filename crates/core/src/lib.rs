@@ -11,8 +11,8 @@
 //! |---|---|
 //! | `executable` | [`Executable`] — open, [`Executable::read_contents`] (four-stage symbol-table refinement, hidden-routine discovery), write an edited executable |
 //! | `routine` | [`Routine`] — name, extent, entry points |
-//! | CFG | [`Cfg`] — delay-slot-normalized basic blocks and edges, uneditable marking, dominators / loops / liveness / slicing, dispatch-table recovery |
-//! | instruction | [`eel_isa::Insn`] — category + effect inquiries, stored decoded inline in each CFG block; identical words recur about 5× (§3.4's sharing, measured by `eel-bench`'s E-OBJ rather than allocated) |
+//! | CFG | [`Cfg`] — delay-slot-normalized basic blocks and edges, uneditable marking, dominators / loops / liveness / slicing, dispatch-table recovery; an immutable, shareable [`CfgShape`] plus the tool's own edits |
+//! | instruction | [`eel_isa::Insn`] — category + effect inquiries, decoded from the image when a CFG block's instructions are read; identical words recur about 5× (§3.4's sharing, measured by `eel-bench`'s E-OBJ rather than allocated) |
 //! | snippet | [`Snippet`] — foreign code with scavenged register allocation, spill wrapping, and placement call-backs |
 //!
 //! Editing is *batch*: a tool records edits against the original CFG
@@ -21,6 +21,21 @@
 //! [`Executable::write_edited`] lays out the new executable, adjusting every
 //! displacement, rewriting dispatch tables, and falling back to run-time
 //! address translation for unanalyzable indirect jumps.
+//!
+//! ## Shapes and edits
+//!
+//! A [`Cfg`] is a [`CfgShape`] behind an `Arc` plus its own edit list,
+//! and dereferences to the shape. The shape is the graph: immutable,
+//! `Send + Sync`, with blocks as address ranges over the image (so
+//! [`Block::insns`] decodes on read) and edges in compressed
+//! successor/predecessor rows. The edits belong to whoever edits the
+//! CFG; snippets are not `Sync`, so they never enter the shape. A shared
+//! [`Analysis`] keeps one shape per routine: the first batch
+//! ([`Executable::build_all_cfgs`], [`Executable::build_all_cfgs_probed`])
+//! that builds a routine stores it, later batches over the same analysis
+//! borrow it and replay the build's §3.1 side effects.
+//! [`Analysis::shape_bytes`] is what the shapes retain — a term eel-serve
+//! charges to its analysis cache apart from [`Analysis::approx_bytes`].
 //!
 //! ## Example: count every routine entry
 //!
@@ -67,8 +82,8 @@ pub use analysis::live::Liveness;
 pub use analysis::loops::{natural_loops, NaturalLoop};
 pub use analysis::slice::{SliceMark, Slicer};
 pub use cfg::{
-    Block, BlockId, BlockKind, Cfg, CfgStats, DataRange, Edge, EdgeId, EdgeKind, Edit, EditPoint,
-    InsnAt,
+    Block, BlockId, BlockKind, Cfg, CfgShape, CfgStats, DataRange, Edge, EdgeId, EdgeIter,
+    EdgeKind, EdgeList, Edit, EditPoint, InsnAt, InsnIter, Insns,
 };
 pub use error::EelError;
 pub use executable::{CfgBatchItem, CfgOutcome, DiscoverySource, Executable, Replay, RoutineId};

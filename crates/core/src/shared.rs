@@ -8,13 +8,81 @@
 //! concurrent requests. [`Analysis`] is that artifact: immutable, `Send +
 //! Sync`, cheap to fan out behind an [`Arc`], and convertible back into a
 //! private editable executable with [`crate::Executable::from_analysis`].
+//!
+//! An `Analysis` also keeps one single-flight build cell per discovered
+//! routine. The first batch that builds a routine's CFG stores its
+//! immutable [`CfgShape`] there, with the §3.1 side effects of the
+//! build; every later op over the same analysis shares the shape and
+//! replays the side effects, so each routine is built once per image.
 
+use crate::cfg::CfgShape;
 use crate::error::EelError;
 use crate::executable::{discover_routines, DiscoverySource, RoutineId};
 use crate::fragment::routine_key;
 use crate::routine::Routine;
 use eel_exe::Image;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+
+/// Per-heap-block bookkeeping: malloc header plus size-class rounding.
+pub(crate) const ALLOC_OVERHEAD: usize = 16;
+
+/// One build cell per routine an [`Analysis`] discovered, indexed like
+/// its routines, plus the bytes the filled cells retain. A cell's lock is
+/// held while its routine builds, so the build is single-flight.
+pub(crate) struct ShapeCells {
+    cells: Box<[Mutex<Option<Arc<CfgShape>>>]>,
+    bytes: AtomicUsize,
+    /// Live builds of discovered routines that went through the cells.
+    builds: AtomicUsize,
+    /// The shape readers that finished ([`Analysis::finish_shape_reader`]).
+    finished: AtomicU32,
+}
+
+impl ShapeCells {
+    fn new(routines: usize) -> ShapeCells {
+        let cells: Box<[_]> = (0..routines).map(|_| Mutex::new(None)).collect();
+        let bytes =
+            std::mem::size_of::<ShapeCells>() + std::mem::size_of_val(&*cells) + 2 * ALLOC_OVERHEAD;
+        ShapeCells {
+            cells,
+            bytes: AtomicUsize::new(bytes),
+            builds: AtomicUsize::new(0),
+            finished: AtomicU32::new(0),
+        }
+    }
+
+    /// The cell of routine `i`, if the analysis discovered it.
+    pub(crate) fn cell(&self, i: usize) -> Option<&Mutex<Option<Arc<CfgShape>>>> {
+        self.cells.get(i)
+    }
+
+    /// Empties every cell. Executables holding a shape keep it alive;
+    /// a later batch rebuilds what it needs.
+    fn clear(&self) {
+        for cell in self.cells.iter() {
+            // A cell changes in one store after its build, so a build
+            // that panicked left it valid (empty).
+            let taken = cell
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .take();
+            if let Some(shape) = taken {
+                self.bytes
+                    .fetch_sub(shape.retained_bytes(), Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Accounts a live build, and the shape it stored in a cell, if any.
+    pub(crate) fn built(&self, stored: Option<&CfgShape>) {
+        self.builds.fetch_add(1, Ordering::Relaxed);
+        if let Some(shape) = stored {
+            self.bytes
+                .fetch_add(shape.retained_bytes(), Ordering::Relaxed);
+        }
+    }
+}
 
 /// The immutable result of loading an image and running §3.1's routine
 /// discovery, packaged for sharing across threads and cache entries.
@@ -41,13 +109,27 @@ pub struct Analysis {
     routines: Vec<Routine>,
     hidden: Vec<RoutineId>,
     /// Distinct machine words in the text segment, the per-word term of
-    /// [`Analysis::approx_bytes`].
-    distinct_words: usize,
+    /// [`Analysis::approx_bytes`]. (A `u32`, which text sizes allow, so
+    /// the shape cells fit in the struct without changing its size, a
+    /// term of `approx_bytes`.)
+    distinct_words: u32,
     /// Per-routine content keys ([`crate::routine_key`]), in discovery
     /// order — the identities the serve-side fragment tier caches under.
     routine_keys: Vec<u64>,
     /// Where the routine set came from (symbols vs. inference).
     discovery: DiscoverySource,
+    /// The routines' CFG shapes, built once by whichever op needs them
+    /// first.
+    shapes: Arc<ShapeCells>,
+}
+
+impl std::fmt::Debug for ShapeCells {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShapeCells")
+            .field("cells", &self.cells.len())
+            .field("bytes", &self.bytes)
+            .finish()
+    }
 }
 
 impl Analysis {
@@ -68,13 +150,20 @@ impl Analysis {
             .iter()
             .map(|r| routine_key(&image, r))
             .collect();
+        // Only the SPARC pipeline builds editable CFGs.
+        let cells = if image.machine == eel_exe::Machine::Sparc {
+            discovery.routines.len()
+        } else {
+            0
+        };
         Ok(Analysis {
             image,
             routines: discovery.routines,
             hidden: discovery.hidden,
-            distinct_words: words.len(),
+            distinct_words: u32::try_from(words.len()).unwrap_or(u32::MAX),
             routine_keys,
             discovery: discovery.source,
+            shapes: Arc::new(ShapeCells::new(cells)),
         })
     }
 
@@ -87,10 +176,54 @@ impl Analysis {
     }
 
     /// Distinct machine words in the text segment, the measure behind
-    /// §3.4's one-object-per-word sharing. CFG blocks store decoded
-    /// instructions inline, so this is a count, not a pool of objects.
+    /// §3.4's one-object-per-word sharing. CFG blocks decode their
+    /// instructions from the image on read, so this is a count, not a
+    /// pool of objects.
     pub fn distinct_words(&self) -> usize {
-        self.distinct_words
+        self.distinct_words as usize
+    }
+
+    /// Bytes the routines' shared CFG shapes retain: the filled build
+    /// cells, their records and the cell table itself. This grows as ops
+    /// build routines, so it is deliberately not part of
+    /// [`Analysis::approx_bytes`] (which `stat` reports and which must not
+    /// depend on which op ran first); eel-serve charges it to its
+    /// analysis cache as a separate term.
+    pub fn shape_bytes(&self) -> usize {
+        self.shapes.bytes.load(Ordering::Relaxed)
+    }
+
+    /// How many routine CFGs were built live through this analysis'
+    /// cells: one per discovered routine once every routine is built,
+    /// however many ops or threads shared them (a batch whose routine
+    /// snapshot differs from the cell's builds privately and counts too).
+    pub fn shape_builds(&self) -> usize {
+        self.shapes.builds.load(Ordering::Relaxed)
+    }
+
+    /// Records that shape reader `k` of a fixed set of `readers` (at
+    /// most 32 — for eel-serve, its four CFG ops) is done with this
+    /// analysis' CFG shapes, and drops every stored shape once all of
+    /// them are. An image's shapes then live from its first CFG op to its
+    /// last; [`Analysis::shape_bytes`] falls back to the cell table, and
+    /// a reader that runs again later rebuilds what it needs and releases
+    /// it again when done.
+    pub fn finish_shape_reader(&self, k: usize, readers: usize) {
+        let all = u32::MAX >> (32 - readers.clamp(1, 32));
+        let done = self
+            .shapes
+            .finished
+            .fetch_or(1 << (k % 32), Ordering::AcqRel)
+            | 1 << (k % 32);
+        if done & all == all {
+            self.shapes.clear();
+        }
+    }
+
+    /// The per-routine shape cells, which executables opened from this
+    /// analysis share.
+    pub(crate) fn shape_cells(&self) -> &Arc<ShapeCells> {
+        &self.shapes
     }
 
     /// The machine the image targets (the WEF header tag). Serve-side
@@ -131,10 +264,8 @@ impl Analysis {
     /// against the measured ~1.7–1.9× text-size retention from the
     /// cache-budget experiments; deliberately still an estimate.
     pub fn approx_bytes(&self) -> usize {
-        // Per-heap-block bookkeeping: malloc header plus size-class
-        // rounding. Undercounting this was the bulk of the old
-        // estimate's gap to measured retention.
-        const ALLOC_OVERHEAD: usize = 16;
+        // Per-heap-block bookkeeping (`ALLOC_OVERHEAD`): undercounting
+        // it was the bulk of the old estimate's gap to measured retention.
         // A calibrated allowance per distinct word, sized as one shared
         // instruction object (`Rc` header, decoded `Insn`, map entry).
         // It stays so the analysis LRU holds the same images and
@@ -162,7 +293,7 @@ impl Analysis {
                     + ALLOC_OVERHEAD
             })
             .sum::<usize>();
-        let per_word = self.distinct_words * PER_DISTINCT_WORD;
+        let per_word = self.distinct_words as usize * PER_DISTINCT_WORD;
         // The per-routine content keys the fragment tier shares with
         // whole-image entries: one u64 per routine plus the Vec's own
         // heap block.

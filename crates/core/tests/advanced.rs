@@ -397,7 +397,7 @@ fn annulled_branch_edges_count_exactly() {
     let succ: Vec<_> = cfg.block(bid).succ().to_vec();
     let mut edited = 0;
     for e in succ {
-        let edge = cfg.edge(e).clone();
+        let edge = cfg.edge(e);
         let counter = match edge.kind {
             eel_core::EdgeKind::Taken => taken_c,
             eel_core::EdgeKind::Fall => fall_c,

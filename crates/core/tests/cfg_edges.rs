@@ -64,7 +64,7 @@ fn render_cfg(cfg: &Cfg, out: &mut String) {
             addrs.join(" ")
         )
         .unwrap();
-        for &e in b.succ() {
+        for e in b.succ() {
             let edge = cfg.edge(e);
             let kind = match edge.kind {
                 eel_core::EdgeKind::Escape { target } => format!("Escape({target:#x})"),

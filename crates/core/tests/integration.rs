@@ -303,7 +303,7 @@ fn edge_counting_on_branches() {
             if block.kind != BlockKind::Normal || block.succ().len() < 2 {
                 continue;
             }
-            for &e in block.succ() {
+            for e in block.succ() {
                 if cfg.edge(e).editable {
                     edits.push(e);
                 }

@@ -33,7 +33,7 @@ fn naive_dominates(cfg: &eel_core::Cfg, a: eel_core::BlockId, b: eel_core::Block
         return true; // entry dominates everything reachable
     }
     while let Some(x) = stack.pop() {
-        for &e in cfg.block(x).succ() {
+        for e in cfg.block(x).succ() {
             let to = cfg.edge(e).to;
             if to == a || seen[to.index()] {
                 continue;
@@ -59,11 +59,11 @@ proptest! {
         for cfg in &cfgs {
             for (bid, block) in cfg.blocks() {
                 // Edge lists are mutually consistent.
-                for &e in block.succ() {
+                for e in block.succ() {
                     prop_assert_eq!(cfg.edge(e).from, bid);
                     prop_assert!(cfg.block(cfg.edge(e).to).pred().contains(&e));
                 }
-                for &e in block.pred() {
+                for e in block.pred() {
                     prop_assert_eq!(cfg.edge(e).to, bid);
                     prop_assert!(cfg.block(cfg.edge(e).from).succ().contains(&e));
                 }
@@ -79,7 +79,7 @@ proptest! {
                         prop_assert!(!block.insns.is_empty());
                         // Only the last instruction may be a control
                         // transfer.
-                        for ia in &block.insns[..block.insns.len() - 1] {
+                        for ia in block.insns.iter().take(block.insns.len() - 1) {
                             prop_assert!(!ia.insn.is_control_transfer(), "{}", ia.insn);
                         }
                         // All addresses inside the routine extent, in order.

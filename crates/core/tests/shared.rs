@@ -173,3 +173,94 @@ fn build_all_cfgs_matches_sequential_at_any_thread_count() {
         }
     }
 }
+
+/// The progen suite's images under both personalities.
+fn suite_images() -> Vec<eel_exe::Image> {
+    let mut images = Vec::new();
+    for w in eel_progen::suite() {
+        for personality in [Personality::Gcc, Personality::SunPro] {
+            images.push(eel_progen::compile(&w, personality).unwrap());
+        }
+    }
+    images
+}
+
+#[test]
+fn shared_shapes_retain_at_most_16_bytes_per_text_instruction() {
+    // What eel-serve charges its analysis cache for the CFG shapes, once
+    // every routine is built, against the text size.
+    let (mut bytes, mut insns) = (0usize, 0usize);
+    for image in suite_images() {
+        insns += image.text.len() / 4;
+        let analysis = Analysis::compute(Arc::new(image)).unwrap();
+        Executable::from_analysis(&analysis)
+            .build_all_cfgs(1)
+            .unwrap();
+        bytes += analysis.shape_bytes();
+    }
+    let per_insn = bytes as f64 / insns as f64;
+    assert!(
+        per_insn <= 16.0,
+        "{per_insn:.2} shape bytes per text instruction ({bytes} over {insns})"
+    );
+}
+
+#[test]
+fn batches_share_one_shape_per_routine() {
+    let image = compile_str(program(), &Options::default()).unwrap();
+    let analysis = Analysis::compute(Arc::new(image)).unwrap();
+    assert!(analysis.shape_bytes() > 0, "the cell table itself");
+    let empty = analysis.shape_bytes();
+    let first = Executable::from_analysis(&analysis)
+        .build_all_cfgs(1)
+        .unwrap();
+    let filled = analysis.shape_bytes();
+    assert!(filled > empty, "the first batch fills the cells");
+    let mut second_exec = Executable::from_analysis(&analysis);
+    let second = second_exec.build_all_cfgs(1).unwrap();
+    assert_eq!(
+        analysis.shape_bytes(),
+        filled,
+        "the second batch builds nothing"
+    );
+    for ((r1, c1), (r2, c2)) in first.iter().zip(&second) {
+        assert_eq!(r1, r2);
+        assert!(
+            Arc::ptr_eq(c1.shape(), c2.shape()),
+            "{} is shared",
+            r1.name()
+        );
+    }
+    // The replayed side effects leave the same routine table as a live
+    // batch that never saw the cells.
+    let mut image_exec = Executable::from_image(analysis.image().as_ref().clone()).unwrap();
+    image_exec.read_contents().unwrap();
+    let live = image_exec.build_all_cfgs(1).unwrap();
+    assert_eq!(second_exec.routines(), image_exec.routines());
+    for ((_, shared), (_, own)) in second.iter().zip(&live) {
+        assert_eq!(shared.stats(), own.stats());
+    }
+}
+
+#[test]
+fn block_at_agrees_with_a_scan_of_every_block() {
+    for image in suite_images() {
+        let (start, end) = (image.text_addr, image.text_end());
+        let mut exec = Executable::from_image(image).unwrap();
+        exec.read_contents().unwrap();
+        for (_, cfg) in exec.build_all_cfgs(1).unwrap() {
+            let scan = |addr: u32| {
+                cfg.blocks()
+                    .filter(|(_, b)| b.kind == eel_core::BlockKind::Normal)
+                    .find_map(|(id, b)| {
+                        let pos = b.insns.iter().position(|ia| ia.addr == Some(addr))?;
+                        Some((id, pos))
+                    })
+            };
+            // Every word of the text, plus misaligned probes.
+            for addr in (start..end).step_by(2) {
+                assert_eq!(cfg.block_at(addr), scan(addr), "{addr:#x}");
+            }
+        }
+    }
+}

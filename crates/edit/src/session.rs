@@ -331,8 +331,8 @@ impl EditSession {
     }
 
     /// Normal blocks in address order — the `bN` coordinate space.
-    fn normal_blocks(cfg: &Cfg) -> Vec<&eel_core::Block> {
-        let mut blocks: Vec<&eel_core::Block> = cfg
+    fn normal_blocks(cfg: &Cfg) -> Vec<eel_core::Block<'_>> {
+        let mut blocks: Vec<eel_core::Block<'_>> = cfg
             .blocks()
             .filter(|(_, b)| b.kind == BlockKind::Normal)
             .map(|(_, b)| b)

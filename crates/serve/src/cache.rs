@@ -20,6 +20,12 @@
 //!   [`CostClass::Cheap`] entries go first (in LRU order among
 //!   themselves) and [`CostClass::Expensive`] ones only after every
 //!   cheap entry is gone.
+//! * **A growing term**: an entry whose value keeps growing after
+//!   insertion (an analysis whose CFG shapes fill in as ops run) is
+//!   re-charged with [`SingleFlightLru::recharge`]. That second term is
+//!   budgeted like the first but tracked apart
+//!   ([`SingleFlightLru::extra_bytes`]), so the insertion cost stays what
+//!   the value reported when it was computed.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
@@ -54,10 +60,12 @@ pub enum CostClass {
 enum Slot<V> {
     /// Someone is computing this entry; waiters sleep on the condvar.
     InFlight,
-    /// Computed, resident, costing `cost` bytes of the budget.
+    /// Computed, resident, costing `cost + extra` bytes of the budget
+    /// (`extra` is the [`SingleFlightLru::recharge`] term).
     Ready {
         value: V,
         cost: usize,
+        extra: usize,
         class: CostClass,
     },
 }
@@ -67,6 +75,8 @@ struct Inner<K, V> {
     /// Ready keys, least recently used at the front.
     order: VecDeque<K>,
     bytes: usize,
+    /// The resident entries' recharge terms (part of `bytes`).
+    extra: usize,
 }
 
 /// The cache. `V` is cloned out on every hit, so in practice it is an
@@ -86,6 +96,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlightLru<K, V> {
                 slots: HashMap::new(),
                 order: VecDeque::new(),
                 bytes: 0,
+                extra: 0,
             }),
             ready: Condvar::new(),
         }
@@ -159,6 +170,7 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlightLru<K, V> {
             Slot::Ready {
                 value: value.clone(),
                 cost,
+                extra: 0,
                 class,
             },
         );
@@ -194,8 +206,12 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlightLru<K, V> {
                 .order
                 .remove(victim_pos)
                 .expect("victim position in range");
-            if let Some(Slot::Ready { value, cost, .. }) = inner.slots.remove(&victim) {
-                inner.bytes -= cost;
+            if let Some(Slot::Ready {
+                value, cost, extra, ..
+            }) = inner.slots.remove(&victim)
+            {
+                inner.bytes -= cost + extra;
+                inner.extra -= extra;
                 evicted.push((victim, value));
             }
         }
@@ -237,13 +253,14 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlightLru<K, V> {
         let mut inner = self.inner.lock().expect("cache lock poisoned");
         let old_cost = match inner.slots.get(&key) {
             Some(Slot::InFlight) => return Vec::new(),
-            Some(Slot::Ready { cost, .. }) => Some(*cost),
+            Some(Slot::Ready { cost, extra, .. }) => Some((*cost, *extra)),
             None => None,
         };
-        if let Some(old_cost) = old_cost {
+        if let Some((old_cost, old_extra)) = old_cost {
             // Replace in place: budget swaps the old cost for the new;
             // LRU position refreshes.
-            inner.bytes -= old_cost;
+            inner.bytes -= old_cost + old_extra;
+            inner.extra -= old_extra;
             let pos = inner.order.iter().position(|k| *k == key);
             if let Some(pos) = pos {
                 let k = inner.order.remove(pos).expect("position in range");
@@ -252,9 +269,50 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlightLru<K, V> {
         } else {
             inner.order.push_back(key.clone());
         }
-        inner.slots.insert(key, Slot::Ready { value, cost, class });
+        inner.slots.insert(
+            key,
+            Slot::Ready {
+                value,
+                cost,
+                extra: 0,
+                class,
+            },
+        );
         inner.bytes += cost;
         Self::evict_over_budget(&mut inner, self.budget)
+    }
+
+    /// Sets the recharge term of a resident entry to `extra(value)`,
+    /// computed under the cache lock (so of two racing recharges of a
+    /// growing value the later one wins), refreshes its LRU position,
+    /// and evicts to fit. A key that is not resident charges nothing.
+    /// Returns the evicted entries, as [`SingleFlightLru::insert`] does.
+    pub fn recharge(&self, key: &K, extra: impl FnOnce(&V) -> usize) -> Vec<(K, V)> {
+        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let Some(Slot::Ready {
+            value, extra: old, ..
+        }) = inner.slots.get_mut(key)
+        else {
+            return Vec::new();
+        };
+        let (old, new) = (*old, extra(value));
+        if let Some(Slot::Ready { extra, .. }) = inner.slots.get_mut(key) {
+            *extra = new;
+        }
+        inner.bytes = inner.bytes - old + new;
+        inner.extra = inner.extra - old + new;
+        let pos = inner.order.iter().position(|k| k == key);
+        if let Some(pos) = pos {
+            let k = inner.order.remove(pos).expect("position in range");
+            inner.order.push_back(k);
+        }
+        Self::evict_over_budget(&mut inner, self.budget)
+    }
+
+    /// The resident entries' recharge terms, in bytes (included in
+    /// [`SingleFlightLru::bytes`]).
+    pub fn extra_bytes(&self) -> usize {
+        self.inner.lock().expect("cache lock poisoned").extra
     }
 
     /// Bytes currently charged against the budget.

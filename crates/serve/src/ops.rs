@@ -43,6 +43,9 @@ use std::sync::{Arc, OnceLock};
 /// across restarts; error results stay memory-only.
 pub const CACHED_OPS: &[&str] = &["disasm", "cfg-summary", "liveness", "stat", "instrument"];
 
+/// The cached ops that build (or share) the analysis' CFG shapes.
+pub(crate) const SHAPE_OPS: &[&str] = &["disasm", "cfg-summary", "liveness", "instrument"];
+
 /// A per-routine fragment store consulted by [`run_op_fragments`].
 /// Implementations are free to back this with anything — the server
 /// routes it through the shared LRU (under `(routine_key, "frag.<op>")`
@@ -53,8 +56,9 @@ pub trait FragmentTier {
     fn load(&self, key: u64, op: &str) -> Option<Vec<u8>>;
     /// Stores a freshly computed fragment for `(routine_key, op)`.
     fn store(&self, key: u64, op: &str, bytes: &[u8]);
-    /// Does `store` keep anything? When it does not, ops build no
-    /// fragment payloads and call `store` never.
+    /// Does the tier keep anything? When it does not, ops neither probe
+    /// it (so hash no routine keys) nor build fragment payloads, and call
+    /// `load` and `store` never.
     fn keeps_fragments(&self) -> bool {
         true
     }
@@ -345,10 +349,20 @@ impl Batch<'_> {
         ) -> Result<Stitched, String>,
     ) -> Result<(Executable, FragmentStats), String> {
         let mut exec = Executable::from_analysis(self.analysis);
+        let mut stats = FragmentStats::default();
+        if !self.tier.keeps_fragments() {
+            // A tier that keeps nothing is never probed, so no routine's
+            // content key is hashed.
+            for (routine, cfg) in exec.build_all_cfgs(1).map_err(|e| err(op, e))? {
+                stats.total += 1;
+                let id = cfg.routine_id();
+                render(&mut exec, &routine, id, CfgOutcome::Built(cfg))?;
+            }
+            return Ok((exec, stats));
+        }
         let items = exec
             .build_all_cfgs_probed(&mut |key| self.tier.load(key, op), payload_ok)
             .map_err(|e| err(op, e))?;
-        let mut stats = FragmentStats::default();
         for item in items {
             stats.total += 1;
             match render(&mut exec, &item.routine, item.id, item.outcome)? {
@@ -408,7 +422,7 @@ fn disasm(batch: &Batch) -> OpResult {
 fn disasm_body(image: &Image, routine: &Routine, cfg: &Cfg, out: &mut String) {
     // A cursor over the tables in start order: the first table not yet
     // behind `addr` holds it, if any does.
-    let mut tables = cfg.data_ranges().to_vec();
+    let mut tables: Vec<_> = cfg.data_ranges().collect();
     tables.sort_by_key(|r| r.start);
     let mut next = 0;
     for addr in (routine.start()..routine.end()).step_by(4) {
@@ -877,6 +891,38 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn two_ops_on_one_analysis_from_two_threads_build_each_routine_once() {
+        // The sequential truth, on an analysis of its own.
+        let fresh = multi_routine_analysis();
+        let ops = ["disasm", "instrument"];
+        let expected: Vec<Vec<u8>> = ops.iter().map(|op| run_op(op, &fresh).expect(op)).collect();
+        assert_eq!(fresh.shape_builds(), fresh.routines().len());
+
+        let shared = multi_routine_analysis();
+        let start = std::sync::Barrier::new(ops.len());
+        let bodies: Vec<Vec<u8>> = std::thread::scope(|s| {
+            let handles: Vec<_> = ops
+                .iter()
+                .map(|&op| {
+                    let (a, start) = (Arc::clone(&shared), &start);
+                    s.spawn(move || {
+                        start.wait();
+                        run_op(op, &a).expect(op)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(bodies, expected, "concurrent bodies match sequential ones");
+        assert_eq!(
+            shared.shape_builds(),
+            shared.routines().len(),
+            "each routine's CFG is built once across both ops"
+        );
+        assert_eq!(shared.shape_bytes(), fresh.shape_bytes());
     }
 
     #[test]

@@ -55,12 +55,16 @@
 //! `serve.ops.<op>.computed` counters that count *actual* computations —
 //! the single-flight and warm-restart evidence — the session-mode series
 //! `serve.session.{opened,closed,requests,busy}` with the
-//! `serve.session.inflight` gauge, and the event-loop series
-//! `serve.reactor.conns` (gauge) / `serve.reactor.pushback`.
+//! `serve.session.inflight` gauge, the event-loop series
+//! `serve.reactor.conns` (gauge) / `serve.reactor.pushback`, and the
+//! `serve.mem.analysis_shapes_bytes` gauge (the CFG shapes the analysis
+//! cache holds and charges).
 
 use crate::cache::{content_hash, CostClass, SingleFlightLru};
 use crate::disk::DiskCache;
-use crate::ops::{recompute_cost, run_edit, run_op_fragments, FragmentTier, CACHED_OPS, COMPUTED};
+use crate::ops::{
+    recompute_cost, run_edit, run_op_fragments, FragmentTier, CACHED_OPS, COMPUTED, SHAPE_OPS,
+};
 use crate::proto::{
     CacheTier, Discovery, Payload, Request, Response, SessionFrame, SessionReply, MAX_FRAME,
     SESSION_VERSION,
@@ -1057,7 +1061,14 @@ fn cached_op(shared: &Shared, op: &str, payload: &Payload) -> Response {
                 eel_core::DiscoverySource::Inferred => Discovery::Inferred,
             }));
             mach.set(Some(a.machine()));
-            run_op_fragments(op, &a, 1, &tier).map(|(body, stats)| {
+            let result = run_op_fragments(op, &a, 1, &tier);
+            if let Some(k) = SHAPE_OPS.iter().position(|&o| o == op) {
+                // This op's result is cached from now on; once every
+                // CFG op's is, the image's shapes would only hold memory.
+                a.finish_shape_reader(k, SHAPE_OPS.len());
+            }
+            charge_shapes(shared, hash);
+            result.map(|(body, stats)| {
                 if stats.total > 0 {
                     eel_obs::counter!("serve.cache.fragment.hit").add(u64::from(stats.hits));
                     eel_obs::counter!("serve.cache.fragment.miss")
@@ -1251,7 +1262,27 @@ fn analyze(shared: &Shared, hash: u64, bytes: &[u8]) -> Result<Arc<Analysis>, St
         };
         (computed, cost, CostClass::Expensive)
     });
+    // An insertion may have evicted analyses and their shapes.
+    publish_shapes_gauge(shared);
     analysis
+}
+
+/// Charges the CFG shapes an op just built into the analysis' cells to
+/// the analysis cache, as the entry's separate growing term (the
+/// analysis' own `approx_bytes` stays its insertion cost), and publishes
+/// the `serve.mem.analysis_shapes_bytes` gauge.
+fn charge_shapes(shared: &Shared, hash: u64) {
+    let evicted = shared
+        .analyses
+        .recharge(&hash, |a| a.as_ref().map_or(0, |a| a.shape_bytes()));
+    // Evicted analyses drop with their shapes; there is no slower tier.
+    drop(evicted);
+    publish_shapes_gauge(shared);
+}
+
+fn publish_shapes_gauge(shared: &Shared) {
+    let bytes = shared.analyses.extra_bytes();
+    eel_obs::gauge!("serve.mem.analysis_shapes_bytes").set(bytes as i64);
 }
 
 /// Renders the metrics registry as stable `kind name value` lines — what
@@ -1280,6 +1311,54 @@ fn render_metrics() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shapes_are_charged_then_released_once_every_shape_op_is_cached() {
+        let server = Server::start(ServerConfig::default()).expect("start server");
+        let shared = &server.shared;
+        let wef = eel_cc::compile_str(
+            "fn helper(x) { return x * 3 + 1; }
+             fn main() { var i; var t = 0;
+               for (i = 0; i < 5; i = i + 1) { t = t + helper(i); } return t; }",
+            &eel_cc::Options::default(),
+        )
+        .expect("compile")
+        .to_bytes();
+        let hash = content_hash(&wef);
+        let payload = Payload::Inline(wef);
+        assert!(matches!(
+            cached_op(shared, "disasm", &payload),
+            Response::Ok { .. }
+        ));
+        let Some(Ok(analysis)) = shared.analyses.get(&hash) else {
+            panic!("the analysis is cached")
+        };
+        let charged = shared.analyses.extra_bytes();
+        assert_eq!(charged, analysis.shape_bytes(), "the shapes are charged");
+        for op in ["cfg-summary", "liveness", "instrument"] {
+            assert!(matches!(
+                cached_op(shared, op, &payload),
+                Response::Ok { .. }
+            ));
+        }
+        assert_eq!(
+            analysis.shape_builds(),
+            analysis.routines().len(),
+            "the four ops built each routine once"
+        );
+        let released = shared.analyses.extra_bytes();
+        assert!(released < charged, "{released} < {charged}");
+        assert_eq!(
+            released,
+            analysis.shape_bytes(),
+            "only the cell table stays"
+        );
+        assert_eq!(
+            shared.analyses.bytes(),
+            analysis.approx_bytes() + released,
+            "approx_bytes stays the insertion cost"
+        );
+    }
 
     #[test]
     fn cached_bodies_hold_no_spare_capacity() {

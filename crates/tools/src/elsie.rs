@@ -109,7 +109,7 @@ pub fn instrument(image: Image) -> Result<Simulated, ToolError> {
         // routine (which re-issues the trap itself).
         let traps: Vec<u32> = cfg
             .blocks()
-            .flat_map(|(_, b)| b.insns.clone())
+            .flat_map(|(_, b)| b.insns)
             .filter(|ia| matches!(ia.insn.op, Op::Trap { .. }))
             .filter_map(|ia| ia.addr)
             .collect();

@@ -100,13 +100,13 @@ pub(crate) fn delay_slot_memory_jobs(
         if block.kind != eel_core::BlockKind::DelaySlot {
             continue;
         }
-        let Some(first) = block.insns.first().copied() else {
+        let Some(first) = block.insns.first() else {
             continue;
         };
         if !first.insn.is_memory() || !want(&first.insn) {
             continue;
         }
-        for &e in block.pred() {
+        for e in block.pred() {
             if cfg.edge(e).editable {
                 edges.push((e, first.insn));
             } else if let Some(term) = cfg.block(cfg.edge(e).from).terminator() {

@@ -725,6 +725,51 @@ fn eelstat_reports_the_cold_request_spans_on_both_machines() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The value column of eelstat's top-level line for `name` (two-space
+/// indent: a span tree root or a counter).
+fn top_level(report: &str, name: &str) -> Option<String> {
+    report.lines().find_map(|line| {
+        let rest = line.strip_prefix("  ")?.strip_prefix(name)?;
+        rest.starts_with(' ')
+            .then(|| rest.split_whitespace().next().unwrap_or("").to_string())
+    })
+}
+
+#[test]
+fn eelstat_builds_each_routine_cfg_once_per_image() {
+    // The 4-routine twin program of CI's machine-smoke job: the four
+    // CFG ops share one analysis, so each routine is built once, and a
+    // cold `run_op` hashes no routine keys beyond the analysis' own.
+    let twin = "fn helper(x) { return x * 3 + 1; }
+        fn main() {
+          var i; var t = 0;
+          for (i = 0; i < 5; i = i + 1) { t = t + helper(i); }
+          print(t);
+          return t;
+        }";
+    let image = compile_str(twin, &Options::default()).unwrap();
+    let dir = std::env::temp_dir().join(format!("eel-stat-once-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let wef = dir.join("twin.sparc.wef");
+    std::fs::write(&wef, image.to_bytes()).unwrap();
+    let stat = run_tool(env!("CARGO_BIN_EXE_eelstat"), &wef, &[]);
+    assert!(stat.status.success(), "eelstat failed");
+    let note = String::from_utf8_lossy(&stat.stderr);
+    assert!(note.contains(": 4 routines"), "{note}");
+    let report = String::from_utf8(stat.stdout).unwrap();
+    assert_eq!(
+        top_level(&report, "core.build_cfg").as_deref(),
+        Some("4x"),
+        "{report}"
+    );
+    assert_eq!(
+        top_level(&report, "core.routine_key.computed").as_deref(),
+        Some("4"),
+        "{report}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn offline_tools_reject_malformed_images_without_panicking() {
     let dir = std::env::temp_dir().join(format!("eel-malformed-tools-{}", std::process::id()));

@@ -42,7 +42,7 @@ fn instrument(
     let mut edits = Vec::new();
     for (_, b) in cfg.blocks() {
         if b.kind == BlockKind::Normal && b.succ().len() > 1 {
-            for &e in b.succ() {
+            for e in b.succ() {
                 if cfg.edge(e).editable {
                     edits.push(e);
                 }

@@ -26,7 +26,7 @@ fn show(title: &str, asm: &str) -> Result<(), Box<dyn std::error::Error>> {
         let succs: Vec<String> = block
             .succ()
             .iter()
-            .map(|&e| format!("→b{}", cfg.edge(e).to.index()))
+            .map(|e| format!("→b{}", cfg.edge(e).to.index()))
             .collect();
         println!(
             "    b{:<2} {:<13} [{}]  {}",
