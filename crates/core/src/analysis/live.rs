@@ -17,7 +17,9 @@
 //! * [`EXIT_LIVE`] is the conservative live set at routine exit.
 
 use crate::cfg::{Block, BlockId, BlockKind, CfgShape, EdgeId};
+use crate::shared::ALLOC_OVERHEAD;
 use eel_isa::{Reg, RegSet};
+use std::sync::Arc;
 
 /// Registers a callee may read: its arguments and the stack pointer.
 pub fn call_uses() -> RegSet {
@@ -142,12 +144,7 @@ impl Liveness {
 
     /// Registers live immediately *before* instruction `idx` of block `b`.
     pub fn live_before(&self, cfg: &CfgShape, b: BlockId, idx: usize) -> RegSet {
-        let block = cfg.block(b);
-        let mut live = self.live_out[b.index()];
-        for ia in block.insns.iter().skip(idx).rev() {
-            live = live.without(ia.insn.writes()).union(ia.insn.reads());
-        }
-        live
+        live_before(cfg, b, idx, self.live_out[b.index()])
     }
 
     /// Registers live immediately *after* instruction `idx` of block `b`.
@@ -158,5 +155,63 @@ impl Liveness {
     /// Registers live along an edge (live-in of its destination).
     pub fn live_on_edge(&self, cfg: &CfgShape, e: EdgeId) -> RegSet {
         self.live_in[cfg.edge(e).to.index()]
+    }
+}
+
+/// Registers live before instruction `idx` of block `b`, whose live-out
+/// is `live`: a backward walk over the block's tail.
+fn live_before(cfg: &CfgShape, b: BlockId, idx: usize, mut live: RegSet) -> RegSet {
+    for ia in cfg.block(b).insns.iter().skip(idx).rev() {
+        live = live.without(ia.insn.writes()).union(ia.insn.reads());
+    }
+    live
+}
+
+/// A routine's solved liveness as its CFG shape keeps it: the live-in
+/// set of every block, and nothing more. A block's live-out is the union
+/// of its successors' live-in (the fixpoint's own equation), so it is
+/// derived from the shape's successor rows on read. Cheap to clone: one
+/// eel-serve analysis solves it once per shape and every op shares it.
+#[derive(Debug, Clone)]
+pub struct LiveIn(Arc<[RegSet]>);
+
+impl LiveIn {
+    /// Runs [`Liveness::compute`]'s fixpoint and keeps its live-in sets.
+    pub fn compute(cfg: &CfgShape) -> LiveIn {
+        LiveIn(Liveness::compute(cfg).live_in.into())
+    }
+
+    /// Registers live on entry to a block.
+    pub fn live_in(&self, b: BlockId) -> RegSet {
+        self.0[b.index()]
+    }
+
+    /// Registers live on exit from a block: its successors' live-in.
+    pub fn live_out(&self, cfg: &CfgShape, b: BlockId) -> RegSet {
+        let succ = cfg.block(b).succ().iter();
+        succ.fold(RegSet::new(), |out, e| {
+            out.union(self.0[cfg.edge(e).to.index()])
+        })
+    }
+
+    /// Registers live immediately *before* instruction `idx` of block `b`.
+    pub fn live_before(&self, cfg: &CfgShape, b: BlockId, idx: usize) -> RegSet {
+        live_before(cfg, b, idx, self.live_out(cfg, b))
+    }
+
+    /// Registers live immediately *after* instruction `idx` of block `b`.
+    pub fn live_after(&self, cfg: &CfgShape, b: BlockId, idx: usize) -> RegSet {
+        self.live_before(cfg, b, idx + 1)
+    }
+
+    /// Registers live along an edge (live-in of its destination).
+    pub fn live_on_edge(&self, cfg: &CfgShape, e: EdgeId) -> RegSet {
+        self.0[cfg.edge(e).to.index()]
+    }
+
+    /// Bytes this result keeps resident, allocator bookkeeping and the
+    /// [`Arc`] header included.
+    pub(crate) fn retained_bytes(&self) -> usize {
+        2 * std::mem::size_of::<usize>() + std::mem::size_of_val(&*self.0) + ALLOC_OVERHEAD
     }
 }

@@ -226,6 +226,14 @@ impl<'a> Insns<'a> {
         (0..self.len() as u32).map(move |i| start + 4 * i)
     }
 
+    /// The instructions' `(address, word)` pairs, without decoding them.
+    pub fn words(&self) -> impl Iterator<Item = (u32, u32)> + 'a {
+        let start = self.start;
+        let words = self.bytes.chunks_exact(4);
+        let words = words.map(|b| u32::from_be_bytes([b[0], b[1], b[2], b[3]]));
+        (0..).map(move |i| start + 4 * i).zip(words)
+    }
+
     /// The instructions in address order.
     pub fn iter(&self) -> InsnIter<'a> {
         InsnIter {

@@ -15,12 +15,13 @@
 //!    displacement and dispatch table, append run-time support (the
 //!    address translator and tool-added routines), and emit a new image.
 
+use crate::analysis::live::LiveIn;
 use crate::cfg::{build_cfg as cfg_build, BuildEffects, Cfg, CfgShape};
 use crate::error::EelError;
 use crate::fragment::{self, FragmentMeta};
 use crate::layout::{lay_out_routine, Item, RoutineLayout, Tgt, TRANSLATOR};
 use crate::routine::Routine;
-use crate::shared::{Analysis, ShapeCells};
+use crate::shared::{self, Analysis, ShapeCells};
 use eel_exe::{Image, Symbol, SymbolKind};
 use eel_isa::{Builder, Insn, Op};
 use std::collections::{BTreeMap, HashMap};
@@ -69,6 +70,10 @@ pub struct Executable {
     /// The shared analysis' per-routine shape cells, for an executable
     /// opened with [`Executable::from_analysis`].
     shapes: Option<Arc<ShapeCells>>,
+    /// Per routine, by index: the analysis' content key while the routine
+    /// is still as discovery left it, `None` once a §3.1 side effect
+    /// changed it (or for an executable not opened from an analysis).
+    keys: Vec<Option<u64>>,
 }
 
 /// What [`Executable::write_edited`] emits for one routine.
@@ -238,6 +243,7 @@ impl Executable {
             dirty: false,
             jump_analysis: true,
             shapes: None,
+            keys: Vec::new(),
         })
     }
 
@@ -288,6 +294,7 @@ impl Executable {
         exec.discovery = analysis.discovery();
         exec.analyzed = true;
         exec.shapes = Some(Arc::clone(analysis.shape_cells()));
+        exec.keys = analysis.routine_keys().iter().copied().map(Some).collect();
         exec
     }
 
@@ -641,12 +648,8 @@ impl Executable {
         let Some(cell) = cells.as_ref().and_then(|c| c.cell(id.0)) else {
             return self.build_cfg(id);
         };
-        // The cell changes in one store after the build, so a build that
-        // panicked under the lock left it valid (empty).
-        let mut slot = cell
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(shape) = slot.as_ref() {
+        let mut slot = shared::lock(cell);
+        if let Some(shape) = slot.shape.as_ref() {
             let r = &self.routines[id.0];
             if shape.extent().0 != r.start || shape.snapshot() != (r.end, r.entries.as_slice()) {
                 // Built from another routine snapshot: no sharing.
@@ -668,7 +671,7 @@ impl Executable {
             return Ok(Cfg::new(id, shape));
         }
         let cfg = self.build_cfg(id)?;
-        *slot = Some(Arc::clone(cfg.shape()));
+        slot.shape = Some(Arc::clone(cfg.shape()));
         if let Some(cells) = &cells {
             cells.built(Some(cfg.shape()));
         }
@@ -684,6 +687,7 @@ impl Executable {
                 if !cr.entries.contains(&t) {
                     cr.entries.push(t);
                     cr.entries.sort_unstable();
+                    self.forget_key(cid);
                 }
             }
         }
@@ -699,6 +703,7 @@ impl Executable {
             return false;
         }
         let (end, inferred) = (r.end, r.inferred);
+        self.forget_key(id);
         self.routines[id.0].end = t;
         self.routines[id.0].entries.retain(|&e| e < t);
         self.hidden_queue.push(RoutineId(self.routines.len()));
@@ -711,6 +716,20 @@ impl Executable {
             inferred,
         });
         true
+    }
+
+    /// Routine `id` changed since discovery: its analysis key is stale.
+    fn forget_key(&mut self, id: RoutineId) {
+        if let Some(key) = self.keys.get_mut(id.0) {
+            *key = None;
+        }
+    }
+
+    /// Routine `id`'s content key: the analysis' when the routine is
+    /// unchanged since discovery, hashed otherwise.
+    fn routine_key(&self, id: RoutineId) -> u64 {
+        let known = self.keys.get(id.0).copied().flatten();
+        known.unwrap_or_else(|| fragment::routine_key(&self.image, &self.routines[id.0]))
     }
 
     /// Builds the CFG of **every** currently known routine and returns
@@ -780,7 +799,7 @@ impl Executable {
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
             let routine = self.routines[id.0].clone();
-            let key = fragment::routine_key(&self.image, &routine);
+            let key = self.routine_key(id);
             let (outcome, replay) = if let Some((meta, payload)) = probe.hit(&routine, key) {
                 // Same bytes, same relative entries, same absolute start
                 // ⇒ the skipped build would have performed exactly the
@@ -885,13 +904,20 @@ impl Executable {
         &mut self.slots[id.0]
     }
 
+    /// The liveness of `cfg`'s shape. A shape this executable shares with
+    /// an [`Analysis`] keeps its liveness next to it, solved by the first
+    /// caller of any executable over that analysis; any other shape's is
+    /// solved on each call.
+    pub fn liveness(&self, cfg: &Cfg) -> LiveIn {
+        let cells = self.shapes.as_deref();
+        cells.map_or_else(|| LiveIn::compute(cfg), |cells| cells.live_in(cfg))
+    }
+
     /// The content key ([`crate::routine_key`]) of every currently known
     /// routine, in discovery order.
     pub fn routine_keys(&self) -> Vec<u64> {
-        self.routines
-            .iter()
-            .map(|r| fragment::routine_key(&self.image, r))
-            .collect()
+        let ids = 0..self.routines.len();
+        ids.map(|i| self.routine_key(RoutineId(i))).collect()
     }
 
     /// Installs a routine's (possibly edited) CFG, producing its edited
@@ -906,7 +932,7 @@ impl Executable {
         if cfg.edit_count() > 0 {
             self.dirty = true;
         }
-        let layout = lay_out_routine(&self.image, cfg)?;
+        let layout = lay_out_routine(&self.image, cfg, &|cfg| self.liveness(cfg))?;
         self.install(id, layout);
         Ok(())
     }
@@ -1132,7 +1158,7 @@ impl Executable {
             for item in items.iter() {
                 match item {
                     Item::Label(_) | Item::MapOrig(_) => {}
-                    Item::Orig { insn, .. } => push_word(&mut text, insn.word),
+                    Item::Orig { word, .. } => push_word(&mut text, *word),
                     Item::New(insn) => push_word(&mut text, insn.word),
                     Item::RawWord { word, .. } => push_word(&mut text, *word),
                     Item::BranchTo {

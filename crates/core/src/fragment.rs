@@ -255,9 +255,9 @@ fn put_item(out: &mut Vec<u8>, item: &Item) -> Option<()> {
             out.push(1);
             put_u32(out, *a);
         }
-        Item::Orig { insn, addr } => {
+        Item::Orig { word, addr } => {
             out.push(2);
-            put_u32(out, insn.word);
+            put_u32(out, *word);
             put_u32(out, *addr);
         }
         Item::New(insn) => {
@@ -334,7 +334,7 @@ fn get_item(c: &mut Cur<'_>) -> Option<Item> {
         2 => {
             let word = c.u32()?;
             Item::Orig {
-                insn: Insn::from_word(word),
+                word,
                 addr: c.u32()?,
             }
         }
@@ -388,13 +388,11 @@ fn put_placed(out: &mut Vec<u8>, p: &PlacedSnippet) -> Option<()> {
     for i in &p.insns {
         put_u32(out, i.word);
     }
-    // The register map is a HashMap; serialize sorted for determinism.
-    let mut pairs: Vec<(u8, u8)> = p.assignment.map.iter().map(|(k, v)| (k.0, v.0)).collect();
-    pairs.sort_unstable();
-    put_u32(out, pairs.len() as u32);
-    for (k, v) in pairs {
-        out.push(k);
-        out.push(v);
+    // The register map iterates in ascending requested register.
+    put_u32(out, p.assignment.map.len() as u32);
+    for (k, v) in p.assignment.map.iter() {
+        out.push(k.0);
+        out.push(v.0);
     }
     put_u32(out, p.assignment.spilled.len() as u32);
     for r in &p.assignment.spilled {
@@ -422,7 +420,10 @@ fn get_placed(c: &mut Cur<'_>) -> Option<PlacedSnippet> {
     let n = c.u32()? as usize;
     let mut assignment = RegAssignment::default();
     for _ in 0..n {
-        assignment.map.insert(Reg(c.u8()?), Reg(c.u8()?));
+        // Register numbers beyond a register set's 64 are corrupt bytes.
+        let mut reg = || c.u8().filter(|&r| r < 64).map(Reg);
+        let (want, got) = (reg()?, reg()?);
+        assignment.map.insert(want, got);
     }
     let n = c.u32()? as usize;
     for _ in 0..n {
@@ -469,8 +470,8 @@ pub(crate) fn encode_layout(
     let (lo, hi) = extent;
     let in_run = |item: &Item| -> Option<u32> {
         match item {
-            Item::Orig { insn, addr } if *addr >= lo && *addr < hi => {
-                (image.word_at(*addr) == Some(insn.word)).then_some(*addr)
+            Item::Orig { word, addr } if *addr >= lo && *addr < hi => {
+                (image.word_at(*addr) == Some(*word)).then_some(*addr)
             }
             _ => None,
         }
@@ -537,7 +538,7 @@ pub(crate) fn decode_layout(bytes: &[u8], image: &Image) -> Option<RoutineLayout
             for k in 0..count {
                 let addr = start.checked_add(4 * k as u32)?;
                 items.push(Item::Orig {
-                    insn: Insn::from_word(image.word_at(addr)?),
+                    word: image.word_at(addr)?,
                     addr,
                 });
             }
@@ -632,6 +633,39 @@ mod tests {
             routine_key(&twin, &before),
             "bytes outside the routine extent must not affect its key"
         );
+    }
+
+    #[test]
+    fn layout_with_an_out_of_range_register_is_rejected() {
+        let image = image_with_text(vec![0u8; 16]);
+        let mut assignment = RegAssignment::default();
+        assignment.map.insert(Reg(6), Reg(20));
+        let layout = RoutineLayout {
+            items: vec![Item::SnippetRef(0)],
+            snippets: vec![PlacedSnippet {
+                insns: Vec::new(),
+                assignment,
+                calls: Vec::new(),
+                source: 0,
+            }],
+            snippet_store: vec![Snippet::new(Vec::new())],
+            needs_translator: false,
+        };
+        let extent = (image.text_addr, image.text_end());
+        let bytes = encode_layout(&layout, &image, extent).expect("no call-backs");
+        let back = decode_layout(&bytes, &image).expect("round trip");
+        assert_eq!(back.snippets[0].assignment.map[&Reg(6)], Reg(20));
+        // The pair is the only `06 14` in the bytes; a register number a
+        // register set cannot hold makes the layout corrupt, not a panic.
+        let at = bytes.windows(2).position(|w| w == [6, 20]).expect("pair");
+        for bad in [64u8, 200] {
+            let mut corrupt = bytes.clone();
+            corrupt[at] = bad;
+            assert!(decode_layout(&corrupt, &image).is_none());
+            corrupt[at] = 6;
+            corrupt[at + 1] = bad;
+            assert!(decode_layout(&corrupt, &image).is_none());
+        }
     }
 
     #[test]

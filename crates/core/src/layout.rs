@@ -24,18 +24,21 @@
 //!   rewritten to translate their (original) target through the
 //!   `__eel_translate` run-time routine.
 //!
-//! The layout state is positional, like the CFG builder's: per-block and
-//! per-edge vectors hold block labels and snippet placements, and one
-//! per-word vector over the routine's extent holds what is known about
-//! each original address (the snippets before and after it, deletion,
-//! base-materialization group, whether a unit consumed it, and the block
-//! unit starting there), so resolving a code target is an index lookup.
-//! The units themselves are one address-sorted list. The sequences the
-//! emission rules repeat — a terminator's delay instruction, "delay
-//! instruction or `nop`", and "branch; `nop`" — each have one helper.
+//! The layout state is positional, like the CFG builder's: a per-block
+//! vector holds block labels, snippet placements are compressed rows
+//! keyed by word, block and edge, and one per-word vector over the
+//! routine's extent holds what is known about each original address
+//! (deletion, base-materialization group, whether a unit consumed it, and
+//! the block unit starting there), so resolving a code target is an index
+//! lookup. The units themselves are one address-sorted list. Kept
+//! original instructions are emitted as their words: only a block's last
+//! instruction (is it a terminator?) and delay-slot instructions are
+//! decoded. The sequences the emission rules repeat — a terminator's
+//! delay instruction, "delay instruction or `nop`", and "branch; `nop`" —
+//! each have one helper.
 
 use crate::analysis::jumptable::JumpResolution;
-use crate::analysis::live::Liveness;
+use crate::analysis::live::LiveIn;
 use crate::cfg::{BlockId, BlockKind, Cfg, Edge, EdgeId, EdgeKind, EditPoint, IndirectJumpInfo};
 use crate::error::EelError;
 use crate::snippet::{RegAssignment, Snippet};
@@ -64,10 +67,10 @@ pub(crate) enum Item {
     /// Binds the original address (an entry point or instruction) here in
     /// the old→new map, emitting nothing.
     MapOrig(u32),
-    /// An original instruction, kept verbatim (and mapped).
+    /// An original instruction word, kept verbatim (and mapped).
     Orig {
-        /// The instruction.
-        insn: Insn,
+        /// The instruction's encoding.
+        word: u32,
         /// Its original address.
         addr: u32,
     },
@@ -169,12 +172,10 @@ enum Unit {
     Raw,
 }
 
-/// What layout knows about one word of the routine's extent.
-#[derive(Clone, Default)]
+/// What layout knows about one word of the routine's extent (the
+/// snippets placed before and after it are in [`Layouter::at_word`]).
+#[derive(Clone, Copy, Default)]
 struct Word {
-    /// Placements before and after the instruction.
-    before: Vec<usize>,
-    after: Vec<usize>,
     deleted: bool,
     /// Consumed by a block, a delay slot or a table: no raw unit.
     used: bool,
@@ -184,40 +185,95 @@ struct Word {
     block: Option<BlockId>,
     /// Index into [`Layouter::groups`] of the base-materialization group
     /// the instruction belongs to.
-    group: Option<usize>,
+    group: Option<u32>,
 }
 
-/// Lays out one routine from its (possibly edited) CFG.
-pub(crate) fn lay_out_routine(image: &Image, mut cfg: Cfg) -> Result<RoutineLayout, EelError> {
+/// Placements grouped by where they go, each group in edit order:
+/// compressed rows (per-key offsets into one list), built once every
+/// edit is placed.
+#[derive(Default)]
+struct Rows {
+    /// Per key, plus one: the offset of its row in `placed`.
+    off: Vec<u32>,
+    placed: Vec<usize>,
+}
+
+impl Rows {
+    /// Groups `(key, placement)` pairs over keys `0..keys`. No pairs
+    /// make no rows (every row reads empty).
+    fn new(keys: usize, pairs: &[(usize, usize)]) -> Rows {
+        if pairs.is_empty() {
+            return Rows::default();
+        }
+        // Counts, summed so `off[k]` is the end of row `k`; then each row
+        // fills from its end, leaving `off[k]` at its start.
+        let mut off = vec![0u32; keys + 1];
+        for &(k, _) in pairs {
+            off[k] += 1;
+        }
+        for k in 1..=keys {
+            off[k] += off[k - 1];
+        }
+        let mut placed = vec![0; pairs.len()];
+        for &(k, p) in pairs.iter().rev() {
+            off[k] -= 1;
+            placed[off[k] as usize] = p;
+        }
+        Rows { off, placed }
+    }
+
+    /// The placements of key `k` (none for a key beyond the rows).
+    fn row(&self, k: usize) -> &[usize] {
+        match (self.off.get(k), self.off.get(k + 1)) {
+            (Some(&a), Some(&b)) => &self.placed[a as usize..b as usize],
+            _ => &[],
+        }
+    }
+}
+
+/// Lays out one routine from its (possibly edited) CFG. `liveness`
+/// supplies the routine's liveness (shared with other ops when the shape
+/// is), asked for at most once.
+pub(crate) fn lay_out_routine(
+    image: &Image,
+    mut cfg: Cfg,
+    liveness: &dyn Fn(&Cfg) -> LiveIn,
+) -> Result<RoutineLayout, EelError> {
     let _obs = eel_obs::span("core.layout");
-    // Placement: liveness (computed on first need, so a pass-through
+    // Placement: liveness (asked for on first need, so a pass-through
     // routine never pays for it) plus every edit's snippet
     // materialization.
     let place_obs = eel_obs::span("core.layout.place");
     let edits = std::mem::take(&mut cfg.edits);
     let (start, end) = cfg.extent();
+    let words = (end - start).div_ceil(4) as usize;
     let cfg = &cfg;
     let mut lay = Layouter {
         image,
         cfg,
-        liveness: std::cell::OnceCell::new(),
-        items: Vec::new(),
-        placed: Vec::new(),
-        snippet_store: Vec::new(),
+        liveness,
+        live: std::cell::OnceCell::new(),
+        // Every original word and placement is at least one item.
+        items: Vec::with_capacity(words + edits.len()),
+        placed: Vec::with_capacity(edits.len()),
+        snippet_store: Vec::with_capacity(edits.len()),
         labels: 0,
         needs_translator: false,
         stub_items: Vec::new(),
         start,
-        words: vec![Word::default(); (end - start).div_ceil(4) as usize],
+        words: vec![Word::default(); words],
         block_label: vec![None; cfg.block_count()],
-        block_sn: vec![Vec::new(); cfg.block_count()],
-        edge_sn: vec![Vec::new(); cfg.edge_count()],
+        at_word: Rows::default(),
+        at_block: Rows::default(),
+        on_edge: Rows::default(),
         entry_sn: Vec::new(),
         groups: Vec::new(),
         units: Vec::new(),
     };
 
     // ---- organize edits --------------------------------------------------
+    // Placements by word (before: `2w`, after: `2w + 1`), block and edge.
+    let (mut at_word, mut at_block, mut on_edge) = (Vec::new(), Vec::new(), Vec::new());
     for edit in edits {
         match (edit.point, edit.snippet) {
             (EditPoint::Before(addr), None) => {
@@ -228,17 +284,17 @@ pub(crate) fn lay_out_routine(image: &Image, mut cfg: Cfg) -> Result<RoutineLayo
             (EditPoint::Before(addr), Some(s)) => {
                 let (b, i, w) = lay.insn_point(addr)?;
                 let p = lay.place(s, lay.live().live_before(cfg, b, i))?;
-                lay.words[w].before.push(p);
+                at_word.push((2 * w, p));
             }
             (EditPoint::After(addr), Some(s)) => {
                 let (b, i, w) = lay.insn_point(addr)?;
                 let p = lay.place(s, lay.live().live_after(cfg, b, i))?;
-                lay.words[w].after.push(p);
+                at_word.push((2 * w + 1, p));
             }
             (EditPoint::Edge(e), Some(s)) => {
                 let live = lay.live().live_on_edge(cfg, e);
                 let p = lay.place(s, live)?;
-                lay.edge_sn[e.index()].push(p);
+                on_edge.push((e.index(), p));
             }
             (EditPoint::BlockStart(b), Some(s)) => {
                 if b == cfg.entry_block() {
@@ -248,12 +304,15 @@ pub(crate) fn lay_out_routine(image: &Image, mut cfg: Cfg) -> Result<RoutineLayo
                 } else {
                     let live = lay.live().live_in(b);
                     let p = lay.place(s, live)?;
-                    lay.block_sn[b.index()].push(p);
+                    at_block.push((b.index(), p));
                 }
             }
             (_, None) => return Err(EelError::BadEditTarget("delete without address".into())),
         }
     }
+    lay.at_word = Rows::new(2 * lay.words.len(), &at_word);
+    lay.at_block = Rows::new(cfg.block_count(), &at_block);
+    lay.on_edge = Rows::new(cfg.edge_count(), &on_edge);
 
     // ---- address-ordered units --------------------------------------------
     drop(place_obs);
@@ -418,7 +477,7 @@ fn terminator_delay(cfg: &Cfg, bid: BlockId) -> Option<Insn> {
 /// original address.
 fn replay(delay: Insn, addr: u32) -> Item {
     Item::Orig {
-        insn: delay,
+        word: delay.word,
         addr: addr + 4,
     }
 }
@@ -442,7 +501,8 @@ fn refs(list: &[usize]) -> impl Iterator<Item = Item> + '_ {
 struct Layouter<'a> {
     image: &'a Image,
     cfg: &'a Cfg,
-    liveness: std::cell::OnceCell<Liveness>,
+    liveness: &'a dyn Fn(&Cfg) -> LiveIn,
+    live: std::cell::OnceCell<LiveIn>,
     items: Vec<Item>,
     placed: Vec<PlacedSnippet>,
     snippet_store: Vec<Snippet>,
@@ -454,10 +514,12 @@ struct Layouter<'a> {
     words: Vec<Word>,
     /// Per block: its unit's label (none for blocks that are no unit).
     block_label: Vec<Option<usize>>,
+    /// Per word: placements before (row `2w`) and after (`2w + 1`) it.
+    at_word: Rows,
     /// Per block: placements at its start.
-    block_sn: Vec<Vec<usize>>,
+    at_block: Rows,
     /// Per edge: placements along it.
-    edge_sn: Vec<Vec<usize>>,
+    on_edge: Rows,
     /// `snippet_store` indices placed at every entry point.
     entry_sn: Vec<usize>,
     /// Base-materialization groups: (leader address, rd, target). Only
@@ -468,9 +530,21 @@ struct Layouter<'a> {
 
 /// One outgoing path of a terminator: `bid --e1--> [delay] --e2--> dest`.
 struct Path {
-    edges: Vec<EdgeId>,
+    e1: EdgeId,
+    e2: Option<EdgeId>,
     delay: Option<Insn>,
     dest: PathDest,
+}
+
+impl Path {
+    fn edges(&self) -> impl Iterator<Item = EdgeId> {
+        std::iter::once(self.e1).chain(self.e2)
+    }
+}
+
+/// References to the snippets placed along a path's edges.
+fn path_refs<'r>(on_edge: &'r Rows, path: &Path) -> impl Iterator<Item = Item> + 'r {
+    path.edges().flat_map(|e| refs(on_edge.row(e.index())))
 }
 
 /// Where a path out of a terminator lands.
@@ -484,9 +558,9 @@ enum PathDest {
 }
 
 impl<'a> Layouter<'a> {
-    /// The routine's liveness, computed on first use.
-    fn live(&self) -> &Liveness {
-        self.liveness.get_or_init(|| Liveness::compute(self.cfg))
+    /// The routine's liveness, asked for on first use.
+    fn live(&self) -> &LiveIn {
+        self.live.get_or_init(|| (self.liveness)(self.cfg))
     }
 
     fn fresh_label(&mut self) -> usize {
@@ -599,7 +673,7 @@ impl<'a> Layouter<'a> {
         self.groups.push((leader, rd, target));
         for a in base_insns {
             if let Some(i) = self.slot(a) {
-                self.words[i].group = Some(group);
+                self.words[i].group = Some(group as u32);
             }
         }
         Ok(())
@@ -622,22 +696,26 @@ impl<'a> Layouter<'a> {
                 self.items.push(Item::SnippetRef(p));
             }
         }
-        self.items.extend(refs(&self.block_sn[bid.index()]));
+        self.items.extend(refs(self.at_block.row(bid.index())));
 
+        // Kept instructions are emitted as words: only the last one is
+        // decoded, to see whether it is the block's terminator.
         let n = block.insns.len();
-        for (i, ia) in block.insns.iter().enumerate() {
-            let iaddr = ia.addr.expect("normal block instruction has an address");
+        for (i, (iaddr, word)) in block.insns.words().enumerate() {
             let w = self.slot(iaddr);
             if let Some(w) = w {
-                self.items.extend(refs(&self.words[w].before));
+                self.items.extend(refs(self.at_word.row(2 * w)));
             }
-            if i == n - 1 && ia.insn.is_control_transfer() {
-                return self.emit_terminator(bid, iaddr, ia.insn, next);
+            if i == n - 1 {
+                let insn = eel_isa::decode(word);
+                if insn.is_control_transfer() {
+                    return self.emit_terminator(bid, iaddr, insn, next);
+                }
             }
             let (deleted, group) = w.map_or((false, None), |w| {
                 (self.words[w].deleted, self.words[w].group)
             });
-            match group.map(|g| &self.groups[g]) {
+            match group.map(|g| &self.groups[g as usize]) {
                 _ if deleted => self.items.push(Item::MapOrig(iaddr)),
                 // Only the leader emits the re-pointed pair; the other
                 // members vanish into it.
@@ -656,19 +734,16 @@ impl<'a> Layouter<'a> {
                         });
                     }
                 }
-                None => self.items.push(Item::Orig {
-                    insn: ia.insn,
-                    addr: iaddr,
-                }),
+                None => self.items.push(Item::Orig { word, addr: iaddr }),
             }
             if let Some(w) = w {
-                self.items.extend(refs(&self.words[w].after));
+                self.items.extend(refs(self.at_word.row(2 * w + 1)));
             }
         }
 
         // The block does not end in a control transfer: it falls through.
         if let Some(e) = succ_of_kind(cfg, bid, EdgeKind::Fall) {
-            self.items.extend(refs(&self.edge_sn[e.index()]));
+            self.items.extend(refs(self.on_edge.row(e.index())));
             let to_addr = cfg.block(cfg.edge(e).to).addr;
             if next != Some(to_addr) {
                 let target = self.code_tgt(to_addr);
@@ -686,12 +761,17 @@ impl<'a> Layouter<'a> {
         let edge = cfg.edge(e1);
         let delay = delay_slot_insn(cfg, edge.to);
         let to = cfg.block(edge.to);
-        let (edges, dest) = match (to.kind, to.succ().first()) {
-            (BlockKind::DelaySlot, Some(e2)) => (vec![e1, e2], self.edge_dest(&cfg.edge(e2))),
-            (BlockKind::DelaySlot, None) => (vec![e1], PathDest::DeadEnd),
-            _ => (vec![e1], self.edge_dest(&edge)),
+        let (e2, dest) = match (to.kind, to.succ().first()) {
+            (BlockKind::DelaySlot, Some(e2)) => (Some(e2), self.edge_dest(&cfg.edge(e2))),
+            (BlockKind::DelaySlot, None) => (None, PathDest::DeadEnd),
+            _ => (None, self.edge_dest(&edge)),
         };
-        Path { edges, delay, dest }
+        Path {
+            e1,
+            e2,
+            delay,
+            dest,
+        }
     }
 
     fn edge_dest(&self, edge: &Edge) -> PathDest {
@@ -703,15 +783,9 @@ impl<'a> Layouter<'a> {
         }
     }
 
-    fn path_snippets(&self, path: &Path) -> Vec<usize> {
-        let lists = path.edges.iter().map(|e| &self.edge_sn[e.index()]);
-        lists.flatten().copied().collect()
-    }
-
     fn path_edited(&self, path: &Path) -> bool {
-        path.edges
-            .iter()
-            .any(|e| !self.edge_sn[e.index()].is_empty())
+        path.edges()
+            .any(|e| !self.on_edge.row(e.index()).is_empty())
     }
 
     fn dest_tgt(&self, dest: &PathDest) -> Tgt {
@@ -732,8 +806,7 @@ impl<'a> Layouter<'a> {
     /// An edited path inline: its snippets, then its delay instruction
     /// unless the branch annuls it.
     fn push_path(&mut self, path: &Path, annul: bool, addr: u32) {
-        let snippets = self.path_snippets(path);
-        self.items.extend(refs(&snippets));
+        self.items.extend(path_refs(&self.on_edge, path));
         if !annul {
             self.items.extend(path.delay.map(|d| replay(d, addr)));
         }
@@ -742,9 +815,8 @@ impl<'a> Layouter<'a> {
     /// An out-of-line stub after the routine's units: its label, the
     /// path's snippets, the replayed delay instruction, and a branch on.
     fn push_stub(&mut self, stub: usize, path: &Path, delay: Option<Insn>, addr: u32, to: Tgt) {
-        let snippets = self.path_snippets(path);
         self.stub_items.push(Item::Label(stub));
-        self.stub_items.extend(refs(&snippets));
+        self.stub_items.extend(path_refs(&self.on_edge, path));
         self.stub_items.extend(delay.map(|d| replay(d, addr)));
         branch_nop(&mut self.stub_items, Cond::Always, to, None);
     }
@@ -762,7 +834,10 @@ impl<'a> Layouter<'a> {
             Op::Call { .. } => self.emit_call(bid, addr, insn, None),
             Op::Jmpl { .. } => match insn.jump_kind() {
                 Some(eel_isa::JumpKind::Return) => {
-                    self.items.push(Item::Orig { insn, addr });
+                    self.items.push(Item::Orig {
+                        word: insn.word,
+                        addr,
+                    });
                     self.push_delay_or_nop(terminator_delay(cfg, bid), addr);
                     Ok(())
                 }
@@ -897,7 +972,10 @@ impl<'a> Layouter<'a> {
                 } else {
                     // Base instructions were re-pointed at the new
                     // address; the jmpl is position-independent.
-                    self.items.push(Item::Orig { insn, addr });
+                    self.items.push(Item::Orig {
+                        word: insn.word,
+                        addr,
+                    });
                 }
                 self.push_delay_or_nop(delay, addr);
             }
@@ -910,7 +988,7 @@ impl<'a> Layouter<'a> {
 
         // Snippets on the surrogate → return edge go right after the call.
         if let Some(e) = cfg.block(surrogate).succ().first() {
-            self.items.extend(refs(&self.edge_sn[e.index()]));
+            self.items.extend(refs(self.on_edge.row(e.index())));
             // The return block is addr+8, which is emitted next in address
             // order, so no explicit jump is needed; if the return site is
             // elsewhere (odd layouts), branch explicitly.
@@ -941,7 +1019,10 @@ impl<'a> Layouter<'a> {
                     paths.push((t, path));
                 }
                 let delay = paths.iter().find_map(|(_, p)| p.delay);
-                self.items.push(Item::Orig { insn, addr });
+                self.items.push(Item::Orig {
+                    word: insn.word,
+                    addr,
+                });
                 if !paths.iter().any(|(_, p)| self.path_edited(p)) {
                     self.push_delay_or_nop(delay, addr);
                     return Ok(());
@@ -964,8 +1045,8 @@ impl<'a> Layouter<'a> {
             JumpResolution::Literal { target, base_insns } => {
                 // Edge snippets (single known target) go before the jump.
                 for e in block.succ() {
-                    let snippets = self.path_snippets(&self.walk_path(e));
-                    self.items.extend(refs(&snippets));
+                    let path = self.walk_path(e);
+                    self.items.extend(path_refs(&self.on_edge, &path));
                 }
                 if base_insns.is_empty() {
                     // Unpatchable materialization: replace the jump with a
@@ -977,7 +1058,10 @@ impl<'a> Layouter<'a> {
                         orig: Some(addr),
                     });
                 } else {
-                    self.items.push(Item::Orig { insn, addr });
+                    self.items.push(Item::Orig {
+                        word: insn.word,
+                        addr,
+                    });
                 }
                 self.push_delay_or_nop(terminator_delay(cfg, bid), addr);
             }

@@ -33,8 +33,10 @@
 //! [`Analysis`] keeps one shape per routine: the first batch
 //! ([`Executable::build_all_cfgs`], [`Executable::build_all_cfgs_probed`])
 //! that builds a routine stores it, later batches over the same analysis
-//! borrow it and replay the build's §3.1 side effects.
-//! [`Analysis::shape_bytes`] is what the shapes retain — a term eel-serve
+//! borrow it and replay the build's §3.1 side effects. A routine's
+//! liveness is solved once per stored shape and kept next to it
+//! ([`Executable::liveness`] reads it; layout places snippets with it).
+//! [`Analysis::shape_bytes`] is what the shapes and their liveness retain — a term eel-serve
 //! charges to its analysis cache apart from [`Analysis::approx_bytes`].
 //!
 //! ## Example: count every routine entry
@@ -78,7 +80,7 @@ mod snippet;
 pub use analysis::callgraph::{CallGraph, CallSite};
 pub use analysis::dom::Dominators;
 pub use analysis::jumptable::{JumpResolution, JumpTarget};
-pub use analysis::live::Liveness;
+pub use analysis::live::{LiveIn, Liveness};
 pub use analysis::loops::{natural_loops, NaturalLoop};
 pub use analysis::slice::{SliceMark, Slicer};
 pub use cfg::{

@@ -14,8 +14,11 @@
 //! immutable [`CfgShape`] there, with the §3.1 side effects of the
 //! build; every later op over the same analysis shares the shape and
 //! replays the side effects, so each routine is built once per image.
+//! The first op that needs the routine's liveness solves it into the
+//! same cell ([`LiveIn`]), so it too is solved once per shape.
 
-use crate::cfg::CfgShape;
+use crate::analysis::live::LiveIn;
+use crate::cfg::{Cfg, CfgShape};
 use crate::error::EelError;
 use crate::executable::{discover_routines, DiscoverySource, RoutineId};
 use crate::fragment::routine_key;
@@ -27,11 +30,20 @@ use std::sync::{Arc, Mutex};
 /// Per-heap-block bookkeeping: malloc header plus size-class rounding.
 pub(crate) const ALLOC_OVERHEAD: usize = 16;
 
+/// One routine's build cell: its shared shape, and the shape's liveness
+/// once an op solved it.
+#[derive(Default)]
+pub(crate) struct ShapeCell {
+    pub(crate) shape: Option<Arc<CfgShape>>,
+    live: Option<LiveIn>,
+}
+
 /// One build cell per routine an [`Analysis`] discovered, indexed like
 /// its routines, plus the bytes the filled cells retain. A cell's lock is
-/// held while its routine builds, so the build is single-flight.
+/// held while its routine builds or its liveness is solved, so both are
+/// single-flight.
 pub(crate) struct ShapeCells {
-    cells: Box<[Mutex<Option<Arc<CfgShape>>>]>,
+    cells: Box<[Mutex<ShapeCell>]>,
     bytes: AtomicUsize,
     /// Live builds of discovered routines that went through the cells.
     builds: AtomicUsize,
@@ -41,7 +53,9 @@ pub(crate) struct ShapeCells {
 
 impl ShapeCells {
     fn new(routines: usize) -> ShapeCells {
-        let cells: Box<[_]> = (0..routines).map(|_| Mutex::new(None)).collect();
+        let cells: Box<[_]> = (0..routines)
+            .map(|_| Mutex::new(ShapeCell::default()))
+            .collect();
         let bytes =
             std::mem::size_of::<ShapeCells>() + std::mem::size_of_val(&*cells) + 2 * ALLOC_OVERHEAD;
         ShapeCells {
@@ -53,25 +67,42 @@ impl ShapeCells {
     }
 
     /// The cell of routine `i`, if the analysis discovered it.
-    pub(crate) fn cell(&self, i: usize) -> Option<&Mutex<Option<Arc<CfgShape>>>> {
+    pub(crate) fn cell(&self, i: usize) -> Option<&Mutex<ShapeCell>> {
         self.cells.get(i)
     }
 
-    /// Empties every cell. Executables holding a shape keep it alive;
-    /// a later batch rebuilds what it needs.
+    /// Empties every cell. Executables holding a shape or a liveness
+    /// keep it alive; a later batch rebuilds what it needs.
     fn clear(&self) {
         for cell in self.cells.iter() {
-            // A cell changes in one store after its build, so a build
-            // that panicked left it valid (empty).
-            let taken = cell
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .take();
-            if let Some(shape) = taken {
-                self.bytes
-                    .fetch_sub(shape.retained_bytes(), Ordering::Relaxed);
+            let taken = std::mem::take(&mut *lock(cell));
+            let shape = taken.shape.map_or(0, |s| s.retained_bytes());
+            let live = taken.live.map_or(0, |l| l.retained_bytes());
+            self.bytes.fetch_sub(shape + live, Ordering::Relaxed);
+        }
+    }
+
+    /// The liveness of `cfg`'s shape. When the shape is the one its
+    /// routine's cell holds, the result is solved once, stored next to
+    /// the shape and charged with it; any other shape's is solved here.
+    pub(crate) fn live_in(&self, cfg: &Cfg) -> LiveIn {
+        let Some(cell) = self.cell(cfg.routine_id().index()) else {
+            return LiveIn::compute(cfg);
+        };
+        {
+            let mut slot = lock(cell);
+            let ShapeCell { shape, live } = &mut *slot;
+            if let Some(shape) = shape.as_ref().filter(|s| Arc::ptr_eq(s, cfg.shape())) {
+                let live = live.get_or_insert_with(|| {
+                    let solved = LiveIn::compute(shape);
+                    self.bytes
+                        .fetch_add(solved.retained_bytes(), Ordering::Relaxed);
+                    solved
+                });
+                return live.clone();
             }
         }
+        LiveIn::compute(cfg)
     }
 
     /// Accounts a live build, and the shape it stored in a cell, if any.
@@ -82,6 +113,13 @@ impl ShapeCells {
                 .fetch_add(shape.retained_bytes(), Ordering::Relaxed);
         }
     }
+}
+
+/// Locks a cell. A cell changes in one store after its build or solve,
+/// so one that panicked under the lock left it valid.
+pub(crate) fn lock(cell: &Mutex<ShapeCell>) -> std::sync::MutexGuard<'_, ShapeCell> {
+    cell.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// The immutable result of loading an image and running §3.1's routine
@@ -184,7 +222,8 @@ impl Analysis {
     }
 
     /// Bytes the routines' shared CFG shapes retain: the filled build
-    /// cells, their records and the cell table itself. This grows as ops
+    /// cells, their records, the liveness stored with them and the cell
+    /// table itself. This grows as ops
     /// build routines, so it is deliberately not part of
     /// [`Analysis::approx_bytes`] (which `stat` reports and which must not
     /// depend on which op ran first); eel-serve charges it to its
@@ -203,8 +242,8 @@ impl Analysis {
 
     /// Records that shape reader `k` of a fixed set of `readers` (at
     /// most 32 — for eel-serve, its four CFG ops) is done with this
-    /// analysis' CFG shapes, and drops every stored shape once all of
-    /// them are. An image's shapes then live from its first CFG op to its
+    /// analysis' CFG shapes, and drops every stored shape, with its
+    /// liveness, once all of them are. An image's shapes then live from its first CFG op to its
     /// last; [`Analysis::shape_bytes`] falls back to the cell table, and
     /// a reader that runs again later rebuilds what it needs and releases
     /// it again when done.

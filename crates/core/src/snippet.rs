@@ -18,15 +18,88 @@
 
 use crate::error::EelError;
 use eel_isa::{Builder, Insn, Op, Reg, RegSet, Src2};
-use std::collections::HashMap;
 use std::fmt;
+
+/// A register renaming: requested register → allocated register. Dense
+/// over the 64 register numbers a [`RegSet`] holds, so building and
+/// reading it touch no heap; it iterates in ascending register order.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct RegMap {
+    keys: RegSet,
+    to: [Reg; 64],
+}
+
+impl Default for RegMap {
+    fn default() -> RegMap {
+        RegMap {
+            keys: RegSet::new(),
+            to: [Reg::G0; 64],
+        }
+    }
+}
+
+impl RegMap {
+    /// Maps `from` to `to`, replacing any earlier mapping of `from`.
+    pub fn insert(&mut self, from: Reg, to: Reg) {
+        self.keys.insert(from);
+        self.to[from.index()] = to;
+    }
+
+    /// What `r` is mapped to, if anything.
+    pub fn get(&self, r: Reg) -> Option<Reg> {
+        self.keys.contains(r).then(|| self.to[r.index()])
+    }
+
+    /// Number of mapped registers.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Is nothing mapped?
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The `(requested, allocated)` pairs in ascending requested order.
+    pub fn iter(&self) -> impl Iterator<Item = (Reg, Reg)> + '_ {
+        self.keys.iter().map(|r| (r, self.to[r.index()]))
+    }
+
+    /// The allocated registers, by ascending requested register.
+    pub fn values(&self) -> impl Iterator<Item = Reg> + '_ {
+        self.iter().map(|(_, to)| to)
+    }
+
+    /// `r` renamed, or `r` itself when unmapped.
+    fn apply(&self, r: Reg) -> Reg {
+        self.get(r).unwrap_or(r)
+    }
+}
+
+impl std::ops::Index<&Reg> for RegMap {
+    type Output = Reg;
+
+    /// # Panics
+    ///
+    /// Panics when `r` is unmapped.
+    fn index(&self, r: &Reg) -> &Reg {
+        assert!(self.keys.contains(*r), "{r} is not mapped");
+        &self.to[r.index()]
+    }
+}
+
+impl fmt::Debug for RegMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
 
 /// The register assignment a snippet received at placement, passed to its
 /// call-back.
 #[derive(Debug, Clone, Default)]
 pub struct RegAssignment {
     /// Requested register → allocated register.
-    pub map: HashMap<Reg, Reg>,
+    pub map: RegMap,
     /// Registers that had to be spill-wrapped to the stack because no
     /// dead register was available.
     pub spilled: Vec<Reg>,
@@ -273,9 +346,10 @@ impl Snippet {
             .union(self.forbidden)
             .union(fixed)
             .union(never_scavenged());
-        // Preference order: the classic scratch registers first (%g6/%g7,
-        // as qpt scavenged), then locals, remaining globals, out- and
-        // in-registers; link registers last.
+        // The dead registers, in preference order: the classic scratch
+        // registers first (%g6/%g7, as qpt scavenged), then locals,
+        // remaining globals, out- and in-registers; link registers last.
+        // Walked only as far as allocation takes from it.
         const PREFERENCE: [u8; 29] = [
             6, 7, 23, 22, 21, 20, 19, 18, 17, 16, // %g6 %g7 %l7..%l0
             5, 4, 3, 2, 1, // %g5..%g1
@@ -283,21 +357,17 @@ impl Snippet {
             29, 28, 27, 26, 25, 24, // %i5..%i0
             31, 15, // %i7 %o7
         ];
-        let mut pool: Vec<Reg> = PREFERENCE
+        let scavenging = !self.force_spill;
+        let mut pool = PREFERENCE
             .iter()
             .map(|&i| Reg(i))
-            .filter(|r| !unavailable.contains(*r))
-            .collect();
-        pool.reverse(); // pop() takes from the front of the preference
-        if self.force_spill {
-            pool.clear();
-        }
+            .filter(|&r| scavenging && !unavailable.contains(r));
 
         let mut assignment = RegAssignment::default();
         let mut spill_seq: Vec<(Reg, i32)> = Vec::new();
         let mut spill_slot = SPILL_BASE;
         for &want in &self.scavenge {
-            if let Some(got) = pool.pop() {
+            if let Some(got) = pool.next() {
                 assignment.map.insert(want, got);
             } else {
                 // No dead register: keep `want` but spill/restore it.
@@ -314,7 +384,7 @@ impl Snippet {
         }
 
         let cc_temp = if need_cc_save {
-            match pool.pop() {
+            match pool.next() {
                 Some(r) => Some(r),
                 None => {
                     // Spill a register to hold the saved PSR.
@@ -322,9 +392,7 @@ impl Snippet {
                         .without(self.forbidden)
                         .without(fixed)
                         .without(never_scavenged())
-                        .without(RegSet::of(
-                            &assignment.map.values().copied().collect::<Vec<_>>(),
-                        ));
+                        .without(assignment.map.values().collect());
                     let r = candidates.iter().next().ok_or_else(|| {
                         EelError::RegisterPressure("no register for PSR save".into())
                     })?;
@@ -340,7 +408,8 @@ impl Snippet {
 
         // Assemble the final sequence: spills, cc save, body, cc restore,
         // fills.
-        let mut out = Vec::new();
+        let wraps = 2 * spill_seq.len() + 2 * usize::from(cc_temp.is_some());
+        let mut out = Vec::with_capacity(self.body.len() + wraps);
         for &(r, slot) in &spill_seq {
             out.push(Builder::st(r, Reg::SP, Src2::Imm(slot)));
         }
@@ -355,7 +424,7 @@ impl Snippet {
         }
         let mut calls = Vec::new();
         for (i, insn) in self.body.iter().enumerate() {
-            let placed = substitute_regs(*insn, &assignment.map);
+            let placed = substitute_regs(*insn, |r| assignment.map.apply(r));
             if let Some((_, name)) = self.calls.iter().find(|(ci, _)| *ci == i) {
                 calls.push((out.len(), name.clone()));
             }
@@ -390,11 +459,10 @@ impl Snippet {
     }
 }
 
-/// Rewrites the registers of an instruction according to `map` (used by
-/// snippet register allocation, §3.5). Every GPR field of the instruction
-/// is looked up in `map`; unmapped registers pass through.
-fn substitute_regs(insn: Insn, map: &HashMap<Reg, Reg>) -> Insn {
-    let m = |r: Reg| *map.get(&r).unwrap_or(&r);
+/// Rewrites the registers of an instruction through `m` (used by
+/// snippet register allocation, §3.5): every GPR field of the
+/// instruction is renamed, and the result re-encoded.
+fn substitute_regs(insn: Insn, m: impl Fn(Reg) -> Reg) -> Insn {
     let ms = |s: Src2| match s {
         Src2::Reg(r) => Src2::Reg(m(r)),
         imm => imm,
@@ -505,7 +573,7 @@ mod tests {
         forbidden.retain(|r| *r != Reg(16) && *r != Reg(17));
         let mut s = Snippet::counter_increment(0x0040_0000).with_forbidden(&forbidden);
         let (_, asg, _) = s.materialize(RegSet::new()).unwrap();
-        let allocated: Vec<Reg> = asg.map.values().copied().collect();
+        let allocated: Vec<Reg> = asg.map.values().collect();
         assert!(allocated.contains(&Reg(16)) || allocated.contains(&Reg(17)));
         for r in allocated {
             assert!(!forbidden.contains(&r), "{r} was forbidden");
@@ -636,7 +704,9 @@ mod tests {
 
     #[test]
     fn substitute_rewrites_all_fields() {
-        let map: HashMap<Reg, Reg> = [(Reg(6), Reg(20)), (Reg(7), Reg(21))].into_iter().collect();
+        let mut map = RegMap::default();
+        map.insert(Reg(6), Reg(20));
+        map.insert(Reg(7), Reg(21));
         // The Figure 5 snippet body: counter increment through %g6/%g7.
         let body = [
             Builder::sethi_hi(Reg(6), 0x4000),
@@ -644,20 +714,171 @@ mod tests {
             Builder::add(Reg(7), Reg(7), Src2::Imm(1)),
             Builder::st(Reg(7), Reg(6), Src2::Imm(0)),
         ];
-        let rewritten: Vec<_> = body.iter().map(|i| substitute_regs(*i, &map)).collect();
+        let rewritten: Vec<_> = body
+            .iter()
+            .map(|i| substitute_regs(*i, |r| map.apply(r)))
+            .collect();
         assert_eq!(rewritten[0].to_string(), "sethi 0x10, %l4");
         assert_eq!(rewritten[1].to_string(), "ld [%l4], %l5");
         assert_eq!(rewritten[2].to_string(), "add %l5, 1, %l5");
         assert_eq!(rewritten[3].to_string(), "st %l5, [%l4]");
         // Unmapped registers pass through.
-        let same = substitute_regs(Builder::mov(Reg(9), Src2::Imm(3)), &map);
+        let same = substitute_regs(Builder::mov(Reg(9), Src2::Imm(3)), |r| map.apply(r));
         assert_eq!(same.to_string(), "mov 3, %o1");
     }
 
     #[test]
     fn substitute_preserves_branches() {
-        let map: HashMap<Reg, Reg> = [(Reg(6), Reg(20))].into_iter().collect();
+        let mut map = RegMap::default();
+        map.insert(Reg(6), Reg(20));
         let b = Builder::ba(4);
-        assert_eq!(substitute_regs(b, &map), b);
+        assert_eq!(substitute_regs(b, |r| map.apply(r)), b);
+    }
+
+    /// Instructions, assignment pairs, spills and the cc-save flag.
+    type OraclePlacement = (Vec<Insn>, Vec<(Reg, Reg)>, Vec<Reg>, bool);
+
+    /// The placement allocator as it was with a `HashMap` register map
+    /// and an eagerly collected pool: the oracle the dense map and the
+    /// lazy preference walk must agree with. Returns the instructions,
+    /// the assignment as sorted pairs, the spills and the cc-save flag.
+    fn materialize_with_hash_map(s: &Snippet, live: RegSet) -> Result<OraclePlacement, EelError> {
+        use std::collections::HashMap;
+        let mut fixed = RegSet::new();
+        for i in &s.body {
+            fixed = fixed.union(i.reads()).union(i.writes());
+        }
+        for r in &s.scavenge {
+            fixed.remove(*r);
+        }
+        let body_writes_cc = s.body.iter().any(|i| i.writes().contains(Reg::ICC));
+        let need_cc_save = body_writes_cc && live.contains(Reg::ICC);
+        let unavailable = live
+            .union(s.forbidden)
+            .union(fixed)
+            .union(never_scavenged());
+        const PREFERENCE: [u8; 29] = [
+            6, 7, 23, 22, 21, 20, 19, 18, 17, 16, 5, 4, 3, 2, 1, 13, 12, 11, 10, 9, 8, 29, 28, 27,
+            26, 25, 24, 31, 15,
+        ];
+        let mut pool: Vec<Reg> = PREFERENCE
+            .iter()
+            .map(|&i| Reg(i))
+            .filter(|r| !unavailable.contains(*r))
+            .collect();
+        pool.reverse();
+        if s.force_spill {
+            pool.clear();
+        }
+        let mut map: HashMap<Reg, Reg> = HashMap::new();
+        let mut spilled = Vec::new();
+        let mut spill_seq: Vec<(Reg, i32)> = Vec::new();
+        let mut spill_slot = SPILL_BASE;
+        for &want in &s.scavenge {
+            if let Some(got) = pool.pop() {
+                map.insert(want, got);
+            } else {
+                if s.forbidden.contains(want) || never_scavenged().contains(want) {
+                    return Err(EelError::RegisterPressure(format!("{want}")));
+                }
+                map.insert(want, want);
+                spilled.push(want);
+                spill_seq.push((want, spill_slot));
+                spill_slot -= 8;
+            }
+        }
+        let cc_temp = if need_cc_save {
+            match pool.pop() {
+                Some(r) => Some(r),
+                None => {
+                    let candidates = RegSet::all_gprs()
+                        .without(s.forbidden)
+                        .without(fixed)
+                        .without(never_scavenged())
+                        .without(RegSet::of(&map.values().copied().collect::<Vec<_>>()));
+                    let r = candidates
+                        .iter()
+                        .next()
+                        .ok_or_else(|| EelError::RegisterPressure("psr".into()))?;
+                    spilled.push(r);
+                    spill_seq.push((r, spill_slot));
+                    Some(r)
+                }
+            }
+        } else {
+            None
+        };
+        let rename = |insn: Insn| substitute_regs(insn, |r| *map.get(&r).unwrap_or(&r));
+        let mut out = Vec::new();
+        for &(r, slot) in &spill_seq {
+            out.push(Builder::st(r, Reg::SP, Src2::Imm(slot)));
+        }
+        if let Some(t) = cc_temp {
+            let rd = Builder::alu(eel_isa::AluOp::Rdpsr, false, t, Reg::G0, Src2::Reg(Reg::G0));
+            out.push(rd);
+        }
+        out.extend(s.body.iter().map(|&i| rename(i)));
+        if let Some(t) = cc_temp {
+            let wr = Builder::alu(eel_isa::AluOp::Wrpsr, false, Reg::G0, t, Src2::Reg(Reg::G0));
+            out.push(wr);
+        }
+        for &(r, slot) in spill_seq.iter().rev() {
+            out.push(Builder::ld(r, Reg::SP, Src2::Imm(slot)));
+        }
+        let mut pairs: Vec<(Reg, Reg)> = map.into_iter().collect();
+        pairs.sort_unstable();
+        Ok((out, pairs, spilled, cc_temp.is_some()))
+    }
+
+    #[test]
+    fn dense_placement_matches_the_hash_map_allocator() {
+        const PREFERENCE: [u8; 29] = [
+            6, 7, 23, 22, 21, 20, 19, 18, 17, 16, 5, 4, 3, 2, 1, 13, 12, 11, 10, 9, 8, 29, 28, 27,
+            26, 25, 24, 31, 15,
+        ];
+        let snippets: Vec<fn() -> Snippet> = vec![
+            || Snippet::counter_increment(0x0040_1234),
+            || Snippet::counter_increment(0x0040_1234).with_forced_spill(),
+            || Snippet::counter_increment(0x0040_1234).with_forbidden(&[Reg(20), Reg(5)]),
+            || {
+                // Writes icc: a live icc takes one more pool register.
+                let body = vec![
+                    Builder::cmp(Reg(6), Src2::Imm(0)),
+                    Builder::add(Reg(7), Reg(6), Src2::Reg(Reg(9))),
+                ];
+                Snippet::new(body).with_scavenged(&[Reg(6), Reg(7)])
+            },
+            || {
+                let body = vec![Builder::cmp(Reg(6), Src2::Imm(0))];
+                Snippet::new(body)
+                    .with_scavenged(&[Reg(6)])
+                    .with_forced_spill()
+            },
+        ];
+        let mut cases = 0;
+        for make in &snippets {
+            // Live sets knocking out ever longer prefixes of the
+            // preference list, each with and without a live icc.
+            for k in 0..=PREFERENCE.len() {
+                let prefix: RegSet = PREFERENCE[..k].iter().map(|&i| Reg(i)).collect();
+                for live in [prefix, prefix.union(RegSet::of(&[Reg::ICC]))] {
+                    let mut s = make();
+                    let oracle = materialize_with_hash_map(&s, live);
+                    let dense = s.materialize(live);
+                    match (oracle, dense) {
+                        (Ok((insns, pairs, spilled, cc)), Ok((got, asg, _))) => {
+                            assert_eq!(got, insns, "live {live:?}");
+                            assert_eq!(asg.map.iter().collect::<Vec<_>>(), pairs);
+                            assert_eq!(asg.spilled, spilled, "live {live:?}");
+                            assert_eq!(asg.cc_saved, cc, "live {live:?}");
+                        }
+                        (Err(_), Err(_)) => {}
+                        (oracle, dense) => panic!("{live:?}: {oracle:?} vs {dense:?}"),
+                    }
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, snippets.len() * 2 * (PREFERENCE.len() + 1));
     }
 }

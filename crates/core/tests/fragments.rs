@@ -3,7 +3,7 @@
 //! byte-identical to an unprobed one.
 
 use eel_cc::{compile_str, Options};
-use eel_core::{Analysis, CfgOutcome, Executable};
+use eel_core::{routine_key, Analysis, CfgOutcome, Executable};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -222,4 +222,25 @@ fn fragment_under_a_key_lost_to_an_earlier_registration_is_never_replayed() {
         "a key miss must produce a live build"
     );
     assert_eq!(table(&exec), cold_table);
+}
+
+#[test]
+fn batch_keys_are_the_content_keys_of_their_snapshots() {
+    // A batch reuses the analysis' key of a routine discovery left as it
+    // was and hashes any other (here callee, which main's registration
+    // changes, and main's split-off tail), so every key is its
+    // snapshot's.
+    for a in [analysis(), side_effects_analysis()] {
+        let mut exec = Executable::from_analysis(&a);
+        let items = exec
+            .build_all_cfgs_probed(&mut |_| None, &|_| true)
+            .unwrap();
+        for it in &items {
+            let fresh = routine_key(a.image(), &it.routine);
+            assert_eq!(it.key, fresh, "{}", it.routine.name());
+        }
+        for (r, key) in exec.routines().iter().zip(exec.routine_keys()) {
+            assert_eq!(key, routine_key(a.image(), r), "{}", r.name());
+        }
+    }
 }

@@ -3,7 +3,7 @@
 //! cross-thread sharing.
 
 use eel_cc::{compile_str, Options, Personality};
-use eel_core::{Analysis, Executable};
+use eel_core::{Analysis, Executable, Liveness};
 use std::sync::Arc;
 
 fn program() -> &'static str {
@@ -203,6 +203,63 @@ fn shared_shapes_retain_at_most_16_bytes_per_text_instruction() {
         per_insn <= 16.0,
         "{per_insn:.2} shape bytes per text instruction ({bytes} over {insns})"
     );
+}
+
+#[test]
+fn stored_liveness_retains_at_most_4_bytes_per_text_instruction() {
+    // The liveness stored next to each shape, charged on top of the
+    // shapes once every routine's is solved, against the text size.
+    let (mut bytes, mut insns) = (0usize, 0usize);
+    for image in suite_images() {
+        insns += image.text.len() / 4;
+        let analysis = Analysis::compute(Arc::new(image)).unwrap();
+        let mut exec = Executable::from_analysis(&analysis);
+        let cfgs = exec.build_all_cfgs(1).unwrap();
+        let shapes = analysis.shape_bytes();
+        for (_, cfg) in &cfgs {
+            exec.liveness(cfg);
+        }
+        bytes += analysis.shape_bytes() - shapes;
+    }
+    let per_insn = bytes as f64 / insns as f64;
+    assert!(
+        per_insn <= 4.0,
+        "{per_insn:.2} liveness bytes per text instruction ({bytes} over {insns})"
+    );
+}
+
+#[test]
+fn stored_liveness_equals_a_fresh_solve() {
+    for image in suite_images() {
+        let analysis = Analysis::compute(Arc::new(image)).unwrap();
+        let mut exec = Executable::from_analysis(&analysis);
+        let cfgs = exec.build_all_cfgs(1).unwrap();
+        for (routine, cfg) in &cfgs {
+            let stored = exec.liveness(cfg);
+            let fresh = Liveness::compute(cfg);
+            for (b, block) in cfg.blocks() {
+                let at = || format!("{} block {}", routine.name(), b.index());
+                assert_eq!(stored.live_in(b), fresh.live_in(b), "{}", at());
+                assert_eq!(stored.live_out(cfg, b), fresh.live_out(b), "{}", at());
+                for i in 0..block.insns.len() {
+                    let (s, f) = (stored.live_before(cfg, b, i), fresh.live_before(cfg, b, i));
+                    assert_eq!(s, f, "{} insn {i}", at());
+                }
+            }
+            for e in 0..cfg.edge_count() {
+                let e = eel_core::EdgeId::from_index(e);
+                assert_eq!(stored.live_on_edge(cfg, e), fresh.live_on_edge(cfg, e));
+            }
+        }
+        // Solved once per shape: another executable over the same
+        // analysis reads the stored results and charges nothing more.
+        let solved = analysis.shape_bytes();
+        let other = Executable::from_analysis(&analysis);
+        for (_, cfg) in &cfgs {
+            other.liveness(cfg);
+        }
+        assert_eq!(analysis.shape_bytes(), solved);
+    }
 }
 
 #[test]

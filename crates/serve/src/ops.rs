@@ -27,8 +27,8 @@
 use crate::cache::CostClass;
 use eel_core::{
     generic_cfg, generic_disasm, generic_liveness, instrument_block_counters, machine_ops,
-    uses_generic_pipeline, Analysis, BlockId, Cfg, CfgOutcome, Executable, Liveness, Routine,
-    RoutineId, Snippet,
+    uses_generic_pipeline, Analysis, BlockId, Cfg, CfgOutcome, Executable, Routine, RoutineId,
+    Snippet,
 };
 use eel_exe::Image;
 use eel_isa::write_hex;
@@ -516,11 +516,12 @@ fn decode_summary_payload(p: &[u8]) -> Option<(u64, u64, u64, &str)> {
     Some((b, e, i, suffix))
 }
 
-/// Entry live-in registers for every routine, from the CFG dataflow.
-/// The fragment is the line minus the routine name.
+/// Entry live-in registers for every routine, from the CFG dataflow
+/// (the liveness stored with the analysis' shape, which `instrument`'s
+/// layout reads too). The fragment is the line minus the routine name.
 fn liveness(batch: &Batch) -> OpResult {
     let mut out = String::new();
-    let (_, stats) = batch.stitch("liveness", &is_utf8, |_, routine, _, outcome| {
+    let (_, stats) = batch.stitch("liveness", &is_utf8, |exec, routine, _, outcome| {
         out.push_str(&routine.name());
         Ok(match outcome {
             CfgOutcome::Hit(payload) => {
@@ -528,7 +529,7 @@ fn liveness(batch: &Batch) -> OpResult {
                 Stitched::Hit
             }
             CfgOutcome::Built(cfg) => {
-                let live = Liveness::compute(&cfg);
+                let live = exec.liveness(&cfg);
                 let entry = live.live_in(cfg.entry_block());
                 let suffix = format!(": entry-live-in={entry} ({} regs)\n", entry.len());
                 out.push_str(&suffix);

@@ -1335,12 +1335,19 @@ mod tests {
         };
         let charged = shared.analyses.extra_bytes();
         assert_eq!(charged, analysis.shape_bytes(), "the shapes are charged");
-        for op in ["cfg-summary", "liveness", "instrument"] {
+        for op in ["cfg-summary", "liveness"] {
             assert!(matches!(
                 cached_op(shared, op, &payload),
                 Response::Ok { .. }
             ));
         }
+        let solved = shared.analyses.extra_bytes();
+        assert!(solved > charged, "the stored liveness is charged too");
+        assert_eq!(solved, analysis.shape_bytes());
+        assert!(matches!(
+            cached_op(shared, "instrument", &payload),
+            Response::Ok { .. }
+        ));
         assert_eq!(
             analysis.shape_builds(),
             analysis.routines().len(),

@@ -735,11 +735,26 @@ fn top_level(report: &str, name: &str) -> Option<String> {
     })
 }
 
+/// The `Nx` counts of every span-tree line for `name`, at any depth,
+/// summed.
+fn span_count(report: &str, name: &str) -> u32 {
+    report
+        .lines()
+        .filter_map(|line| {
+            let mut words = line.split_whitespace();
+            (words.next() == Some(name)).then(|| words.next())?
+        })
+        .filter_map(|count| count.strip_suffix('x')?.parse::<u32>().ok())
+        .sum()
+}
+
 #[test]
 fn eelstat_builds_each_routine_cfg_once_per_image() {
     // The 4-routine twin program of CI's machine-smoke job: the four
-    // CFG ops share one analysis, so each routine is built once, and a
-    // cold `run_op` hashes no routine keys beyond the analysis' own.
+    // CFG ops share one analysis, so each routine is built once and its
+    // liveness solved once (the `liveness` op solves it, `instrument`'s
+    // layout reads it), and a cold `run_op` hashes no routine keys
+    // beyond the analysis' own.
     let twin = "fn helper(x) { return x * 3 + 1; }
         fn main() {
           var i; var t = 0;
@@ -767,6 +782,7 @@ fn eelstat_builds_each_routine_cfg_once_per_image() {
         Some("4"),
         "{report}"
     );
+    assert_eq!(span_count(&report, "core.liveness"), 4, "{report}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
