@@ -18,10 +18,10 @@
 //! an op payload the caller treats as opaque bytes.
 //! [`crate::Executable::build_all_cfgs_probed`] loads each key once per
 //! batch, honors a fragment only when the start matches, and *replays*
-//! the recorded side effects in the build's stead; a clean live build
+//! the recorded side effects in the build's stead; a clean build
 //! hands back a [`crate::Replay`] that wraps an op payload into a new
-//! fragment. A fragment that fails validation falls back to a live
-//! build, so composed output stays byte-identical to a cold recompute.
+//! fragment. A fragment that fails validation falls back to a build, so
+//! composed output stays byte-identical to a cold recompute.
 //!
 //! The module also provides a compact binary (de)serialization of a
 //! routine's [`RoutineLayout`] so an *instrumentation plan* (snippets

@@ -29,11 +29,15 @@
 //! `Send + Sync`, with blocks as address ranges over the image (so
 //! [`Block::insns`] decodes on read) and edges in compressed
 //! successor/predecessor rows. The edits belong to whoever edits the
-//! CFG; snippets are not `Sync`, so they never enter the shape. A shared
-//! [`Analysis`] keeps one shape per routine: the first batch
-//! ([`Executable::build_all_cfgs`], [`Executable::build_all_cfgs_probed`])
-//! that builds a routine stores it, later batches over the same analysis
-//! borrow it and replay the build's §3.1 side effects. A routine's
+//! CFG; snippets are not `Sync`, so they never enter the shape. An
+//! executable keeps one shape cell per discovered routine — its own, or
+//! the shared [`Analysis`]' it was opened from — and
+//! [`Executable::build_cfg`], the one way to get a CFG, goes through
+//! it: the first build of a routine stores its shape, and every later
+//! one (a batch of [`Executable::build_all_cfgs`] or
+//! [`Executable::build_all_cfgs_probed`], a tool, an eel-edit session,
+//! [`Executable::write_edited`]'s pass-through layout) borrows it and
+//! replays the build's §3.1 side effects. A routine's
 //! liveness is solved once per stored shape and kept next to it
 //! ([`Executable::liveness`] reads it; layout places snippets with it).
 //! [`Analysis::shape_bytes`] is what the shapes and their liveness retain — a term eel-serve
@@ -88,7 +92,9 @@ pub use cfg::{
     EdgeKind, EdgeList, Edit, EditPoint, InsnAt, InsnIter, Insns,
 };
 pub use error::EelError;
-pub use executable::{CfgBatchItem, CfgOutcome, DiscoverySource, Executable, Replay, RoutineId};
+pub use executable::{
+    CfgBatchItem, CfgOutcome, DiscoverySource, Executable, FragmentSource, Replay, RoutineId,
+};
 pub use fragment::routine_key;
 pub use generic::{
     generic_cfg, generic_disasm, generic_liveness, instrument_block_counters,

@@ -150,8 +150,11 @@ fn build_all_cfgs_matches_sequential_at_any_thread_count() {
     let analysis = Analysis::compute(Arc::new(image)).unwrap();
 
     // The sequential truth: routine snapshot taken before each build,
-    // exactly the pairs build_all_cfgs promises to reproduce.
-    let mut seq = Executable::from_analysis(&analysis);
+    // exactly the pairs build_all_cfgs promises to reproduce. A fresh
+    // executable of its own has empty cells, so each of its builds is
+    // live and the analysis' cells stay empty for the batches below.
+    let mut seq = Executable::from_image(analysis.image().as_ref().clone()).unwrap();
+    seq.read_contents().unwrap();
     let mut expected = Vec::new();
     for id in seq.all_routine_ids() {
         let routine = seq.routine(id).clone();
@@ -297,6 +300,56 @@ fn batches_share_one_shape_per_routine() {
     for ((_, shared), (_, own)) in second.iter().zip(&live) {
         assert_eq!(shared.stats(), own.stats());
     }
+}
+
+#[test]
+fn an_executable_from_an_image_shares_each_routine_shape() {
+    let image = compile_str(program(), &Options::default()).unwrap();
+    let mut exec = Executable::from_image(image).unwrap();
+    exec.read_contents().unwrap();
+    let discovered = exec.routines().len();
+    let first = exec.build_all_cfgs(1).unwrap();
+    // A discovered routine that no later build changed has the snapshot
+    // its cell was filled from, so building it again shares the shape.
+    let unchanged: Vec<_> = first
+        .iter()
+        .filter(|(r, cfg)| {
+            cfg.routine_id().index() < discovered && exec.routine(cfg.routine_id()) == r
+        })
+        .collect();
+    assert!(!unchanged.is_empty());
+    for (routine, cfg) in unchanged {
+        let again = exec.build_cfg(cfg.routine_id()).unwrap();
+        assert!(
+            Arc::ptr_eq(cfg.shape(), again.shape()),
+            "{} is built once",
+            routine.name()
+        );
+    }
+}
+
+#[test]
+fn write_edited_lays_out_pass_through_routines_from_the_shared_shapes() {
+    let image = compile_str(program(), &Options::default()).unwrap();
+    let analysis = Analysis::compute(Arc::new(image)).unwrap();
+    // Edit one routine; write_edited lays every other out pass-through,
+    // through the analysis' cells.
+    let mut exec = Executable::from_analysis(&analysis);
+    let id = exec.routine_ids()[0];
+    let mut cfg = exec.build_cfg(id).unwrap();
+    let counter = exec.reserve_data(4);
+    let entry = cfg.entry_block();
+    cfg.add_code_at_block_start(entry, eel_core::Snippet::counter_increment(counter))
+        .unwrap();
+    exec.install_edits(cfg).unwrap();
+    exec.write_edited().unwrap();
+    let routines = analysis.routines().len();
+    assert_eq!(analysis.shape_builds(), routines, "every cell is filled");
+    // A later batch over the analysis builds nothing.
+    Executable::from_analysis(&analysis)
+        .build_all_cfgs(1)
+        .unwrap();
+    assert_eq!(analysis.shape_builds(), routines);
 }
 
 #[test]

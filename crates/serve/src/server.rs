@@ -1170,7 +1170,12 @@ fn cached_edit(shared: &Shared, payload: &Payload) -> Response {
     let script_hash = content_hash(script.as_bytes());
     let op_key = format!("edit-{script_hash:016x}");
     cached_result(shared, hash, &op_key, "edit", || {
-        analyze(shared, hash, wef).and_then(|a| run_edit(&a, script))
+        analyze(shared, hash, wef).and_then(|a| {
+            let result = run_edit(&a, script);
+            // The script's builds and write-out fill the analysis' cells.
+            charge_shapes(shared, hash);
+            result
+        })
     })
 }
 
@@ -1325,6 +1330,10 @@ mod tests {
         .expect("compile")
         .to_bytes();
         let hash = content_hash(&wef);
+        let edit = Payload::Edit {
+            wef: wef.clone(),
+            script: "counter main\napply\n".into(),
+        };
         let payload = Payload::Inline(wef);
         assert!(matches!(
             cached_op(shared, "disasm", &payload),
@@ -1364,6 +1373,16 @@ mod tests {
             shared.analyses.bytes(),
             analysis.approx_bytes() + released,
             "approx_bytes stays the insertion cost"
+        );
+        // An edit after the release builds the shapes again, and they
+        // are charged.
+        assert!(matches!(cached_edit(shared, &edit), Response::Ok { .. }));
+        let edited = shared.analyses.extra_bytes();
+        assert!(edited > released, "{edited} > {released}");
+        assert_eq!(
+            edited,
+            analysis.shape_bytes(),
+            "the edit's shapes are charged"
         );
     }
 

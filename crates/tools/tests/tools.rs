@@ -783,6 +783,8 @@ fn eelstat_builds_each_routine_cfg_once_per_image() {
         "{report}"
     );
     assert_eq!(span_count(&report, "core.liveness"), 4, "{report}");
+    // Plus the two tails the builds split off, built by write_edited.
+    assert_eq!(span_count(&report, "core.build_cfg"), 6, "{report}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
