@@ -87,7 +87,6 @@ pub(crate) fn build_cfg(
     image: &Image,
     extent: (u32, u32),
     entries: &[u32],
-    jump_analysis: bool,
 ) -> Result<BuildOutput, EelError> {
     let (start, end) = extent;
     // Discovery keeps extents inside text (and validation keeps the entry
@@ -256,11 +255,8 @@ pub(crate) fn build_cfg(
                 Op::Jmpl { .. } => match insn.jump_kind() {
                     Some(JumpKind::Return) => CtiSucc::Return,
                     Some(JumpKind::IndirectCall) => {
-                        let resolution = if jump_analysis {
-                            resolve_indirect(image, extent, pc, insn, &mut external_reads)
-                        } else {
-                            JumpResolution::Unknown
-                        };
+                        let resolution =
+                            resolve_indirect(image, extent, pc, insn, &mut external_reads);
                         if let JumpResolution::Literal { target, .. } = &resolution {
                             escape_targets.push(*target);
                         }
@@ -272,11 +268,8 @@ pub(crate) fn build_cfg(
                         CtiSucc::Call
                     }
                     _ => {
-                        let resolution = if jump_analysis {
-                            resolve_indirect(image, extent, pc, insn, &mut external_reads)
-                        } else {
-                            JumpResolution::Unknown
-                        };
+                        let resolution =
+                            resolve_indirect(image, extent, pc, insn, &mut external_reads);
                         match &resolution {
                             JumpResolution::Table {
                                 table_addr,

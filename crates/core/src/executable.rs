@@ -66,7 +66,6 @@ pub struct Executable {
     /// While false, [`Executable::write_edited`] reproduces the input
     /// image byte for byte instead of re-laying the program out.
     dirty: bool,
-    jump_analysis: bool,
     /// The per-routine shape cells [`Executable::build_cfg`] shares
     /// shapes through: the analysis' for an executable opened with
     /// [`Executable::from_analysis`], its own otherwise.
@@ -252,7 +251,6 @@ impl Executable {
             reserved_init: Vec::new(),
             written: Written::No,
             dirty: false,
-            jump_analysis: true,
             shapes: ShapeCells::none(),
             keys: Vec::new(),
         })
@@ -275,21 +273,6 @@ impl Executable {
     /// The original program entry point.
     pub fn start_address(&self) -> u32 {
         self.image.entry
-    }
-
-    /// Disables the slicing-based indirect-jump analysis: every indirect
-    /// jump resolves to Unknown and falls back to run-time translation
-    /// (§3.3's fallback). This exists for ablations measuring what the
-    /// analysis buys.
-    ///
-    /// **Warning:** editing a program whose dispatch tables were not
-    /// analyzed produces a broken executable — the table's address is a
-    /// literal in code pointing at the *original* text, which run-time
-    /// target translation cannot repair. This is precisely why the paper
-    /// treats the slicing analysis as load-bearing rather than an
-    /// optimization.
-    pub fn set_jump_analysis(&mut self, enabled: bool) {
-        self.jump_analysis = enabled;
     }
 
     /// Opens an executable whose contents were already read: the routine
@@ -606,8 +589,8 @@ impl Executable {
     /// replayed; otherwise the routine is built live, and the live build
     /// fills an empty cell. The cell's lock makes the fill single-flight:
     /// a concurrent caller waits for the shape instead of building it
-    /// again. Routines split off since discovery, and every routine while
-    /// jump analysis is off, build live outside the cells.
+    /// again. Routines split off since discovery build live outside the
+    /// cells.
     ///
     /// Side effects reproduce §3.1's late stages: a trailing unreachable
     /// region splits off as a new hidden routine (stage 4), and
@@ -626,7 +609,7 @@ impl Executable {
         self.require_sparc("the editable CFG pipeline")?;
         let r = self.routines.get(id.0).ok_or(EelError::BadRoutine(id.0))?;
         let cells = Arc::clone(&self.shapes);
-        let Some(cell) = cells.cell(id.0).filter(|_| self.jump_analysis) else {
+        let Some(cell) = cells.cell(id.0) else {
             return self.build_live(id);
         };
         let mut slot = shared::lock(cell);
@@ -667,7 +650,7 @@ impl Executable {
         loop {
             let r = &self.routines[id.0];
             let extent = (r.start, r.end);
-            let out = cfg_build(&self.image, extent, &r.entries, self.jump_analysis)?;
+            let out = cfg_build(&self.image, extent, &r.entries)?;
             effects.external_reads |= out.external_reads;
             effects.escapes.extend_from_slice(&out.escape_targets);
             self.register_entries(&out.escape_targets);

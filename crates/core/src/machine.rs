@@ -189,13 +189,9 @@ impl MachineOps for SparcOps {
 /// MIPS-I, derived from `mips.spawn` — no handwritten decode tables.
 struct MipsOps;
 
-/// The spawn-derived MIPS machine, built once per process.
+/// The process-wide spawn-derived MIPS machine (shared with eel-emu).
 pub(crate) fn mips_machine() -> &'static eel_spawn::Machine {
-    static MACHINE: OnceLock<eel_spawn::Machine> = OnceLock::new();
-    MACHINE.get_or_init(|| {
-        eel_obs::counter!("spawn.machine.built").add(1);
-        eel_spawn::mips_machine().expect("mips.spawn is part of the build")
-    })
+    eel_spawn::shared_mips_machine(|| eel_obs::counter!("spawn.machine.built").add(1))
 }
 
 /// The operand fields MIPS disassembly spells, in output order: the

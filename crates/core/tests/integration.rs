@@ -773,33 +773,3 @@ fn uneditable_points_are_rejected() {
         .unwrap_err();
     assert!(matches!(err, eel_core::EelError::Uneditable { .. }));
 }
-
-#[test]
-fn disabling_jump_analysis_degrades_to_incomplete_cfgs() {
-    // The ablation switch: without slicing, the switch's dispatch jump is
-    // Unknown and the CFG incomplete (see the API's warning about what
-    // that would mean for editing).
-    let src = PROGRAMS[2].1;
-    let image = compile_str(src, &Options::default()).unwrap();
-    let mut with = Executable::from_image(image.clone()).unwrap();
-    with.read_contents().unwrap();
-    let mut without = Executable::from_image(image).unwrap();
-    without.set_jump_analysis(false);
-    without.read_contents().unwrap();
-
-    let incomplete = |exec: &mut Executable| {
-        exec.all_routine_ids()
-            .into_iter()
-            .filter(|&id| exec.build_cfg(id).unwrap().is_incomplete())
-            .count()
-    };
-    assert_eq!(
-        incomplete(&mut with),
-        0,
-        "slicing resolves everything (gcc mode)"
-    );
-    assert!(
-        incomplete(&mut without) > 0,
-        "without slicing the jump is unknown"
-    );
-}

@@ -17,12 +17,10 @@ use eel_exe::Image;
 use eel_isa::Memory;
 use eel_spawn::{Class, SpawnEvent, SpawnState};
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
-/// The process-wide spawn-derived MIPS machine (built once on first use).
+/// The process-wide spawn-derived MIPS machine (shared with eel-core).
 pub fn spawn_machine() -> &'static eel_spawn::Machine {
-    static MACHINE: OnceLock<eel_spawn::Machine> = OnceLock::new();
-    MACHINE.get_or_init(|| eel_spawn::mips_machine().expect("bundled mips.spawn is well-formed"))
+    eel_spawn::shared_mips_machine(|| eel_obs::counter!("spawn.machine.built").add(1))
 }
 
 /// The MIPS emulator: spawn state + paged memory + counters.

@@ -77,8 +77,7 @@ pub use client::{Backoff, Client, Session};
 pub use cluster::{ClusterClient, VNODES_PER_SHARD};
 pub use disk::{DiskCache, DISK_FORMAT_VERSION};
 pub use ops::{
-    recompute_cost, run_op, run_op_fragments, run_op_with, FragmentStats, FragmentTier,
-    NoFragments, CACHED_OPS,
+    run_op, run_op_fragments, run_op_with, FragmentStats, FragmentTier, NoFragments, CACHED_OPS,
 };
 pub use proto::{
     read_frame, write_frame, CacheTier, Discovery, Payload, Request, Response, SessionFrame,

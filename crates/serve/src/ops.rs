@@ -27,7 +27,6 @@
 //! a cold recompute. The ops share one stitch loop (`Batch::stitch`),
 //! and each supplies only its per-routine rendering and payload format.
 
-use crate::cache::CostClass;
 use eel_core::{
     generic_cfg, generic_disasm, generic_liveness, instrument_block_counters, machine_ops,
     uses_generic_pipeline, Analysis, BlockId, Cfg, CfgOutcome, EelError, Executable,
@@ -287,28 +286,6 @@ fn liveness_generic(analysis: &Analysis) -> Result<Vec<u8>, String> {
         );
     }
     Ok(out.into_bytes())
-}
-
-/// The recompute [`CostClass`] of an op's cached result, steering the
-/// LRU's cost-weighted eviction. `disasm` and `instrument` redo the
-/// whole per-routine CFG pipeline (milliseconds); `stat`,
-/// `cfg-summary`, and `liveness` render small summaries whose recompute
-/// is comparable to a disk reload (tens of microseconds), so their
-/// cache entries yield budget first. Fragment entries (`frag.<op>`
-/// keys) inherit the class of the op they shard.
-pub fn recompute_cost(op: &str) -> CostClass {
-    if let Some(inner) = op.strip_prefix("frag.") {
-        return recompute_cost(inner);
-    }
-    // `edit` results are keyed as `edit-{script_hash}` (one cache entry
-    // per distinct script), so match on the prefix.
-    if op == "edit" || op.starts_with("edit-") {
-        return CostClass::Expensive;
-    }
-    match op {
-        "disasm" | "instrument" => CostClass::Expensive,
-        _ => CostClass::Cheap,
-    }
 }
 
 fn err(op: &str, e: impl std::fmt::Display) -> String {
@@ -995,26 +972,6 @@ mod tests {
             assert_eq!(out, cold, "{op}: corrupt fragments must not change output");
             assert_eq!(s.hits, 0, "{op}: corrupt fragments are not hits");
         }
-    }
-
-    #[test]
-    fn recompute_cost_classes_match_pipeline_weight() {
-        assert_eq!(recompute_cost("disasm"), CostClass::Expensive);
-        assert_eq!(recompute_cost("instrument"), CostClass::Expensive);
-        assert_eq!(recompute_cost("stat"), CostClass::Cheap);
-        assert_eq!(recompute_cost("cfg-summary"), CostClass::Cheap);
-        assert_eq!(recompute_cost("liveness"), CostClass::Cheap);
-        // Fragment entries inherit the class of the op they shard.
-        assert_eq!(recompute_cost("frag.disasm"), CostClass::Expensive);
-        assert_eq!(recompute_cost("frag.instrument"), CostClass::Expensive);
-        assert_eq!(recompute_cost("frag.liveness"), CostClass::Cheap);
-        // Script-keyed edit entries are a full edit-session replay.
-        assert_eq!(recompute_cost("edit"), CostClass::Expensive);
-        assert_eq!(
-            recompute_cost("edit-00c0ffee00c0ffee"),
-            CostClass::Expensive
-        );
-        assert_eq!(recompute_cost("editorial"), CostClass::Cheap);
     }
 
     #[test]

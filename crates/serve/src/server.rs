@@ -62,9 +62,7 @@
 
 use crate::cache::{content_hash, CostClass, SingleFlightLru};
 use crate::disk::DiskCache;
-use crate::ops::{
-    recompute_cost, run_edit, run_op_fragments, FragmentTier, CACHED_OPS, COMPUTED, SHAPE_OPS,
-};
+use crate::ops::{run_edit, run_op_fragments, FragmentTier, CACHED_OPS, COMPUTED, SHAPE_OPS};
 use crate::proto::{
     CacheTier, Discovery, Payload, Request, Response, SessionFrame, SessionReply, MAX_FRAME,
     SESSION_VERSION,
@@ -1118,11 +1116,12 @@ impl FragmentTier for SharedFragmentTier<'_> {
         // promoted into the LRU like any whole-image disk hit.
         let disk = self.shared.disk.as_ref()?;
         let body = Arc::new(disk.load(key, &cache_key.1)?);
-        let class = recompute_cost(&cache_key.1);
-        let evicted =
-            self.shared
-                .results
-                .insert(cache_key, Ok(Arc::clone(&body)), body.len(), class);
+        let evicted = self.shared.results.insert(
+            cache_key,
+            Ok(Arc::clone(&body)),
+            body.len(),
+            CostClass::Expensive,
+        );
         demote_evicted(self.shared, evicted);
         Some(body.to_vec())
     }
@@ -1130,16 +1129,17 @@ impl FragmentTier for SharedFragmentTier<'_> {
     fn store(&self, key: u64, op: &str, bytes: &[u8]) {
         eel_obs::counter!("serve.cache.fragment.write").add(1);
         let cache_key = Self::cache_key(key, op);
-        let class = recompute_cost(&cache_key.1);
         if let Some(disk) = &self.shared.disk {
             // Write-through, like whole-image results: a restart serves
             // warm fragments without waiting for an eviction.
             disk.store(key, &cache_key.1, bytes);
         }
-        let evicted =
-            self.shared
-                .results
-                .insert(cache_key, Ok(Arc::new(bytes.to_vec())), bytes.len(), class);
+        let evicted = self.shared.results.insert(
+            cache_key,
+            Ok(Arc::new(bytes.to_vec())),
+            bytes.len(),
+            CostClass::Expensive,
+        );
         demote_evicted(self.shared, evicted);
     }
 }
@@ -1192,7 +1192,6 @@ fn cached_result(
     compute: impl FnOnce() -> Result<Vec<u8>, String>,
 ) -> Response {
     let key = (hash, op_key.to_string());
-    let class = recompute_cost(op_key);
     let mut from_disk = false;
     let (result, hit, evicted) = shared.results.get_or_compute(key, || {
         // Memory missed; the disk tier gets a chance before we pay for a
@@ -1206,7 +1205,7 @@ fn cached_result(
                 from_disk = true;
                 body.shrink_to_fit();
                 let cost = body.len();
-                return (Ok(Arc::new(body)), cost, class);
+                return (Ok(Arc::new(body)), cost);
             }
         }
         COMPUTED.add(metric_op);
@@ -1224,7 +1223,7 @@ fn cached_result(
             Ok(body) => body.len(),
             Err(msg) => msg.len(),
         };
-        (computed, cost, class)
+        (computed, cost)
     });
     demote_evicted(shared, evicted);
     if hit {
@@ -1265,7 +1264,7 @@ fn analyze(shared: &Shared, hash: u64, bytes: &[u8]) -> Result<Arc<Analysis>, St
             Ok(a) => a.approx_bytes(),
             Err(msg) => msg.len(),
         };
-        (computed, cost, CostClass::Expensive)
+        (computed, cost)
     });
     // An insertion may have evicted analyses and their shapes.
     publish_shapes_gauge(shared);
@@ -1402,5 +1401,23 @@ mod tests {
         };
         assert_eq!(body.len(), 10);
         assert_eq!(body.capacity(), body.len());
+    }
+
+    #[test]
+    fn results_evict_least_recently_used_first_whatever_the_op() {
+        // A 100-byte result budget holds two of these 40-byte bodies.
+        let config = ServerConfig {
+            cache_bytes: 200,
+            ..ServerConfig::default()
+        };
+        let server = Server::start(config).expect("start server");
+        let shared = &server.shared;
+        let body = || Ok(vec![b'x'; 40]);
+        cached_result(shared, 1, "disasm", "disasm", body);
+        cached_result(shared, 2, "stat", "stat", body);
+        cached_result(shared, 3, "liveness", "liveness", body);
+        assert!(shared.results.get(&(1, "disasm".to_string())).is_none());
+        assert!(shared.results.get(&(2, "stat".to_string())).is_some());
+        assert!(shared.results.get(&(3, "liveness".to_string())).is_some());
     }
 }

@@ -97,6 +97,18 @@ pub fn mips_machine() -> Result<Machine, SpawnError> {
     Machine::build(parse(MIPS)?)
 }
 
+/// The shipped MIPS machine, derived on the first call in a process and
+/// shared by every later one. `on_build` runs in the one call that
+/// derives it: eel-core and eel-emu count `spawn.machine.built` there,
+/// since this crate has no metrics dependency.
+pub fn shared_mips_machine(on_build: impl FnOnce()) -> &'static Machine {
+    static MACHINE: std::sync::OnceLock<Machine> = std::sync::OnceLock::new();
+    MACHINE.get_or_init(|| {
+        on_build();
+        mips_machine().expect("the bundled mips.spawn is well-formed")
+    })
+}
+
 /// Parses and derives the shipped Alpha machine.
 ///
 /// # Errors
