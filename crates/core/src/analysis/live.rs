@@ -3,58 +3,21 @@
 //! EEL's snippet machinery allocates *dead* registers at each insertion
 //! point (register scavenging, §3.5); Blizzard's fast-path optimization
 //! depends on knowing whether the condition codes are live (§5). Liveness
-//! is a standard backward bit-vector dataflow over [`RegSet`]s; the one
-//! fixpoint here serves both the SPARC [`Cfg`] and every machine's
-//! [`crate::generic_liveness`].
+//! is a standard backward bit-vector dataflow over [`RegSet`]s, solved
+//! once for every machine: each block's uses and definitions come
+//! through the machine seam ([`crate::MachineOps::regs`]).
 //!
-//! Two pieces of calling-convention knowledge are baked in (the paper
-//! notes spawn leaves conventions to "additional processing"):
-//!
-//! * [`CALL_USES`]/[`CALL_DEFS`] summarize a callee's effect at a
-//!   [`BlockKind::CallSurrogate`] block under this system's flat
-//!   convention (arguments in `%o0–%o5`, everything caller-saved except
-//!   `%sp`/`%fp`/`%i*`).
-//! * [`EXIT_LIVE`] is the conservative live set at routine exit.
+//! Calling-convention knowledge (the paper notes spawn leaves conventions
+//! to "additional processing") is a per-machine answer too
+//! ([`crate::MachineOps::convention`]): what a callee may read and
+//! clobber at a [`BlockKind::CallSurrogate`] block, and the conservative
+//! live set at routine exit.
 
 use crate::cfg::{Block, BlockId, BlockKind, CfgShape, EdgeId};
+use crate::machine::{machine_ops, Convention, MachineOps};
 use crate::shared::ALLOC_OVERHEAD;
-use eel_isa::{Reg, RegSet};
+use eel_isa::RegSet;
 use std::sync::Arc;
-
-/// Registers a callee may read: its arguments and the stack pointer.
-pub fn call_uses() -> RegSet {
-    let mut s = RegSet::of(&[Reg::SP, Reg::O7]);
-    for i in 8..14 {
-        s.insert(Reg(i)); // %o0-%o5
-    }
-    s
-}
-
-/// Registers a callee may clobber under the flat convention: globals,
-/// out-registers, locals, condition codes, and `%y`.
-pub fn call_defs() -> RegSet {
-    let mut s = RegSet::of(&[Reg::ICC, Reg::Y, Reg::O7]);
-    for i in 1..8 {
-        s.insert(Reg(i)); // %g1-%g7
-    }
-    for i in 8..14 {
-        s.insert(Reg(i)); // %o0-%o5
-    }
-    for i in 16..24 {
-        s.insert(Reg(i)); // %l0-%l7
-    }
-    s
-}
-
-/// Conservatively live at routine exit: the result pair, the stack and
-/// frame pointers, the in-registers, and the return path.
-pub fn exit_live() -> RegSet {
-    let mut s = RegSet::of(&[Reg::O0, Reg(9), Reg::SP, Reg::FP, Reg::O7]);
-    for i in 24..32 {
-        s.insert(Reg(i)); // %i0-%i7
-    }
-    s
-}
 
 /// Block-level liveness results with point queries.
 #[derive(Debug, Clone)]
@@ -63,15 +26,16 @@ pub struct Liveness {
     live_out: Vec<RegSet>,
 }
 
-fn block_use_def(block: &Block) -> (RegSet, RegSet) {
+fn block_use_def(block: &Block, ops: &dyn MachineOps, conv: &Convention) -> (RegSet, RegSet) {
     if block.kind == BlockKind::CallSurrogate {
-        return (call_uses(), call_defs());
+        return (conv.call_uses, conv.call_defs);
     }
     let mut uses = RegSet::new();
     let mut defs = RegSet::new();
-    for ia in block.insns {
-        uses = uses.union(ia.insn.reads().without(defs));
-        defs = defs.union(ia.insn.writes());
+    for (_, word) in block.insns.words() {
+        let (reads, writes) = ops.regs(word);
+        uses = uses.union(reads.without(defs));
+        defs = defs.union(writes);
     }
     (uses, defs)
 }
@@ -80,7 +44,12 @@ impl Liveness {
     /// Runs the backward fixpoint over the whole CFG.
     pub fn compute(cfg: &CfgShape) -> Liveness {
         let _obs = eel_obs::span("core.liveness");
-        let use_def: Vec<(RegSet, RegSet)> = cfg.blocks().map(|(_, b)| block_use_def(&b)).collect();
+        let ops = machine_ops(cfg.machine());
+        let conv = ops.convention();
+        let use_def: Vec<(RegSet, RegSet)> = cfg
+            .blocks()
+            .map(|(_, b)| block_use_def(&b, ops, &conv))
+            .collect();
         let (off, dest) = cfg.succ_blocks();
         Liveness::solve(
             &use_def,
@@ -88,7 +57,7 @@ impl Liveness {
                 let row = &dest[off[b] as usize..off[b + 1] as usize];
                 row.iter().map(|&t| t as usize)
             },
-            Some((cfg.exit_block().index(), exit_live())),
+            Some((cfg.exit_block().index(), conv.exit_live)),
         )
     }
 

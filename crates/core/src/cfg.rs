@@ -846,6 +846,11 @@ impl CfgShape {
         self.extent
     }
 
+    /// The machine the routine's image targets.
+    pub(crate) fn machine(&self) -> eel_exe::Machine {
+        self.image.machine
+    }
+
     /// Was any control flow unanalyzable (run-time translation needed)?
     pub fn is_incomplete(&self) -> bool {
         self.incomplete
@@ -1015,8 +1020,8 @@ impl CfgShape {
         ]);
         // The convention surface: arguments and results flow through
         // %o0-%o5 and callees may clobber the caller-saved set.
-        used = used.union(crate::analysis::live::call_uses());
-        used = used.union(crate::analysis::live::call_defs());
+        let conv = crate::machine::sparc_convention();
+        used = used.union(conv.call_uses).union(conv.call_defs);
         for (_, b) in self.blocks() {
             for ia in b.insns {
                 used = used.union(ia.insn.reads()).union(ia.insn.writes());

@@ -3,10 +3,11 @@
 //! Construction is two-phase:
 //!
 //! 1. **Scan** — a worklist reachability pass from the routine's entry
-//!    points over the raw instruction stream. Control-transfer sites are
-//!    recorded, indirect jumps are resolved ([`resolve_indirect`]) so
-//!    dispatch-table targets extend reachability, and table storage is
-//!    marked as data.
+//!    points over the raw instruction stream, asking the machine seam
+//!    ([`crate::MachineOps::flow`]) how each word moves control.
+//!    Control-transfer sites are recorded, indirect jumps are resolved
+//!    ([`crate::MachineOps::resolve_jump`]) so dispatch-table targets
+//!    extend reachability, and table storage is marked as data.
 //! 2. **Materialize** — leaders split the covered addresses into normal
 //!    blocks; delay-slot blocks, call surrogates, entry/exit blocks, and
 //!    edges are synthesized per the normalization rules; uneditable
@@ -20,9 +21,8 @@
 //! trailing unreachable region (a *hidden routine* candidate).
 
 use super::*;
-use crate::analysis::jumptable::resolve_indirect;
+use crate::machine::{backend, BranchCond, Flow};
 use eel_exe::Image;
-use eel_isa::{Cond, JumpKind, Op};
 
 /// What the builder learned beyond the CFG itself.
 pub(crate) struct BuildOutput {
@@ -46,7 +46,7 @@ pub(crate) struct BuildOutput {
 enum CtiSucc {
     /// Conditional or unconditional PC-relative branch.
     Branch {
-        cond: Cond,
+        cond: BranchCond,
         annul: bool,
         /// Taken target (`None` for `bn`, which never takes).
         taken: Option<Target>,
@@ -70,9 +70,9 @@ enum Target {
 }
 
 struct CtiRec {
-    /// The delay-slot instruction, unless the transfer sits at the very
-    /// end of the extent.
-    delay: Option<Insn>,
+    /// Is there a delay-slot instruction? Not when the transfer sits at
+    /// the very end of the extent.
+    delay: bool,
     succ: CtiSucc,
 }
 
@@ -89,6 +89,7 @@ pub(crate) fn build_cfg(
     entries: &[u32],
 ) -> Result<BuildOutput, EelError> {
     let (start, end) = extent;
+    let ops = backend(image.machine)?;
     // Discovery keeps extents inside text (and validation keeps the entry
     // point there), which bounds the dense per-word state by text size.
     if start < image.text_addr || end > image.text_end() {
@@ -161,30 +162,33 @@ pub(crate) fn build_cfg(
                 break;
             }
             let Some(word) = image.word_at(pc) else { break };
-            let insn = eel_isa::decode(word);
+            let flow = ops.flow(word, pc);
             flags[i] |= COVERED;
-            if insn.category() == eel_isa::Category::Invalid {
-                // Reachable invalid instruction: the routine contains data
-                // (§3.1 stage 4). Dead-end the block.
-                flags[i] |= INVALID;
-                break;
-            }
-            if !insn.is_delayed() {
-                pc += 4;
-                continue;
+            match flow {
+                Flow::Invalid => {
+                    // Reachable invalid instruction: the routine contains
+                    // data (§3.1 stage 4). Dead-end the block.
+                    flags[i] |= INVALID;
+                    break;
+                }
+                Flow::Straight => {
+                    pc += 4;
+                    continue;
+                }
+                _ => {}
             }
 
             // A delayed control transfer: capture its delay slot.
             let delay_addr = pc + 4;
             let delay = if in_extent(delay_addr) {
-                image.word_at(delay_addr).map(eel_isa::decode)
+                image.word_at(delay_addr).map(|w| ops.flow(w, delay_addr))
             } else {
                 None
             };
             let annulled_always = matches!(
-                insn.op,
-                Op::Branch {
-                    cond: Cond::Always,
+                flow,
+                Flow::Branch {
+                    cond: BranchCond::Always,
                     annul: true,
                     ..
                 }
@@ -196,7 +200,7 @@ pub(crate) fn build_cfg(
                 // The slot word belongs to this transfer even when
                 // annulled-always (it just never executes).
                 flags[i + 1] |= COVERED;
-                if d.category() == eel_isa::Category::Invalid {
+                if d == Flow::Invalid {
                     flags[i + 1] |= INVALID;
                 }
             }
@@ -210,27 +214,23 @@ pub(crate) fn build_cfg(
                 }
             };
 
-            let succ = match insn.op {
-                // FP branches are never emitted; they are treated as
-                // two-way branches on an unknown condition.
-                Op::Branch {
+            let succ = match flow {
+                Flow::Branch {
+                    target,
                     cond,
                     annul,
-                    disp22,
-                    ..
                 } => {
-                    let target_addr = pc.wrapping_add((disp22 as u32) << 2);
-                    let taken = if cond == Cond::Never {
+                    let taken = if cond == BranchCond::Never {
                         None
                     } else {
-                        let t = classify(target_addr);
+                        let t = classify(target);
                         match t {
                             Target::In(a) => push_leader(a, &mut worklist),
                             Target::Out(a) => escape_targets.push(a),
                         }
                         Some(t)
                     };
-                    let fall = if cond == Cond::Always {
+                    let fall = if cond == BranchCond::Always {
                         None
                     } else {
                         push_leader(pc + 8, &mut worklist);
@@ -243,73 +243,75 @@ pub(crate) fn build_cfg(
                         fall,
                     }
                 }
-                Op::Call { disp30 } => {
+                Flow::Call {
+                    target: Some(target),
+                } => {
                     // Out of the extent, or a recursive call to an entry
                     // of this routine: an escape either way.
-                    let target = pc.wrapping_add((disp30 as u32) << 2);
                     call_sites.push((pc, target));
                     escape_targets.push(target);
                     push_leader(pc + 8, &mut worklist);
                     CtiSucc::Call
                 }
-                Op::Jmpl { .. } => match insn.jump_kind() {
-                    Some(JumpKind::Return) => CtiSucc::Return,
-                    Some(JumpKind::IndirectCall) => {
-                        let resolution =
-                            resolve_indirect(image, extent, pc, insn, &mut external_reads);
-                        if let JumpResolution::Literal { target, .. } = &resolution {
-                            escape_targets.push(*target);
-                        }
-                        indirect_calls.push(IndirectJumpInfo {
-                            addr: pc,
-                            resolution,
-                        });
-                        push_leader(pc + 8, &mut worklist);
-                        CtiSucc::Call
+                Flow::Call { target: None } => {
+                    let resolution =
+                        ops.resolve_jump(image, extent, pc, word, &mut external_reads);
+                    if let JumpResolution::Literal { target, .. } = &resolution {
+                        escape_targets.push(*target);
                     }
-                    _ => {
-                        let resolution =
-                            resolve_indirect(image, extent, pc, insn, &mut external_reads);
-                        match &resolution {
-                            JumpResolution::Table {
-                                table_addr,
-                                targets,
-                                ..
-                            } => {
-                                let table_end = table_addr + 4 * targets.len() as u32;
-                                data_ranges.push(DataRange {
-                                    start: *table_addr,
-                                    end: table_end.min(end),
-                                });
-                                // Tables are word-aligned (`resolve_indirect`).
-                                let table = (*table_addr..table_end.min(end)).step_by(4);
-                                for k in table.filter_map(slot) {
-                                    in_table[k] = true;
-                                }
-                                for &t in targets {
-                                    match classify(t) {
-                                        Target::In(a) => push_leader(a, &mut worklist),
-                                        Target::Out(a) => escape_targets.push(a),
-                                    }
+                    indirect_calls.push(IndirectJumpInfo {
+                        addr: pc,
+                        resolution,
+                    });
+                    push_leader(pc + 8, &mut worklist);
+                    CtiSucc::Call
+                }
+                Flow::Return => CtiSucc::Return,
+                Flow::IndirectJump => {
+                    let resolution =
+                        ops.resolve_jump(image, extent, pc, word, &mut external_reads);
+                    match &resolution {
+                        JumpResolution::Table {
+                            table_addr,
+                            targets,
+                            ..
+                        } => {
+                            let table_end = table_addr + 4 * targets.len() as u32;
+                            data_ranges.push(DataRange {
+                                start: *table_addr,
+                                end: table_end.min(end),
+                            });
+                            // Tables are word-aligned (`resolve_indirect`).
+                            let table = (*table_addr..table_end.min(end)).step_by(4);
+                            for k in table.filter_map(slot) {
+                                in_table[k] = true;
+                            }
+                            for &t in targets {
+                                match classify(t) {
+                                    Target::In(a) => push_leader(a, &mut worklist),
+                                    Target::Out(a) => escape_targets.push(a),
                                 }
                             }
-                            JumpResolution::Literal { target, .. } => match classify(*target) {
-                                Target::In(a) => push_leader(a, &mut worklist),
-                                Target::Out(a) => escape_targets.push(a),
-                            },
-                            JumpResolution::Unknown => incomplete = true,
                         }
-                        indirect_jumps.push(IndirectJumpInfo {
-                            addr: pc,
-                            resolution: resolution.clone(),
-                        });
-                        CtiSucc::IndirectJump { resolution }
+                        JumpResolution::Literal { target, .. } => match classify(*target) {
+                            Target::In(a) => push_leader(a, &mut worklist),
+                            Target::Out(a) => escape_targets.push(a),
+                        },
+                        JumpResolution::Unknown => incomplete = true,
                     }
-                },
-                _ => unreachable!("is_delayed covers branch/call/jmpl"),
+                    indirect_jumps.push(IndirectJumpInfo {
+                        addr: pc,
+                        resolution: resolution.clone(),
+                    });
+                    CtiSucc::IndirectJump { resolution }
+                }
+                Flow::Straight | Flow::Invalid => unreachable!("not a transfer"),
             };
             cti_at[i] = Some(ctis.len() as u32);
-            ctis.push(CtiRec { delay, succ });
+            ctis.push(CtiRec {
+                delay: delay.is_some(),
+                succ,
+            });
             break;
         }
     }
@@ -400,7 +402,7 @@ pub(crate) fn build_cfg(
     let mut trailing_unreachable = None;
     while tail < end {
         let word = image.word_at(tail).unwrap_or(0);
-        if eel_isa::decode(word).category() != eel_isa::Category::Invalid {
+        if ops.flow(word, tail) != Flow::Invalid {
             trailing_unreachable = Some(tail);
             break;
         }
@@ -423,18 +425,16 @@ fn delay_block(
     cfg: &mut ShapeDraft,
     from: BlockId,
     site: u32,
-    delay: Option<Insn>,
+    delay: bool,
     kind: EdgeKind,
     editable: bool,
 ) -> BlockId {
-    match delay {
-        Some(_) => {
-            let b = cfg.push_block(BlockKind::DelaySlot, site + 4, editable);
-            cfg.add_edge(from, b, kind, editable);
-            b
-        }
-        None => from,
+    if !delay {
+        return from;
     }
+    let b = cfg.push_block(BlockKind::DelaySlot, site + 4, editable);
+    cfg.add_edge(from, b, kind, editable);
+    b
 }
 
 /// Connects the block ending in the transfer at `addr`; `target_block`
@@ -460,7 +460,7 @@ fn connect_cti(
             // Taken path.
             if let Some(t) = taken {
                 // Delay executes on the taken path unless `ba,a`.
-                let executes = !(*annul && *cond == Cond::Always);
+                let executes = !(*annul && *cond == BranchCond::Always);
                 let src = if executes {
                     delay_block(cfg, bid, addr, delay, EdgeKind::Taken, true)
                 } else {

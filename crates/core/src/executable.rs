@@ -313,7 +313,7 @@ impl Executable {
         self.routines = discovery.routines;
         self.hidden_queue = discovery.hidden;
         self.discovery = discovery.source;
-        self.shapes = ShapeCells::new(self.image.machine, self.routines.len());
+        self.shapes = ShapeCells::new(self.routines.len());
         self.analyzed = true;
         Ok(())
     }
@@ -532,17 +532,17 @@ pub(crate) fn discover_routines(image: &Image) -> Result<Discovery, EelError> {
 }
 
 impl Executable {
-    /// Guard for the paths still implemented directly on `eel-isa`: the
-    /// editable CFG and relayout pipeline. Analyses for other machines
-    /// go through the [`crate::machine_ops`] seam and the
-    /// [`crate::generic_cfg`] family instead.
+    /// Guard for the paths still implemented directly on `eel-isa`:
+    /// layout and relayout, which read SPARC decodings of the CFG's
+    /// instructions. Analyses (CFGs, liveness) go through the
+    /// [`crate::machine_ops`] seam for every machine.
     fn require_sparc(&self, what: &str) -> Result<(), EelError> {
         if self.image.machine == eel_exe::Machine::Sparc {
             Ok(())
         } else {
             Err(EelError::BadImage(format!(
-                "{what} is sparc-only; use the generic machine ops (eel_core::generic_cfg, \
-                 generic_disasm, instrument_block_counters) for a {} image",
+                "{what} is sparc-only; a {} image is instrumented by \
+                 eel_core::instrument_block_counters",
                 self.image.machine
             )))
         }
@@ -606,7 +606,6 @@ impl Executable {
         if !self.analyzed {
             return Err(EelError::NotAnalyzed);
         }
-        self.require_sparc("the editable CFG pipeline")?;
         let r = self.routines.get(id.0).ok_or(EelError::BadRoutine(id.0))?;
         let cells = Arc::clone(&self.shapes);
         let Some(cell) = cells.cell(id.0) else {
@@ -928,6 +927,7 @@ impl Executable {
     /// Layout failures: register pressure, translation clashes, bad edit
     /// targets.
     pub fn install_edits(&mut self, cfg: Cfg) -> Result<(), EelError> {
+        self.require_sparc("install_edits")?;
         let id = cfg.routine_id();
         if cfg.edit_count() > 0 {
             self.dirty = true;

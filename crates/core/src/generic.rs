@@ -72,7 +72,7 @@ fn classify(image: &Image, ops: &dyn MachineOps, range: Range<u32>) -> Vec<Class
             Classified {
                 word,
                 kind: ops.kind(word, pc),
-                step: if ops.has_delay_slot(word, pc) { 8 } else { 4 },
+                step: if ops.flow(word, pc).is_delayed() { 8 } else { 4 },
             }
         })
         .collect()
@@ -193,8 +193,9 @@ pub fn generic_liveness(image: &Image, cfg: &GenericCfg) -> Liveness {
             let (mut uses, mut defs) = (RegSet::new(), RegSet::new());
             for addr in (b.start..b.end).step_by(4) {
                 let word = image.word_at(addr).unwrap_or(0);
-                uses = uses.union(ops.reads(word).without(defs));
-                defs = defs.union(ops.writes(word));
+                let (reads, writes) = ops.regs(word);
+                uses = uses.union(reads.without(defs));
+                defs = defs.union(writes);
             }
             (uses, defs)
         })

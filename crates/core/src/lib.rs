@@ -100,7 +100,7 @@ pub use generic::{
     generic_cfg, generic_disasm, generic_liveness, instrument_block_counters,
     uses_generic_pipeline, BlockCounter, GenericBlock, GenericCfg,
 };
-pub use machine::{machine_ops, InsnKind, MachineOps};
+pub use machine::{machine_ops, BranchCond, Convention, Flow, InsnKind, MachineOps};
 pub use routine::Routine;
 pub use shared::Analysis;
 pub use snippet::{Callback, RegAssignment, Snippet};

@@ -5,7 +5,9 @@
 //! [`MachineOps`] is that layer's interface in this reproduction — the
 //! complete set of questions routine discovery, CFG construction,
 //! liveness, disassembly, and eel-strip's prologue rule ask of a machine.
-//! [`machine_ops`] dispatches on the WEF header's machine tag.
+//! [`machine_ops`] dispatches on the WEF header's machine tag. One CFG
+//! builder, one liveness solver and one set of service renderers serve
+//! every machine through it.
 //!
 //! Two implementations exist today:
 //!
@@ -18,9 +20,10 @@
 //! Porting to a third machine (alpha) means writing a description and
 //! adding a `machine_ops` arm; `docs/MACHINES.md` walks through it.
 
+use crate::analysis::jumptable::{resolve_indirect, JumpResolution};
 use crate::error::EelError;
 use eel_exe::{Image, Machine};
-use eel_isa::{write_dec, write_hex, Cond, Op, Reg, RegSet};
+use eel_isa::{write_dec, write_hex, Category, Cond, JumpKind, Op, Reg, RegSet};
 use std::sync::OnceLock;
 
 /// What a machine word does to control flow — the classification every
@@ -55,6 +58,72 @@ pub enum InsnKind {
     Invalid,
 }
 
+/// How CFG construction (§3.3) sees one word: every question the builder
+/// asks of a machine about it. Each transfer here is delayed, as every
+/// transfer is on both described machines; the builder normalizes its
+/// delay slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flow {
+    /// Not a transfer: executes and falls through.
+    Straight,
+    /// No valid decoding: a reached one dead-ends its block (§3.1 stage 4).
+    Invalid,
+    /// A PC-relative branch (SPARC `b*`, MIPS `beq`; also MIPS `j`,
+    /// which always takes).
+    Branch {
+        /// Taken-edge target.
+        target: u32,
+        /// Which of its two edges the branch can take.
+        cond: BranchCond,
+        /// Does the delay slot execute only when the branch is taken
+        /// (never for an always-taken one)? SPARC's annul bit; MIPS-I
+        /// has none.
+        annul: bool,
+    },
+    /// A call (SPARC `call` or `jmpl` linking `%o7`, MIPS `jal`/`jalr`).
+    Call {
+        /// The callee, when the call is direct.
+        target: Option<u32>,
+    },
+    /// A subroutine return (SPARC `ret`/`retl`, MIPS `jr $31`).
+    Return,
+    /// Any other register-indirect jump: a dispatch through a table, or
+    /// one that [`MachineOps::resolve_jump`] may fold to a constant.
+    IndirectJump,
+}
+
+impl Flow {
+    /// Is this a (delayed) control transfer?
+    pub fn is_delayed(self) -> bool {
+        !matches!(self, Flow::Straight | Flow::Invalid)
+    }
+}
+
+/// Which edges a [`Flow::Branch`] has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BranchCond {
+    /// Never taken (SPARC `bn`): falls through only.
+    Never,
+    /// Always taken (SPARC `ba`, MIPS `j`): no fall-through.
+    Always,
+    /// Either edge.
+    Maybe,
+}
+
+/// The calling-convention knowledge liveness needs (the paper notes
+/// spawn leaves conventions to "additional processing"). A machine with
+/// no convention answers empty sets: a call is then transparent to
+/// liveness and nothing is live at routine exit.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Convention {
+    /// Registers a callee may read, assumed at a call surrogate.
+    pub call_uses: RegSet,
+    /// Registers a callee may clobber.
+    pub call_defs: RegSet,
+    /// Registers conservatively live at routine exit.
+    pub exit_live: RegSet,
+}
+
 /// The per-machine operations the machine-independent layers dispatch
 /// through. Everything takes raw words (plus a pc where encodings are
 /// PC-relative) so implementations stay stateless and `'static`.
@@ -62,24 +131,33 @@ pub trait MachineOps: Send + Sync {
     /// Which machine this implements.
     fn machine(&self) -> Machine;
 
-    /// Control-flow classification of one word.
+    /// Control-flow classification of one word, for §3.1 discovery.
     fn kind(&self, word: u32, pc: u32) -> InsnKind;
 
-    /// Does this instruction have an architectural delay slot? (On both
-    /// SPARC V8 and MIPS-I every delayed transfer exposes one; a machine
-    /// without delay slots — alpha — returns `false` throughout.)
-    fn has_delay_slot(&self, word: u32, pc: u32) -> bool;
+    /// How CFG construction sees one word.
+    fn flow(&self, word: u32, pc: u32) -> Flow;
 
-    /// Registers the instruction reads. Register `k` is the `k`-th
-    /// register the machine's description declares, counting an array's
-    /// elements in order: `R[32]` is 0–31, then the scalars (SPARC's
-    /// `ICC` is 32 and `Y` 33; MIPS's `HI` is 32 and `LO` 33). The
-    /// hardwired zero register is never reported.
-    fn reads(&self, word: u32) -> RegSet;
+    /// §3.3's resolution of the indirect jump or call `word` at `pc`
+    /// inside the routine `extent`, which may read other words of the
+    /// image; `external_reads` is set when one lay outside the extent.
+    fn resolve_jump(
+        &self,
+        image: &Image,
+        extent: (u32, u32),
+        pc: u32,
+        word: u32,
+        external_reads: &mut bool,
+    ) -> JumpResolution;
 
-    /// Registers the instruction writes (numbered as for
-    /// [`MachineOps::reads`]).
-    fn writes(&self, word: u32) -> RegSet;
+    /// The registers the instruction reads, then those it writes.
+    /// Register `k` is the `k`-th register the machine's description
+    /// declares, counting an array's elements in order: `R[32]` is 0–31,
+    /// then the scalars (SPARC's `ICC` is 32 and `Y` 33; MIPS's `HI` is
+    /// 32 and `LO` 33). The hardwired zero register is never reported.
+    fn regs(&self, word: u32) -> (RegSet, RegSet);
+
+    /// The calling convention liveness assumes.
+    fn convention(&self) -> Convention;
 
     /// The machine-conventional spelling of a register (`%o0` on SPARC,
     /// `$4`/`$hi` on MIPS), for rendering output.
@@ -161,16 +239,57 @@ impl MachineOps for SparcOps {
         }
     }
 
-    fn has_delay_slot(&self, word: u32, _pc: u32) -> bool {
-        eel_isa::decode(word).is_delayed()
+    fn flow(&self, word: u32, pc: u32) -> Flow {
+        let insn = eel_isa::decode(word);
+        match insn.op {
+            // FP branches are never emitted; they count as two-way
+            // branches on an unknown condition.
+            Op::Branch {
+                cond,
+                annul,
+                disp22,
+                ..
+            } => Flow::Branch {
+                target: pc.wrapping_add((disp22 as u32) << 2),
+                cond: match cond {
+                    Cond::Never => BranchCond::Never,
+                    Cond::Always => BranchCond::Always,
+                    _ => BranchCond::Maybe,
+                },
+                annul,
+            },
+            Op::Call { disp30 } => Flow::Call {
+                target: Some(pc.wrapping_add((disp30 as u32) << 2)),
+            },
+            Op::Jmpl { .. } => match insn.jump_kind() {
+                Some(JumpKind::Return) => Flow::Return,
+                Some(JumpKind::IndirectCall) => Flow::Call { target: None },
+                _ => Flow::IndirectJump,
+            },
+            _ if insn.category() == Category::Invalid => Flow::Invalid,
+            _ => Flow::Straight,
+        }
     }
 
-    fn reads(&self, word: u32) -> RegSet {
-        eel_isa::decode(word).reads()
+    fn resolve_jump(
+        &self,
+        image: &Image,
+        extent: (u32, u32),
+        pc: u32,
+        word: u32,
+        external_reads: &mut bool,
+    ) -> JumpResolution {
+        let jump = eel_isa::decode(word);
+        resolve_indirect(image, extent, pc, jump, external_reads)
     }
 
-    fn writes(&self, word: u32) -> RegSet {
-        eel_isa::decode(word).writes()
+    fn regs(&self, word: u32) -> (RegSet, RegSet) {
+        let insn = eel_isa::decode(word);
+        (insn.reads(), insn.writes())
+    }
+
+    fn convention(&self) -> Convention {
+        sparc_convention()
     }
 
     fn reg_name(&self, r: Reg) -> String {
@@ -186,6 +305,27 @@ impl MachineOps for SparcOps {
     }
 }
 
+/// SPARC's flat calling convention: arguments in `%o0–%o5`, everything
+/// caller-saved except `%sp`/`%fp`/`%i*`.
+pub(crate) fn sparc_convention() -> Convention {
+    let regs = |fixed: &[Reg], ranges: &[std::ops::Range<u8>]| {
+        let mut s = RegSet::of(fixed);
+        for r in ranges.iter().cloned().flatten() {
+            s.insert(Reg(r));
+        }
+        s
+    };
+    Convention {
+        // A callee's arguments (%o0-%o5) and the stack pointer.
+        call_uses: regs(&[Reg::SP, Reg::O7], &[8..14]),
+        // Globals, out-registers, locals, condition codes and %y.
+        call_defs: regs(&[Reg::ICC, Reg::Y, Reg::O7], &[1..8, 8..14, 16..24]),
+        // The result pair, the stack and frame pointers, the
+        // in-registers and the return path.
+        exit_live: regs(&[Reg::O0, Reg(9), Reg::SP, Reg::FP, Reg::O7], &[24..32]),
+    }
+}
+
 /// MIPS-I, derived from `mips.spawn` — no handwritten decode tables.
 struct MipsOps;
 
@@ -195,12 +335,12 @@ pub(crate) fn mips_machine() -> &'static eel_spawn::Machine {
 }
 
 /// The operand fields MIPS disassembly spells, in output order: the
-/// register fields, then the immediate.
-const MIPS_DISASM_FIELDS: [&str; 4] = ["rs", "rt", "rdf", "imm16"];
+/// register fields, the shift amount, then the immediate.
+const MIPS_DISASM_FIELDS: [&str; 5] = ["rs", "rt", "rdf", "shamt", "imm16"];
 
 /// [`MIPS_DISASM_FIELDS`] by declaration index, resolved once.
-fn mips_listing() -> &'static [usize; 4] {
-    static LISTING: OnceLock<[usize; 4]> = OnceLock::new();
+fn mips_listing() -> &'static [usize; 5] {
+    static LISTING: OnceLock<[usize; 5]> = OnceLock::new();
     LISTING.get_or_init(|| {
         let fields = &mips_machine().description().fields;
         MIPS_DISASM_FIELDS.map(|name| {
@@ -246,21 +386,51 @@ impl MachineOps for MipsOps {
         }
     }
 
-    fn has_delay_slot(&self, word: u32, _pc: u32) -> bool {
+    fn flow(&self, word: u32, pc: u32) -> Flow {
         // MIPS-I: every transfer is delayed, with no annul bit.
-        use eel_spawn::Class::{Branch, DirectJump, IndirectJump};
-        let class = mips_machine().decode(word).map(|d| d.spec.class);
-        matches!(class, Some(DirectJump | Branch | IndirectJump))
+        use eel_spawn::Class;
+        let m = mips_machine();
+        let Some(d) = m.decode(word) else {
+            return Flow::Invalid;
+        };
+        let transfer = |cond| match m.static_target(&d, pc) {
+            Some(target) => Flow::Branch {
+                target,
+                cond,
+                annul: false,
+            },
+            // A target the evaluator cannot fold is a description bug,
+            // not a program property; be conservative.
+            None => Flow::IndirectJump,
+        };
+        match d.spec.class {
+            Class::DirectJump | Class::IndirectJump if d.spec.links => Flow::Call {
+                target: m.static_target(&d, pc),
+            },
+            Class::Branch => transfer(BranchCond::Maybe),
+            Class::DirectJump => transfer(BranchCond::Always),
+            // `jr $31` returns through the register `jal` links.
+            Class::IndirectJump if m.reads(&d) == RegSet::of(&[Reg(31)]) => Flow::Return,
+            Class::IndirectJump => Flow::IndirectJump,
+            Class::Invalid => Flow::Invalid,
+            _ => Flow::Straight,
+        }
     }
 
-    fn reads(&self, word: u32) -> RegSet {
-        let m = mips_machine();
-        m.decode(word).map_or_else(RegSet::new, |d| m.reads(&d))
+    fn resolve_jump(&self, _: &Image, _: (u32, u32), _: u32, _: u32, _: &mut bool) -> JumpResolution {
+        // The MIPS generator emits compare chains, never dispatch tables.
+        JumpResolution::Unknown
     }
 
-    fn writes(&self, word: u32) -> RegSet {
+    fn regs(&self, word: u32) -> (RegSet, RegSet) {
         let m = mips_machine();
-        m.decode(word).map_or_else(RegSet::new, |d| m.writes(&d))
+        m.decode(word)
+            .map_or_else(Default::default, |d| (m.reads(&d), m.writes(&d)))
+    }
+
+    fn convention(&self) -> Convention {
+        // No convention yet: a `jal` is straight-line code to liveness.
+        Convention::default()
     }
 
     fn reg_name(&self, r: Reg) -> String {
@@ -286,7 +456,7 @@ impl MachineOps for MipsOps {
         // Operand spelling straight from the description's field values:
         // terse, but mechanical for any described machine.
         let fields = &m.description().fields;
-        let [regs @ .., imm] = mips_listing();
+        let [regs @ .., shamt, imm] = mips_listing();
         let mut sep = " ";
         let mut operand = |out: &mut String| {
             out.push_str(sep);
@@ -298,6 +468,10 @@ impl MachineOps for MipsOps {
                 out.push('$');
                 let _ = write_dec(out, fields[k].extract(word).into());
             }
+        }
+        if d.spec.mentioned_fields & (1 << shamt) != 0 {
+            operand(out);
+            let _ = write_dec(out, fields[*shamt].extract(word).into());
         }
         // Branches skip the immediate: the folded `-> target` below says
         // more than the raw displacement.
@@ -363,9 +537,33 @@ mod tests {
                 links: true
             }
         );
-        assert!(ops.has_delay_slot(call, 0x1000));
+        assert_eq!(
+            ops.flow(call, 0x1000),
+            Flow::Call {
+                target: Some(0x1008)
+            }
+        );
         // A nop falls through and reads/writes nothing interesting.
         assert_eq!(ops.kind(0x0100_0000, 0x1000), InsnKind::Fall);
+        assert_eq!(ops.flow(0x0100_0000, 0x1000), Flow::Straight);
+        // `bn` is a branch to the builder (it has a delay slot) but no
+        // flow to discovery; `ret` is a return.
+        let bn = eel_isa::encode(&Op::Branch {
+            cond: Cond::Never,
+            annul: false,
+            disp22: 4,
+            fp: false,
+        });
+        assert_eq!(ops.kind(bn, 0x1000), InsnKind::Fall);
+        assert_eq!(
+            ops.flow(bn, 0x1000),
+            Flow::Branch {
+                target: 0x1010,
+                cond: BranchCond::Never,
+                annul: false
+            }
+        );
+        assert_eq!(ops.flow(0x81c7_e008, 0), Flow::Return);
         assert!(disasm(ops, 0x0100_0000, 0).contains("nop"));
     }
 
@@ -396,8 +594,38 @@ mod tests {
             InsnKind::IndirectJump { links: false }
         );
         assert_eq!(ops.kind(0x0085_1021, 0), InsnKind::Fall);
-        assert!(ops.has_delay_slot(0x1000_0001, 0x1000));
-        assert!(!ops.has_delay_slot(0x0085_1021, 0));
+        // The builder's view: `beq` may go either way with no annul bit,
+        // `j` always takes, `jal` calls, `jr $31` returns, `jalr` is an
+        // indirect call and `jr $5` an indirect jump.
+        assert_eq!(
+            ops.flow(0x1000_0001, 0x1000),
+            Flow::Branch {
+                target: 0x1008,
+                cond: BranchCond::Maybe,
+                annul: false
+            }
+        );
+        assert_eq!(
+            ops.flow((2 << 26) | 0x4000, 0x1000),
+            Flow::Branch {
+                target: 0x10000,
+                cond: BranchCond::Always,
+                annul: false
+            }
+        );
+        assert_eq!(
+            ops.flow((3 << 26) | 0x4000, 0x1000),
+            Flow::Call {
+                target: Some(0x10000)
+            }
+        );
+        assert_eq!(ops.flow(0x03e0_0008, 0), Flow::Return);
+        assert_eq!(ops.flow(0x00a0_f809, 0), Flow::Call { target: None });
+        assert_eq!(ops.flow(0x00a0_0008, 0), Flow::IndirectJump);
+        assert_eq!(ops.flow(0x0085_1021, 0), Flow::Straight);
+        assert_eq!(ops.flow(0xffff_ffff, 0), Flow::Invalid);
+        assert!(ops.flow(0x1000_0001, 0x1000).is_delayed());
+        assert!(!ops.flow(0x0085_1021, 0).is_delayed());
     }
 
     #[test]
@@ -405,10 +633,11 @@ mod tests {
         let ops = machine_ops(Machine::Mips);
         let spell = |set: RegSet| set.iter().map(|r| ops.reg_name(r)).collect::<Vec<_>>();
         // addu $v0, $a0, $a1
-        assert_eq!(spell(ops.reads(0x0085_1021)), ["$4", "$5"]);
-        assert_eq!(spell(ops.writes(0x0085_1021)), ["$2"]);
+        let (reads, writes) = ops.regs(0x0085_1021);
+        assert_eq!(spell(reads), ["$4", "$5"]);
+        assert_eq!(spell(writes), ["$2"]);
         // mflo $a0 reads $lo, register 33 after R[32] and HI.
-        assert_eq!(ops.reads(0x0000_2012), RegSet::of(&[Reg(33)]));
+        assert_eq!(ops.regs(0x0000_2012).0, RegSet::of(&[Reg(33)]));
         assert_eq!(ops.reg_name(Reg(33)), "$lo");
         assert_eq!(ops.reg_name(Reg(32)), "$hi");
     }
@@ -421,6 +650,15 @@ mod tests {
         assert!(disasm(ops, 0x03e0_0008, 0).starts_with("jr"));
         // An undecodable word prints as data.
         assert_eq!(disasm(ops, 0xffff_ffff, 0), ".word 0xffffffff");
+    }
+
+    #[test]
+    fn mips_disasm_spells_the_shift_amount() {
+        let ops = machine_ops(Machine::Mips);
+        // sll $8, $5, 3: rt = 5, rd = 8, shamt = 3.
+        assert_eq!(disasm(ops, 0x0005_40c0, 0), "sll $5, $8, 3");
+        // sllv names no shift amount (its pattern pins shamt to 0).
+        assert_eq!(disasm(ops, 0x00a4_4004, 0), "sllv $5, $4, $8");
     }
 
     #[test]

@@ -54,15 +54,8 @@ pub(crate) struct ShapeCells {
 }
 
 impl ShapeCells {
-    /// One empty cell per discovered routine of an image for `machine`;
-    /// none unless it is SPARC, the one pipeline that builds editable
-    /// CFGs.
-    pub(crate) fn new(machine: eel_exe::Machine, routines: usize) -> Arc<ShapeCells> {
-        let routines = if machine == eel_exe::Machine::Sparc {
-            routines
-        } else {
-            0
-        };
+    /// One empty cell per discovered routine.
+    pub(crate) fn new(routines: usize) -> Arc<ShapeCells> {
         let cells: Box<[_]> = (0..routines)
             .map(|_| Mutex::new(ShapeCell::default()))
             .collect();
@@ -80,7 +73,7 @@ impl ShapeCells {
     /// [`crate::Executable::read_contents`] discovers its routines.
     pub(crate) fn none() -> Arc<ShapeCells> {
         static NONE: LazyLock<Arc<ShapeCells>> =
-            LazyLock::new(|| ShapeCells::new(eel_exe::Machine::Sparc, 0));
+            LazyLock::new(|| ShapeCells::new(0));
         Arc::clone(&NONE)
     }
 
@@ -206,7 +199,7 @@ impl Analysis {
             .iter()
             .map(|r| routine_key(&image, r))
             .collect();
-        let shapes = ShapeCells::new(image.machine, discovery.routines.len());
+        let shapes = ShapeCells::new(discovery.routines.len());
         Ok(Analysis {
             image,
             routines: discovery.routines,

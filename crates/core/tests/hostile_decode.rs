@@ -62,8 +62,7 @@ fn exercise(word: u32, pc: u32) {
     );
     for machine in [Machine::Sparc, Machine::Mips] {
         let ops = machine_ops(machine);
-        let _ = (ops.kind(word, pc), ops.has_delay_slot(word, pc));
-        let _ = (ops.reads(word), ops.writes(word));
+        let _ = (ops.kind(word, pc), ops.flow(word, pc), ops.regs(word));
         ops.disasm(word, pc, &mut String::new());
     }
 }
@@ -86,7 +85,8 @@ fn mips_regs_agree(spawn: &eel_spawn::Machine, word: u32) -> bool {
         Some(d) => (spell(spawn.reads(&d)), spell(spawn.writes(&d))),
         None => (BTreeSet::new(), BTreeSet::new()),
     };
-    seam(ops.reads(word)) == reads && seam(ops.writes(word)) == writes
+    let (seam_reads, seam_writes) = ops.regs(word);
+    seam(seam_reads) == reads && seam(seam_writes) == writes
 }
 
 #[test]

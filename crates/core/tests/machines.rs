@@ -209,15 +209,17 @@ fn stripped_mips_discovery() {
     }
 }
 
-/// The SPARC editing pipeline rejects a MIPS image with a directive
-/// toward the generic path, instead of mis-decoding it.
+/// A MIPS image builds CFGs through the shared builder, but the SPARC
+/// layout pipeline rejects it with a directive toward the block-counter
+/// rewriter, instead of mis-decoding it.
 #[test]
 fn sparc_pipeline_guards_against_mips() {
     let image = mips_workload();
     let mut exec = Executable::from_image(image).unwrap();
     exec.read_contents().unwrap();
     let id = exec.all_routine_ids()[0];
-    let err = exec.build_cfg(id).unwrap_err().to_string();
+    let cfg = exec.build_cfg(id).expect("mips builds through the seam");
+    let err = exec.install_edits(cfg).unwrap_err().to_string();
     assert!(err.contains("sparc-only"), "{err}");
     let err = exec.write_edited().unwrap_err().to_string();
     assert!(err.contains("sparc-only"), "{err}");
@@ -243,7 +245,10 @@ fn sparc_seam_matches_isa_on_real_image() {
             eel_isa::Op::Invalid => assert_eq!(kind, InsnKind::Invalid),
             _ => {}
         }
-        assert_eq!(ops.has_delay_slot(word, addr), insn.is_delayed());
+        let flow = ops.flow(word, addr);
+        assert_eq!(flow.is_delayed(), insn.is_delayed());
+        let invalid = insn.category() == eel_isa::Category::Invalid;
+        assert_eq!(flow == eel_core::Flow::Invalid, invalid);
     }
 }
 
