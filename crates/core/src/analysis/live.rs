@@ -51,43 +51,25 @@ impl Liveness {
             .map(|(_, b)| block_use_def(&b, ops, &conv))
             .collect();
         let (off, dest) = cfg.succ_blocks();
-        Liveness::solve(
-            &use_def,
-            |b| {
-                let row = &dest[off[b] as usize..off[b + 1] as usize];
-                row.iter().map(|&t| t as usize)
-            },
-            Some((cfg.exit_block().index(), conv.exit_live)),
-        )
-    }
-
-    /// The backward may-liveness fixpoint every pipeline shares. Block
-    /// `b` has upward-exposed uses and definitions `use_def[b]` and
-    /// successor indices `succs(b)`; a pinned `exit` block keeps the
-    /// given live-in and is never recomputed.
-    pub(crate) fn solve<I: IntoIterator<Item = usize>>(
-        use_def: &[(RegSet, RegSet)],
-        succs: impl Fn(usize) -> I,
-        exit: Option<(usize, RegSet)>,
-    ) -> Liveness {
         let n = use_def.len();
+        let exit = cfg.exit_block().index();
         let mut live_in = vec![RegSet::new(); n];
         let mut live_out = vec![RegSet::new(); n];
-        if let Some((b, live)) = exit {
-            live_in[b] = live;
-        }
+        // The exit block keeps the convention's live set and is never
+        // recomputed.
+        live_in[exit] = conv.exit_live;
         let mut changed = true;
         while changed {
             changed = false;
             // Iterating in reverse index order approximates reverse topological
             // order well enough; the fixpoint is correct regardless.
             for b in (0..n).rev() {
-                if exit.is_some_and(|(x, _)| x == b) {
+                if b == exit {
                     continue;
                 }
                 let mut out = RegSet::new();
-                for s in succs(b) {
-                    out = out.union(live_in[s]);
+                for &s in &dest[off[b] as usize..off[b + 1] as usize] {
+                    out = out.union(live_in[s as usize]);
                 }
                 let (uses, defs) = use_def[b];
                 let inn = uses.union(out.without(defs));

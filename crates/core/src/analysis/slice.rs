@@ -61,7 +61,9 @@ impl<'a> Slicer<'a> {
             }
         }
         // Call surrogates define the convention's clobber set.
-        if b.kind == BlockKind::CallSurrogate && crate::machine::sparc_convention().call_defs.contains(reg) {
+        if b.kind == BlockKind::CallSurrogate
+            && crate::machine::sparc_convention().call_defs.contains(reg)
+        {
             // The value comes from a callee: hard to replay, but defined.
             return true;
         }

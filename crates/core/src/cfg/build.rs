@@ -254,8 +254,7 @@ pub(crate) fn build_cfg(
                     CtiSucc::Call
                 }
                 Flow::Call { target: None } => {
-                    let resolution =
-                        ops.resolve_jump(image, extent, pc, word, &mut external_reads);
+                    let resolution = ops.resolve_jump(image, extent, pc, word, &mut external_reads);
                     if let JumpResolution::Literal { target, .. } = &resolution {
                         escape_targets.push(*target);
                     }
@@ -268,8 +267,7 @@ pub(crate) fn build_cfg(
                 }
                 Flow::Return => CtiSucc::Return,
                 Flow::IndirectJump => {
-                    let resolution =
-                        ops.resolve_jump(image, extent, pc, word, &mut external_reads);
+                    let resolution = ops.resolve_jump(image, extent, pc, word, &mut external_reads);
                     match &resolution {
                         JumpResolution::Table {
                             table_addr,

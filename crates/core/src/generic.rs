@@ -1,58 +1,23 @@
-//! Machine-generic analyses over the [`crate::MachineOps`] seam.
+//! MIPS block-counter instrumentation, and the benchmark's names for
+//! the shared CFG and liveness passes.
 //!
-//! The SPARC pipeline in this crate predates the seam and keeps its
-//! richer, edit-capable [`crate::Cfg`]. This module is the
-//! machine-independent counterpart that any described machine gets for
-//! free: basic-block CFGs, backward liveness, disassembly listings, and
-//! qpt2-style block-counter instrumentation — enough for the service's
-//! stat/disasm/instrument ops on a non-SPARC image. It is exercised
-//! end-to-end by MIPS today; a future alpha backend reuses it untouched.
-//!
-//! Each pass classifies the words of its range once (kind plus the step
-//! over a delay slot) and finds block leaders with one shared pass.
-//! Liveness runs on the seam's register sets through the same fixpoint
-//! as [`Liveness::compute`]; register names appear only where output is
-//! rendered, through [`crate::MachineOps::reg_name`].
+//! Every machine's CFGs and liveness come from the one builder and the
+//! one solver, through the [`crate::MachineOps`] seam. What stays here
+//! is qpt2-style block-counter instrumentation for a MIPS image
+//! ([`instrument_block_counters`]), which rewrites the whole text
+//! segment rather than editing per-routine CFGs; it classifies the
+//! words of the text once (kind plus the step over a delay slot) and
+//! finds block leaders with one pass.
 
 use crate::analysis::live::Liveness;
+use crate::cfg::{build_cfg, BuildEffects, CfgShape};
 use crate::error::EelError;
 use crate::executable::MAX_MATERIALIZED_BSS;
 use crate::machine::{machine_ops, InsnKind, MachineOps};
 use crate::routine::Routine;
 use eel_exe::{Image, Machine, Symbol, SymbolKind};
-use eel_isa::{write_hex, RegSet};
 use std::ops::Range;
-
-/// A basic block in a [`GenericCfg`].
-#[derive(Debug, Clone)]
-pub struct GenericBlock {
-    /// First instruction address.
-    pub start: u32,
-    /// One past the last instruction (delay slot included).
-    pub end: u32,
-    /// Successor block starts (taken targets first, then fall-through).
-    pub succs: Vec<u32>,
-    /// The block ends in a transfer with an unknowable target set.
-    pub has_indirect_exit: bool,
-}
-
-/// A routine-scoped control-flow graph built through the machine seam.
-///
-/// Delay slots are normalized the same way the SPARC CFG normalizes
-/// them: a transfer and its delay slot stay in the transfer's block, and
-/// the next block starts after the slot.
-#[derive(Debug, Clone)]
-pub struct GenericCfg {
-    /// Blocks in ascending start order; the first is the entry block.
-    pub blocks: Vec<GenericBlock>,
-}
-
-impl GenericCfg {
-    /// The block starting at `addr`, if any.
-    pub fn block_at(&self, addr: u32) -> Option<&GenericBlock> {
-        self.blocks.iter().find(|b| b.start == addr)
-    }
-}
+use std::sync::Arc;
 
 /// One word with its control-flow class and the bytes from it to the
 /// next instruction in sequence: 8 over a delay slot, else 4.
@@ -72,7 +37,11 @@ fn classify(image: &Image, ops: &dyn MachineOps, range: Range<u32>) -> Vec<Class
             Classified {
                 word,
                 kind: ops.kind(word, pc),
-                step: if ops.flow(word, pc).is_delayed() { 8 } else { 4 },
+                step: if ops.flow(word, pc).is_delayed() {
+                    8
+                } else {
+                    4
+                },
             }
         })
         .collect()
@@ -118,110 +87,30 @@ fn leaders(
         .collect()
 }
 
-/// Builds a [`GenericCfg`] for one routine extent via the machine seam.
+/// One routine's CFG shape from the shared builder, built once and
+/// without §3.1 side effects, under the benchmark's `core.generic.cfg`
+/// span.
 ///
 /// # Errors
 ///
-/// [`EelError::BadAddress`] when the routine extent is outside the text
-/// segment.
-pub fn generic_cfg(image: &Image, routine: &Routine) -> Result<GenericCfg, EelError> {
+/// As [`crate::Executable::build_cfg`].
+pub fn generic_cfg(image: &Arc<Image>, routine: &Routine) -> Result<CfgShape, EelError> {
     let _obs = eel_obs::span("core.generic.cfg");
-    let ops = machine_ops(image.machine);
-    let (start, end) = (routine.start(), routine.end());
-    if start < image.text_addr || end > image.text_end() {
-        return Err(EelError::BadAddress {
-            addr: start,
-            expected: "a routine extent inside the text segment",
-        });
-    }
-    let words = classify(image, ops, start..end);
-    let seeds = std::iter::once(start).chain(routine.entries().iter().copied());
-    let starts = leaders(&words, start..end, seeds);
-
-    // Blocks between leaders, each with the successor edges of the
-    // transfer that ends it. A call returns to the post-slot address, so
-    // it is straight-line code, as the SPARC CFG treats it.
-    let blocks = starts
-        .iter()
-        .enumerate()
-        .map(|(i, &bstart)| {
-            let bend = starts.get(i + 1).copied().unwrap_or(end);
-            let mut exit = None;
-            let mut addr = bstart;
-            while addr < bend && exit.is_none() {
-                let Classified { kind, step, .. } = words[((addr - start) / 4) as usize];
-                if let InsnKind::Branch { .. }
-                | InsnKind::Jump { links: false, .. }
-                | InsnKind::IndirectJump { links: false } = kind
-                {
-                    exit = Some(kind);
-                }
-                addr += step;
-            }
-            // `addr` is past the exit's delay slot now.
-            let (succs, has_indirect_exit) = match exit {
-                Some(InsnKind::Branch { target }) => (vec![target, addr], false),
-                Some(InsnKind::Jump { target, .. }) => (vec![target], false),
-                Some(_) => (Vec::new(), true),
-                None => (vec![bend], false),
-            };
-            GenericBlock {
-                start: bstart,
-                end: bend,
-                succs: succs
-                    .into_iter()
-                    .filter(|&a| a >= start && a < end)
-                    .collect(),
-                has_indirect_exit,
-            }
-        })
-        .collect();
-    Ok(GenericCfg { blocks })
+    let extent = (routine.start(), routine.end());
+    let out = build_cfg(image, extent, routine.entries())?;
+    let effects = BuildEffects {
+        snapshot_end: routine.end(),
+        snapshot_entries: routine.entries().to_vec(),
+        ..BuildEffects::default()
+    };
+    Ok(out.draft.finish(image, extent, effects))
 }
 
-/// Computes backward liveness for a [`GenericCfg`] over the machine
-/// seam's register sets, through the same fixpoint as
-/// [`Liveness::compute`]. Block indices follow [`GenericCfg::blocks`];
-/// delay slots are plain instructions for dataflow purposes.
-pub fn generic_liveness(image: &Image, cfg: &GenericCfg) -> Liveness {
+/// [`Liveness::compute`] under the benchmark's `core.generic.liveness`
+/// span.
+pub fn generic_liveness(_image: &Image, cfg: &CfgShape) -> Liveness {
     let _obs = eel_obs::span("core.generic.liveness");
-    let ops = machine_ops(image.machine);
-    let use_def: Vec<(RegSet, RegSet)> = cfg
-        .blocks
-        .iter()
-        .map(|b| {
-            let (mut uses, mut defs) = (RegSet::new(), RegSet::new());
-            for addr in (b.start..b.end).step_by(4) {
-                let word = image.word_at(addr).unwrap_or(0);
-                let (reads, writes) = ops.regs(word);
-                uses = uses.union(reads.without(defs));
-                defs = defs.union(writes);
-            }
-            (uses, defs)
-        })
-        .collect();
-    let index_of = |addr: u32| cfg.blocks.binary_search_by_key(&addr, |b| b.start).ok();
-    Liveness::solve(
-        &use_def,
-        |b| cfg.blocks[b].succs.iter().filter_map(move |&s| index_of(s)),
-        None,
-    )
-}
-
-/// Appends a routine extent's disassembly listing to `out` through the
-/// machine seam: one `  addr: word  text` line per word.
-pub fn generic_disasm(image: &Image, routine: &Routine, out: &mut String) {
-    let ops = machine_ops(image.machine);
-    for addr in (routine.start()..routine.end()).step_by(4) {
-        let word = image.word_at(addr).unwrap_or(0);
-        out.push_str("  0x");
-        let _ = write_hex(out, addr, 8);
-        out.push_str(": ");
-        let _ = write_hex(out, word, 8);
-        out.push_str("  ");
-        ops.disasm(word, addr, out);
-        out.push('\n');
-    }
+    Liveness::compute(cfg)
 }
 
 // ---- MIPS block-counter instrumentation --------------------------------
@@ -374,9 +263,10 @@ pub fn instrument_block_counters(image: &Image) -> Result<(Image, Vec<BlockCount
     Ok((out, counters))
 }
 
-/// Convenience dispatch used by the service's generic ops: `true` when
-/// the image's machine is served by this module rather than the SPARC
-/// [`crate::Executable`] pipeline.
+/// `true` when the image's machine is instrumented by
+/// [`instrument_block_counters`] rather than edited through the SPARC
+/// layout pipeline ([`crate::Executable::install_edits`] and
+/// [`crate::Executable::write_edited`]).
 pub fn uses_generic_pipeline(machine: Machine) -> bool {
     machine != Machine::Sparc
 }

@@ -97,8 +97,7 @@ pub use executable::{
 };
 pub use fragment::routine_key;
 pub use generic::{
-    generic_cfg, generic_disasm, generic_liveness, instrument_block_counters,
-    uses_generic_pipeline, BlockCounter, GenericBlock, GenericCfg,
+    generic_cfg, generic_liveness, instrument_block_counters, uses_generic_pipeline, BlockCounter,
 };
 pub use machine::{machine_ops, BranchCond, Convention, Flow, InsnKind, MachineOps};
 pub use routine::Routine;

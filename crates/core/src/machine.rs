@@ -26,10 +26,10 @@ use eel_exe::{Image, Machine};
 use eel_isa::{write_dec, write_hex, Category, Cond, JumpKind, Op, Reg, RegSet};
 use std::sync::OnceLock;
 
-/// What a machine word does to control flow — the classification every
-/// machine-independent analysis in this crate consumes. The grouping
-/// deliberately mirrors §4's spawn classes, flattened to what CFG
-/// construction actually branches on.
+/// What a machine word does to control flow, as §3.1 routine discovery
+/// and the block-counter rewriter see it. The grouping deliberately
+/// mirrors §4's spawn classes, flattened to call targets and
+/// intra-routine flow; CFG construction asks the finer [`Flow`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InsnKind {
     /// Falls through to the next instruction (computation, load, store,
@@ -308,21 +308,19 @@ impl MachineOps for SparcOps {
 /// SPARC's flat calling convention: arguments in `%o0–%o5`, everything
 /// caller-saved except `%sp`/`%fp`/`%i*`.
 pub(crate) fn sparc_convention() -> Convention {
-    let regs = |fixed: &[Reg], ranges: &[std::ops::Range<u8>]| {
+    let set = |fixed: &[Reg], more: std::ops::Range<u8>| {
         let mut s = RegSet::of(fixed);
-        for r in ranges.iter().cloned().flatten() {
-            s.insert(Reg(r));
-        }
+        more.for_each(|r| s.insert(Reg(r)));
         s
     };
     Convention {
         // A callee's arguments (%o0-%o5) and the stack pointer.
-        call_uses: regs(&[Reg::SP, Reg::O7], &[8..14]),
+        call_uses: set(&[Reg::SP, Reg::O7], 8..14),
         // Globals, out-registers, locals, condition codes and %y.
-        call_defs: regs(&[Reg::ICC, Reg::Y, Reg::O7], &[1..8, 8..14, 16..24]),
+        call_defs: set(&[Reg::ICC, Reg::Y, Reg::O7], 1..14).union(set(&[], 16..24)),
         // The result pair, the stack and frame pointers, the
         // in-registers and the return path.
-        exit_live: regs(&[Reg::O0, Reg(9), Reg::SP, Reg::FP, Reg::O7], &[24..32]),
+        exit_live: set(&[Reg::O0, Reg(9), Reg::SP, Reg::FP, Reg::O7], 24..32),
     }
 }
 
@@ -417,7 +415,14 @@ impl MachineOps for MipsOps {
         }
     }
 
-    fn resolve_jump(&self, _: &Image, _: (u32, u32), _: u32, _: u32, _: &mut bool) -> JumpResolution {
+    fn resolve_jump(
+        &self,
+        _: &Image,
+        _: (u32, u32),
+        _: u32,
+        _: u32,
+        _: &mut bool,
+    ) -> JumpResolution {
         // The MIPS generator emits compare chains, never dispatch tables.
         JumpResolution::Unknown
     }

@@ -72,8 +72,7 @@ impl ShapeCells {
     /// No cells, shared: what an executable holds until
     /// [`crate::Executable::read_contents`] discovers its routines.
     pub(crate) fn none() -> Arc<ShapeCells> {
-        static NONE: LazyLock<Arc<ShapeCells>> =
-            LazyLock::new(|| ShapeCells::new(0));
+        static NONE: LazyLock<Arc<ShapeCells>> = LazyLock::new(|| ShapeCells::new(0));
         Arc::clone(&NONE)
     }
 

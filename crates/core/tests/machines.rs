@@ -7,8 +7,7 @@
 //! through the spawn-derived backend.
 
 use eel_core::{
-    generic_cfg, generic_disasm, generic_liveness, instrument_block_counters, machine_ops,
-    routine_key, Analysis, BlockId, Executable, InsnKind,
+    instrument_block_counters, machine_ops, routine_key, Analysis, BlockKind, Executable, InsnKind,
 };
 use eel_exe::Machine;
 use std::sync::Arc;
@@ -62,30 +61,33 @@ fn mips_round_trip_with_block_counters() {
         .iter()
         .find(|r| r.name() == "main")
         .unwrap();
+    let ops = machine_ops(Machine::Mips);
     let mut text = String::new();
-    generic_disasm(&image, main, &mut text);
-    assert!(!text.is_empty());
+    for addr in (main.start()..main.end()).step_by(4) {
+        ops.disasm(image.word_at(addr).unwrap(), addr, &mut text);
+        text.push('\n');
+    }
     for mnemonic in ["addiu", "sw", "lw", "jal"] {
         assert!(text.contains(mnemonic), "missing {mnemonic} in:\n{text}");
     }
 
-    // CFG: the while/if/for structure yields real branching.
-    let cfg = generic_cfg(&image, main).unwrap();
-    assert!(cfg.blocks.len() >= 4, "{} blocks", cfg.blocks.len());
-    assert!(cfg.blocks.iter().any(|b| b.succs.len() == 2));
-    // Every successor is a block start.
-    for b in &cfg.blocks {
-        for s in &b.succs {
-            assert!(cfg.block_at(*s).is_some(), "succ {s:#x} is not a block");
-        }
-    }
+    // CFG through the shared builder: the while/if/for structure yields
+    // real branching, and `jal`s get call surrogates.
+    let mut exec = Executable::from_analysis(&analysis);
+    let id = exec.routine_containing(main.start()).unwrap();
+    let cfg = exec.build_cfg(id).unwrap();
+    let stats = cfg.stats();
+    assert!(stats.normal_blocks >= 4, "{stats:?}");
+    assert!(stats.call_surrogate_blocks >= 1, "{stats:?}");
+    assert!(cfg
+        .blocks()
+        .any(|(_, b)| b.kind == BlockKind::Normal && b.succ().len() == 2));
 
     // Liveness over description-derived reads/writes: the sp-relative
     // stack machine keeps $29 live everywhere.
-    let live = generic_liveness(&image, &cfg);
-    let ops = machine_ops(Machine::Mips);
+    let live = exec.liveness(&cfg);
     let entry_live: Vec<String> = live
-        .live_in(BlockId::from_index(0))
+        .live_in(cfg.entry_block())
         .iter()
         .map(|r| ops.reg_name(r))
         .collect();
@@ -94,9 +96,9 @@ fn mips_round_trip_with_block_counters() {
     // Uninstrumented run, watching every block leader of every routine.
     let leaders: Vec<u32> = {
         let mut v = Vec::new();
-        for r in analysis.routines() {
-            let c = generic_cfg(&image, r).unwrap();
-            v.extend(c.blocks.iter().map(|b| b.start));
+        for (_, c) in exec.build_all_cfgs(1).unwrap() {
+            let normal = c.blocks().filter(|(_, b)| b.kind == BlockKind::Normal);
+            v.extend(normal.map(|(_, b)| b.addr));
         }
         v
     };
@@ -284,4 +286,24 @@ fn images_for_machines_without_a_backend_are_errors() {
     assert!(err.to_string().contains("no alpha backend"), "{err}");
     let mut exec = Executable::from_image(image).unwrap();
     assert!(exec.read_contents().is_err());
+}
+
+/// The shared builder rejects a MIPS transfer in a delay slot exactly as
+/// it rejects a SPARC one.
+#[test]
+fn mips_transfer_in_a_delay_slot_is_rejected() {
+    use eel_exe::{Symbol, DATA_BASE, TEXT_BASE};
+    let mut image = eel_exe::Image::new(TEXT_BASE, DATA_BASE).with_machine(Machine::Mips);
+    // beq $0, $0, +2; beq $0, $0, +1 (in the slot); nop; jr $31; nop
+    for w in [0x1000_0002u32, 0x1000_0001, 0, 0x03e0_0008, 0] {
+        image.text.extend_from_slice(&w.to_be_bytes());
+    }
+    image.symbols.push(Symbol::routine("f", TEXT_BASE));
+    let mut exec = Executable::from_image(image).unwrap();
+    exec.read_contents().unwrap();
+    let id = exec.all_routine_ids()[0];
+    match exec.build_cfg(id) {
+        Err(eel_core::EelError::DelaySlotTransfer { addr }) => assert_eq!(addr, TEXT_BASE + 4),
+        other => panic!("expected a delay-slot transfer error, got {other:?}"),
+    }
 }

@@ -1,25 +1,23 @@
 //! Golden outputs of the machine seam: FNV-1a digests of what the
-//! generic pipeline computes for the first twelve progen seeds that
-//! compile for MIPS (and for SPARC gcc, since a deep expression can
-//! exhaust SPARC's temporaries), and of SPARC liveness over each seed's
-//! gcc twin.
+//! shared CFG builder and liveness solver compute for the first twelve
+//! progen seeds that compile for MIPS (and for SPARC gcc, since a deep
+//! expression can exhaust SPARC's temporaries), and of SPARC liveness
+//! over each seed's gcc twin.
 //!
 //! Per MIPS image, one digest each covers:
-//! * every routine's `generic_cfg` blocks (start, end, successors and
-//!   the indirect-exit flag);
-//! * every block's live-in and live-out registers, spelled and sorted
-//!   as strings;
+//! * every routine's CFG shape from `build_all_cfgs(1)`: each block's
+//!   kind, address and length, and each successor edge's kind and
+//!   destination;
+//! * every block's live-in and live-out registers, spelled in register
+//!   order;
 //! * the `instrument_block_counters` image bytes and counter list.
 //!
 //! Per SPARC twin, one digest covers `Liveness::compute`'s per-block
 //! live-in and live-out sets over `build_all_cfgs(1)`. Any change to the
-//! seam, the leader pass, the liveness solver or the block-counter
-//! rewriter that moves a single output shows up here.
+//! seam, the builder, the liveness solver or the block-counter rewriter
+//! that moves a single output shows up here.
 
-use eel_core::{
-    generic_cfg, generic_liveness, instrument_block_counters, machine_ops, Analysis, BlockId,
-    Executable, Liveness,
-};
+use eel_core::{instrument_block_counters, machine_ops, Analysis, Executable, Liveness};
 use eel_isa::RegSet;
 use eel_progen::{random_program, GenConfig};
 use std::fmt::Write;
@@ -65,37 +63,36 @@ fn images() -> Vec<(u64, eel_exe::Image, eel_exe::Image)> {
 fn mips_digests(seed: u64, image: &eel_exe::Image) -> Vec<String> {
     let analysis = Analysis::compute(Arc::new(image.clone())).expect("analyze");
     let ops = machine_ops(image.machine);
+    let spell = |set: RegSet| {
+        let names: Vec<String> = set.iter().map(|r| ops.reg_name(r)).collect();
+        names.join(" ")
+    };
     let (mut cfgs, mut live) = (String::new(), String::new());
-    for routine in analysis.routines() {
-        let cfg = match generic_cfg(image, routine) {
-            Ok(cfg) => cfg,
-            Err(e) => {
-                let _ = writeln!(cfgs, "{}: err:{e}", routine.name());
-                continue;
+    let mut exec = Executable::from_analysis(&analysis);
+    match exec.build_all_cfgs(1) {
+        Ok(built) => {
+            for (routine, cfg) in built {
+                let _ = writeln!(cfgs, "{}:", routine.name());
+                let sets = Liveness::compute(&cfg);
+                for (id, b) in cfg.blocks() {
+                    let _ = write!(cfgs, "{:?} {:#x} {}", b.kind, b.addr, b.insns.len());
+                    for e in b.succ() {
+                        let e = cfg.edge(e);
+                        let _ = write!(cfgs, " {:?}>{}", e.kind, e.to.index());
+                    }
+                    cfgs.push('\n');
+                    let _ = writeln!(
+                        live,
+                        "{}: in {{{}}} out {{{}}}",
+                        id.index(),
+                        spell(sets.live_in(id)),
+                        spell(sets.live_out(id))
+                    );
+                }
             }
-        };
-        let _ = writeln!(cfgs, "{}:", routine.name());
-        for b in &cfg.blocks {
-            let _ = writeln!(
-                cfgs,
-                "{:#x} {:#x} {:x?} {}",
-                b.start, b.end, b.succs, b.has_indirect_exit
-            );
         }
-        let sets = generic_liveness(image, &cfg);
-        for i in 0..cfg.blocks.len() {
-            let spell = |set: RegSet| {
-                let mut names: Vec<String> = set.iter().map(|r| ops.reg_name(r)).collect();
-                names.sort();
-                names.join(" ")
-            };
-            let b = BlockId::from_index(i);
-            let _ = writeln!(
-                live,
-                "{i}: in {{{}}} out {{{}}}",
-                spell(sets.live_in(b)),
-                spell(sets.live_out(b))
-            );
+        Err(e) => {
+            let _ = writeln!(cfgs, "err:{e}");
         }
     }
     let instrumented = match instrument_block_counters(image) {
@@ -147,55 +144,57 @@ fn digests() -> Vec<String> {
     lines
 }
 
-/// Recorded before the seam carried register sets; every line must stay
+/// The MIPS `cfg` and `liveness` lines were recorded when MIPS moved onto
+/// the shared CFG builder and liveness solver; every other line dates from
+/// before the seam carried register sets. Every line must stay
 /// byte-identical.
 const GOLDEN: &str = "\
-0 mips cfg d1cb62c8cb1b1708
-0 mips liveness 020de0e9c7f9f970
+0 mips cfg 57096f0471843ab9
+0 mips liveness 1ae386c8f4b24c11
 0 mips instrument 67443100364705ce
 0 sparc liveness 97ef659439b6fdc6
-1 mips cfg edc57f6e17717f2f
-1 mips liveness 346c50239dd7df7a
+1 mips cfg e26cde4feb3f3a04
+1 mips liveness db550b896f6464ac
 1 mips instrument 26e3a999c0ec88c1
 1 sparc liveness 43fc386589588ffa
-2 mips cfg 3e94de38673fb398
-2 mips liveness 79c92511e4e5fb87
+2 mips cfg 305607f33cd5a16b
+2 mips liveness 48c93ca068b83d69
 2 mips instrument 2bc6b170d6f6e01d
 2 sparc liveness 4945f61dd6df7e27
-3 mips cfg 2eec9f559d46ba01
-3 mips liveness 5b9c4216c2b34675
+3 mips cfg 7d78d7e324a87859
+3 mips liveness 3738774596ae9ccb
 3 mips instrument 90a7f07894e5867f
 3 sparc liveness 92ac7a3ec9ab4727
-4 mips cfg 8ed0666f28286e43
-4 mips liveness 4fa210f7d31c6419
+4 mips cfg 3724b45bb8451af6
+4 mips liveness de1e5a2439f55f6f
 4 mips instrument b96ad5b1a34c501c
 4 sparc liveness 8f15e7d9672f9a27
-5 mips cfg 55bdbc3ad52bef56
-5 mips liveness fdab6cb800ffed3e
+5 mips cfg 30ba132dcd67a38e
+5 mips liveness b1eb08a604b3bdbd
 5 mips instrument 752e90b425ecbcea
 5 sparc liveness 64442b552b2ac46e
-6 mips cfg 20ca6387a145317b
-6 mips liveness 31f3f443c65e853a
+6 mips cfg 2830c2fcfbcba584
+6 mips liveness 78a56940f8cb3b2e
 6 mips instrument c9767cd84754250b
 6 sparc liveness 57218a54d0fb0719
-7 mips cfg 7532dc29757a3bb8
-7 mips liveness 56143a462a0537b5
+7 mips cfg 14f6fcb2fe0886ac
+7 mips liveness 7a3e06d8977e6bf7
 7 mips instrument 971916a1cd94f65d
 7 sparc liveness f7a1a2a267caf6fe
-8 mips cfg 07cb923dbea35dd4
-8 mips liveness cbded1bd166d54fd
+8 mips cfg 4b82e4806a39eefd
+8 mips liveness d83343c471d49e82
 8 mips instrument adfa894daacc21e9
 8 sparc liveness 84c0ec0c7fc14603
-9 mips cfg 61ca06d5719af488
-9 mips liveness 2f058aa3f2827c89
+9 mips cfg 5075289a501228ff
+9 mips liveness 36e52ebe34a63709
 9 mips instrument 9c0e42e725971213
 9 sparc liveness 3069968a3c301c68
-10 mips cfg 70bea20e33bd7e3b
-10 mips liveness 8b987c43b819eb0b
+10 mips cfg 1cd35afe357cbe11
+10 mips liveness ebbbb794be5f4667
 10 mips instrument 9d196655d509880f
 10 sparc liveness 6218ce9b828dc3e2
-12 mips cfg b51d88326b8cdc37
-12 mips liveness 21b28454870ecb00
+12 mips cfg 7cdad37fcc7a767d
+12 mips liveness 57af6ce07a26e314
 12 mips instrument 1f32883a4590ad24
 12 sparc liveness 0c84ae5ec8280c37
 ";

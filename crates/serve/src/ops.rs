@@ -28,9 +28,8 @@
 //! and each supplies only its per-routine rendering and payload format.
 
 use eel_core::{
-    generic_cfg, generic_disasm, generic_liveness, instrument_block_counters, machine_ops,
-    uses_generic_pipeline, Analysis, BlockId, Cfg, CfgOutcome, EelError, Executable,
-    FragmentSource, Routine, RoutineId, Snippet,
+    instrument_block_counters, machine_ops, uses_generic_pipeline, Analysis, Cfg, CfgOutcome,
+    EelError, Executable, FragmentSource, MachineOps, Routine, RoutineId, Snippet,
 };
 use eel_exe::Image;
 use eel_isa::write_hex;
@@ -125,16 +124,17 @@ pub fn run_op_fragments(
     _threads: usize,
     tier: &dyn FragmentTier,
 ) -> Result<(Vec<u8>, FragmentStats), String> {
-    // Machine dispatch: the WEF header tag picks the pipeline. A
-    // non-SPARC image routes through the generic description-derived
-    // ops — the per-routine fragment tier is a SPARC editable-CFG
-    // artifact (its meta records escape targets and block splits), so
-    // generic results run cold at this layer. Whole-image caching above
-    // still applies: the image hash covers the flags word, which
-    // carries the machine tag, so byte-identical text under different
-    // tags can never share an entry.
-    if uses_generic_pipeline(analysis.machine()) {
-        return run_op_generic(op, analysis).map(|b| (b, FragmentStats::default()));
+    // Machine dispatch: the WEF header tag picks the machine seam the
+    // CFG ops read words through, and a non-SPARC `instrument` places
+    // the per-block counters of [`instrument_block_counters`] instead of
+    // SPARC's per-edge snippets. That rewriter works on the whole image,
+    // so it runs cold at this layer; whole-image caching above still
+    // applies, and the image hash covers the machine tag.
+    if op == "instrument" && uses_generic_pipeline(analysis.machine()) {
+        GENERIC.add(op);
+        let (edited, _counters) =
+            instrument_block_counters(analysis.image()).map_err(|e| err(op, e))?;
+        return Ok((edited.to_bytes(), FragmentStats::default()));
     }
     let batch = Batch { analysis, tier };
     match op {
@@ -184,109 +184,9 @@ impl OpCounters {
 /// `serve.ops.<op>.computed`: results the server actually computed.
 pub(crate) static COMPUTED: OpCounters = OpCounters::new("computed");
 
-/// `serve.ops.<op>.generic`: ops answered by the generic pipeline.
+/// `serve.ops.instrument.generic`: non-SPARC `instrument`s, answered by
+/// the block-counter rewriter.
 static GENERIC: OpCounters = OpCounters::new("generic");
-
-/// The generic (machine-dispatched) twins of the analysis ops, used for
-/// every non-SPARC image: disassembly, CFG statistics, and liveness
-/// come from the spawn-derived [`eel_core::MachineOps`] backend;
-/// `instrument` places the per-block counters of
-/// [`eel_core::instrument_block_counters`] rather than SPARC's per-edge
-/// snippets. Output shapes mirror the SPARC renderings line for line so
-/// clients parse one format.
-fn run_op_generic(op: &str, analysis: &Analysis) -> Result<Vec<u8>, String> {
-    let body = match op {
-        "disasm" => disasm_generic(analysis),
-        "cfg-summary" => cfg_summary_generic(analysis),
-        "liveness" => liveness_generic(analysis),
-        "stat" => stat(analysis),
-        "instrument" => {
-            let (edited, _counters) =
-                instrument_block_counters(analysis.image()).map_err(|e| err("instrument", e))?;
-            Ok(edited.to_bytes())
-        }
-        other => return Err(unknown_op(other)),
-    };
-    GENERIC.add(op);
-    body
-}
-
-fn disasm_generic(analysis: &Analysis) -> Result<Vec<u8>, String> {
-    let image = analysis.image();
-    let mut out = String::new();
-    for routine in analysis.routines() {
-        let _ = writeln!(
-            out,
-            "{:#010x} <{}>{}:",
-            routine.start(),
-            routine.name(),
-            if routine.is_hidden() { " (hidden)" } else { "" }
-        );
-        generic_disasm(image, routine, &mut out);
-        out.push('\n');
-    }
-    Ok(out.into_bytes())
-}
-
-fn cfg_summary_generic(analysis: &Analysis) -> Result<Vec<u8>, String> {
-    let image = analysis.image();
-    let mut out = String::new();
-    let (mut blocks, mut edges, mut insns) = (0u64, 0u64, 0u64);
-    for routine in analysis.routines() {
-        let cfg = generic_cfg(image, routine).map_err(|e| err("cfg-summary", e))?;
-        let b = cfg.blocks.len() as u64;
-        let e: u64 = cfg.blocks.iter().map(|blk| blk.succs.len() as u64).sum();
-        let i: u64 = cfg
-            .blocks
-            .iter()
-            .map(|blk| u64::from(blk.end - blk.start) / 4)
-            .sum();
-        let indirect = cfg
-            .blocks
-            .iter()
-            .filter(|blk| blk.has_indirect_exit)
-            .count();
-        let _ = writeln!(
-            out,
-            "{}: blocks={b} edges={e} insns={i} indirect-exits={indirect}",
-            routine.name()
-        );
-        blocks += b;
-        edges += e;
-        insns += i;
-    }
-    let _ = writeln!(
-        out,
-        "TOTAL: routines={} blocks={blocks} edges={edges} insns={insns}",
-        analysis.routines().len()
-    );
-    Ok(out.into_bytes())
-}
-
-fn liveness_generic(analysis: &Analysis) -> Result<Vec<u8>, String> {
-    let image = analysis.image();
-    let ops = machine_ops(image.machine);
-    let mut out = String::new();
-    for routine in analysis.routines() {
-        let cfg = generic_cfg(image, routine).map_err(|e| err("liveness", e))?;
-        let live = generic_liveness(image, &cfg);
-        // The entry block is the first; names print in string order.
-        let mut regs: Vec<String> = live
-            .live_in(BlockId::from_index(0))
-            .iter()
-            .map(|r| ops.reg_name(r))
-            .collect();
-        regs.sort();
-        let _ = writeln!(
-            out,
-            "{}: entry-live-in={{{}}} ({} regs)",
-            routine.name(),
-            regs.join(" "),
-            regs.len()
-        );
-    }
-    Ok(out.into_bytes())
-}
 
 fn err(op: &str, e: impl std::fmt::Display) -> String {
     format!("{op}: {e}")
@@ -305,7 +205,7 @@ enum Stitched {
     Live(Option<Vec<u8>>),
 }
 
-/// One fragment-cached SPARC op's inputs: the analysis and the fragment
+/// One fragment-cached op's inputs: the analysis and the fragment
 /// tier.
 struct Batch<'a> {
     analysis: &'a Analysis,
@@ -371,6 +271,7 @@ fn is_utf8(payload: &[u8]) -> bool {
 /// body below it is the cached fragment.
 fn disasm(batch: &Batch) -> OpResult {
     let image = batch.analysis.image();
+    let ops = machine_ops(image.machine);
     let mut out = String::new();
     let (_, stats) = batch.stitch("disasm", &is_utf8, |_, routine, _, outcome| {
         let _ = writeln!(
@@ -387,7 +288,7 @@ fn disasm(batch: &Batch) -> OpResult {
             }
             CfgOutcome::Built(cfg) => {
                 let body = out.len();
-                disasm_body(image, routine, &cfg, &mut out);
+                disasm_body(ops, image, routine, &cfg, &mut out);
                 Stitched::Live(
                     batch
                         .tier
@@ -400,9 +301,15 @@ fn disasm(batch: &Batch) -> OpResult {
     Ok((out.into_bytes(), stats))
 }
 
-/// Appends a routine's listing body (every word, dispatch-table words as
-/// data, then a blank line) to `out`.
-fn disasm_body(image: &Image, routine: &Routine, cfg: &Cfg, out: &mut String) {
+/// Appends a routine's listing body (every word in the machine's syntax,
+/// dispatch-table words as data, then a blank line) to `out`.
+fn disasm_body(
+    ops: &dyn MachineOps,
+    image: &Image,
+    routine: &Routine,
+    cfg: &Cfg,
+    out: &mut String,
+) {
     // A cursor over the tables in start order: the first table not yet
     // behind `addr` holds it, if any does.
     let mut tables: Vec<_> = cfg.data_ranges().collect();
@@ -422,7 +329,7 @@ fn disasm_body(image: &Image, routine: &Routine, cfg: &Cfg, out: &mut String) {
             out.push_str("  ; dispatch table");
         } else {
             out.push_str(":  ");
-            let _ = eel_isa::decode(word).write_to(out);
+            ops.disasm(word, addr, out);
         }
         out.push('\n');
     }
@@ -501,8 +408,10 @@ fn decode_summary_payload(p: &[u8]) -> Option<(u64, u64, u64, &str)> {
 
 /// Entry live-in registers for every routine, from the CFG dataflow
 /// (the liveness stored with the analysis' shape, which `instrument`'s
-/// layout reads too). The fragment is the line minus the routine name.
+/// layout reads too), spelled in register order in the machine's syntax.
+/// The fragment is the line minus the routine name.
 fn liveness(batch: &Batch) -> OpResult {
+    let ops = machine_ops(batch.analysis.machine());
     let mut out = String::new();
     let (_, stats) = batch.stitch("liveness", &is_utf8, |exec, routine, _, outcome| {
         out.push_str(&routine.name());
@@ -514,7 +423,14 @@ fn liveness(batch: &Batch) -> OpResult {
             CfgOutcome::Built(cfg) => {
                 let live = exec.liveness(&cfg);
                 let entry = live.live_in(cfg.entry_block());
-                let suffix = format!(": entry-live-in={entry} ({} regs)\n", entry.len());
+                let mut suffix = String::from(": entry-live-in={");
+                for (i, r) in entry.iter().enumerate() {
+                    if i > 0 {
+                        suffix.push_str(", ");
+                    }
+                    suffix.push_str(&ops.reg_name(r));
+                }
+                let _ = writeln!(suffix, "}} ({} regs)", entry.len());
                 out.push_str(&suffix);
                 Stitched::Live(batch.tier.keeps_fragments().then(|| suffix.into_bytes()))
             }
@@ -577,7 +493,7 @@ pub fn run_edit(analysis: &Arc<Analysis>, script: &str) -> Result<Vec<u8>, Strin
     // of letting the first `apply` surface a deeper error.
     if uses_generic_pipeline(analysis.machine()) {
         return Err(format!(
-            "edit: the command-script engine is sparc-only; a {} image takes the generic ops \
+            "edit: the command-script engine is sparc-only; a {} image takes the analysis ops \
              (disasm, cfg-summary, liveness, stat, instrument)",
             analysis.machine().name()
         ));
@@ -714,7 +630,7 @@ mod tests {
     }
 
     #[test]
-    fn generic_ops_render_for_mips() {
+    fn ops_render_for_mips() {
         let a = mips_analysis();
         for op in CACHED_OPS {
             let one = run_op(op, &a).expect(op);
@@ -735,9 +651,9 @@ mod tests {
     }
 
     #[test]
-    fn unknown_generic_op_leaves_the_registry_alone() {
+    fn unknown_op_on_mips_leaves_the_registry_alone() {
         let a = mips_analysis();
-        let op = "no-such-generic-op";
+        let op = "no-such-mips-op";
         assert!(run_op(op, &a).unwrap_err().contains("unknown op"));
         let m = eel_obs::MetricsSnapshot::capture();
         let names = m.counters.iter().map(|c| &c.name);
@@ -767,20 +683,28 @@ mod tests {
     }
 
     #[test]
-    fn mips_ops_bypass_the_fragment_tier() {
+    fn mips_instrument_bypasses_the_fragment_tier() {
         let a = mips_analysis();
         let tier = MemTier::default();
-        for op in ["disasm", "instrument"] {
-            let (cold, s1) = run_op_fragments(op, &a, 1, &tier).expect(op);
-            let (warm, s2) = run_op_fragments(op, &a, 1, &tier).expect(op);
-            assert_eq!(cold, warm, "{op}: generic path is deterministic");
-            assert_eq!(s1, FragmentStats::default(), "{op}: no fragment accounting");
-            assert_eq!(s2, FragmentStats::default());
-        }
+        let (cold, s1) = run_op_fragments("instrument", &a, 1, &tier).expect("instrument");
+        let (warm, s2) = run_op_fragments("instrument", &a, 1, &tier).expect("instrument");
+        assert_eq!(cold, warm, "the block-counter rewriter is deterministic");
+        assert_eq!(s1, FragmentStats::default(), "no fragment accounting");
+        assert_eq!(s2, FragmentStats::default());
         assert!(
             tier.0.lock().unwrap().is_empty(),
-            "generic ops never write SPARC CFG fragments"
+            "the block-counter rewriter writes no fragments"
         );
+        // The CFG ops stitch MIPS routines like SPARC ones.
+        let routines = a.routines().len() as u32;
+        for op in ["disasm", "cfg-summary", "liveness"] {
+            let (cold, s1) = run_op_fragments(op, &a, 1, &tier).expect(op);
+            let (warm, s2) = run_op_fragments(op, &a, 1, &tier).expect(op);
+            assert_eq!(cold, warm, "{op}: warm stitch is byte-identical");
+            assert_eq!((s1.hits, s1.total), (0, routines), "{op}: cold");
+            assert_eq!((s2.hits, s2.total), (routines, routines), "{op}: warm");
+        }
+        assert_eq!(a.shape_builds(), a.routines().len());
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! of every fragment the fragment-cached ops store for the SPARC shapes
 //! of `op_golden.rs` (gcc, SunPro, stripped gcc), plus two hand-assembled
 //! programs whose fragments record §3.1 side effects: an escape into the
-//! middle of another routine and a trailing split. MIPS images take the
-//! generic pipeline, which stores no fragments.
+//! middle of another routine and a trailing split. MIPS images store
+//! `disasm`, `cfg-summary` and `liveness` fragments through the same
+//! stitch loop (`incremental.rs` checks their stitching); their payloads
+//! are the MIPS renderings `op_golden.rs` pins. MIPS `instrument` runs
+//! the whole-image block-counter rewriter and stores none.
 //!
 //! The second test counts tier loads: at any thread count, one request
 //! loads each `(routine_key, op)` at most once. The third shows that a

@@ -24,9 +24,9 @@ fn counter(metrics: &str, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// A base image and a twin differing in exactly one routine (one ALU
-/// immediate bumped), as WEF bytes.
-fn near_duplicate_pair() -> (Vec<u8>, Vec<u8>) {
+/// A base image for `machine` and a twin differing in exactly one
+/// routine (one ALU immediate bumped), as WEF bytes.
+fn near_duplicate_pair(machine: eel_exe::Machine) -> (Vec<u8>, Vec<u8>) {
     let config = eel_progen::GenConfig {
         functions: 6,
         ..eel_progen::GenConfig::default()
@@ -36,7 +36,10 @@ fn near_duplicate_pair() -> (Vec<u8>, Vec<u8>) {
     let base = (0..16)
         .find_map(|seed| {
             let program = eel_progen::random_program(seed, &config);
-            eel_cc::compile_ast(&program, &eel_cc::Options::default()).ok()
+            match machine {
+                eel_exe::Machine::Mips => eel_progen::compile_mips(&program).ok(),
+                _ => eel_cc::compile_ast(&program, &eel_cc::Options::default()).ok(),
+            }
         })
         .expect("some seed compiles");
     let mut twin = base.clone();
@@ -47,7 +50,7 @@ fn near_duplicate_pair() -> (Vec<u8>, Vec<u8>) {
 
 #[test]
 fn twin_stitches_all_unchanged_routines_and_matches_cold_output() {
-    let (base, twin) = near_duplicate_pair();
+    let (base, twin) = near_duplicate_pair(eel_exe::Machine::Sparc);
 
     // Cold daemon: the twin from scratch, no fragments to reuse.
     let cold_server = Server::start(ServerConfig::default()).expect("start cold server");
@@ -102,5 +105,40 @@ fn twin_stitches_all_unchanged_routines_and_matches_cold_output() {
     );
     assert!(counter(&metrics, "serve.cache.fragment.write") > 0);
     assert!(counter(&metrics, "serve.cache.fragment.miss") > 0);
+    server.shutdown();
+}
+
+/// A MIPS twin stitches from the fragments its base recorded, through
+/// the same CFG ops as SPARC, and every stitched body is byte-identical
+/// to a cold run with no fragment tier.
+#[test]
+fn mips_twin_stitches_all_unchanged_routines_and_matches_cold_output() {
+    let (base, twin) = near_duplicate_pair(eel_exe::Machine::Mips);
+    let image = eel_exe::Image::from_bytes(&twin).expect("twin parses");
+    let cold = std::sync::Arc::new(
+        eel_core::Analysis::compute(std::sync::Arc::new(image)).expect("analyze twin"),
+    );
+
+    let server = Server::start(ServerConfig::default()).expect("start server");
+    let client = eel_serve::Client::connect(server.local_addr().to_string());
+    for op in ["disasm", "cfg-summary", "liveness"] {
+        let (_, _, fragments) = expect_ok(client.op(op, Payload::Inline(base.clone())).expect(op));
+        let (hits, total) = fragments.expect("computed response reports fragments");
+        assert_eq!(hits, 0, "{op}: first sighting of the base: all misses");
+        assert!(total > 1, "{op}: a many-routine base");
+
+        let (tier, body, fragments) =
+            expect_ok(client.op(op, Payload::Inline(twin.clone())).expect(op));
+        assert!(!tier.is_hit(), "twin is a distinct image: whole-image miss");
+        let (twin_hits, twin_total) = fragments.expect("computed response reports fragments");
+        assert_eq!(twin_total, total, "{op}: same routine count in both images");
+        assert_eq!(
+            twin_hits,
+            twin_total - 1,
+            "{op}: every routine but the mutated one stitches from fragments"
+        );
+        let cold_body = eel_serve::run_op(op, &cold).expect(op);
+        assert_eq!(body, cold_body, "{op}: stitched output == cold output");
+    }
     server.shutdown();
 }

@@ -1,5 +1,5 @@
 //! Cross-machine service dispatch: a real server answering for a MIPS
-//! image through the generic (description-derived) pipeline, and the
+//! image through the description-derived machine seam, and the
 //! cache-separation guarantee that byte-identical text under different
 //! machine tags never shares an entry.
 
@@ -47,7 +47,7 @@ fn expect_ok(resp: Response) -> (CacheTier, Vec<u8>, Option<Machine>) {
 /// content, the machine tag on the wire, and behavior preserved by the
 /// instrumented executable. The write path rejects cleanly.
 #[test]
-fn mips_image_is_served_through_the_generic_pipeline() {
+fn mips_image_is_served_through_the_machine_seam() {
     let server = Server::start(ServerConfig {
         workers: 2,
         ..ServerConfig::default()
@@ -179,4 +179,25 @@ fn byte_identical_text_does_not_share_cache_entries() {
     drop(client);
     server.shutdown();
     server.wait();
+}
+
+/// A MIPS transfer in another transfer's delay slot is the shape the
+/// shared CFG builder rejects on every machine: the CFG ops answer with
+/// its error, and `stat`, which builds no CFG, still answers.
+#[test]
+fn mips_transfer_in_a_delay_slot_fails_the_cfg_ops_only() {
+    let mut image = Image::new(TEXT_BASE, DATA_BASE).with_machine(Machine::Mips);
+    // beq $0, $0, +2; beq $0, $0, +1 (in the slot); nop; jr $31; nop
+    for w in [0x1000_0002u32, 0x1000_0001, 0, 0x03e0_0008, 0] {
+        image.text.extend_from_slice(&w.to_be_bytes());
+    }
+    image.symbols.push(Symbol::routine("f", TEXT_BASE));
+    let analysis = eel_core::Analysis::compute(std::sync::Arc::new(image)).expect("analyze");
+    for op in ["disasm", "cfg-summary", "liveness"] {
+        let e = eel_serve::run_op(op, &analysis).unwrap_err();
+        assert!(e.contains("delay slot"), "{op}: {e}");
+        assert!(e.contains(&format!("{:#010x}", TEXT_BASE + 4)), "{op}: {e}");
+    }
+    let stat = String::from_utf8(eel_serve::run_op("stat", &analysis).expect("stat")).unwrap();
+    assert!(stat.contains("machine: mips"), "{stat}");
 }

@@ -9,8 +9,8 @@
 //! discovery), then runs every cacheable op ([`CACHED_OPS`]) through
 //! [`eel_serve::run_op`] — the work a daemon does for a request that
 //! misses every cache — and prints the eel-obs report: the span tree
-//! (load → discovery → CFG build → liveness → layout on SPARC, the
-//! `core.generic.*` passes elsewhere) with per-phase wall times, plus the
+//! (load → discovery → CFG build → liveness, then layout on SPARC or
+//! `core.generic.instrument` elsewhere) with per-phase wall times, plus the
 //! block and edge counters. `--run` additionally executes the program in
 //! the emulator so the dynamic `emu.*` counters appear.
 //!

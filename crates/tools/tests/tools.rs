@@ -703,11 +703,7 @@ fn eelstat_reports_the_cold_request_spans_on_both_machines() {
         ),
         (
             "mips",
-            &[
-                "core.generic.cfg",
-                "core.generic.liveness",
-                "core.generic.instrument",
-            ],
+            &["core.build_cfg", "core.liveness", "core.generic.instrument"],
         ),
     ];
     let shapes = served_shapes();
