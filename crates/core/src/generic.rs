@@ -6,53 +6,45 @@
 //! is qpt2-style block-counter instrumentation for a MIPS image
 //! ([`instrument_block_counters`]), which rewrites the whole text
 //! segment rather than editing per-routine CFGs; it classifies the
-//! words of the text once (kind plus the step over a delay slot) and
-//! finds block leaders with one pass.
+//! words of the text once through [`crate::MachineOps::flow`] and finds
+//! block leaders with one pass.
 
 use crate::analysis::live::Liveness;
 use crate::cfg::{build_cfg, BuildEffects, CfgShape};
 use crate::error::EelError;
 use crate::executable::MAX_MATERIALIZED_BSS;
-use crate::machine::{machine_ops, InsnKind, MachineOps};
+use crate::machine::{machine_ops, Flow, MachineOps};
 use crate::routine::Routine;
 use eel_exe::{Image, Machine, Symbol, SymbolKind};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// One word with its control-flow class and the bytes from it to the
-/// next instruction in sequence: 8 over a delay slot, else 4.
-#[derive(Clone, Copy)]
-struct Classified {
-    word: u32,
-    kind: InsnKind,
-    step: u32,
+/// Each word of `range` with how it moves control, classified once.
+fn classify(image: &Image, ops: &dyn MachineOps, range: Range<u32>) -> Vec<(u32, Flow)> {
+    let classify = |pc| {
+        let word = image.word_at(pc).unwrap_or(0);
+        (word, ops.flow(word, pc))
+    };
+    range.step_by(4).map(classify).collect()
 }
 
-/// Classifies each word of `range` once.
-fn classify(image: &Image, ops: &dyn MachineOps, range: Range<u32>) -> Vec<Classified> {
-    range
-        .step_by(4)
-        .map(|pc| {
-            let word = image.word_at(pc).unwrap_or(0);
-            Classified {
-                word,
-                kind: ops.kind(word, pc),
-                step: if ops.flow(word, pc).is_delayed() {
-                    8
-                } else {
-                    4
-                },
-            }
-        })
-        .collect()
+/// A direct transfer's target.
+fn direct_target(flow: Flow) -> Option<u32> {
+    match flow {
+        Flow::Branch { target, .. }
+        | Flow::Call {
+            target: Some(target),
+        } => Some(target),
+        _ => None,
+    }
 }
 
 /// The block leaders of `range`, ascending: every word-aligned seed in
 /// the range, every transfer target in the range, and the word after
 /// each transfer's delay slot. `words` classifies the range, word by
-/// word; the scan follows the steps from the range's first word.
+/// word; the scan steps over delay slots from the range's first word.
 fn leaders(
-    words: &[Classified],
+    words: &[(u32, Flow)],
     range: Range<u32>,
     seeds: impl IntoIterator<Item = u32>,
 ) -> Vec<u32> {
@@ -69,16 +61,16 @@ fn leaders(
     seeds.into_iter().for_each(&mut mark);
     let mut addr = range.start;
     while addr < range.end {
-        let Classified { kind, step, .. } = words[((addr - range.start) / 4) as usize];
-        match kind {
-            InsnKind::Branch { target } | InsnKind::Jump { target, .. } => {
-                mark(target);
-                mark(addr + step);
-            }
-            InsnKind::IndirectJump { .. } => mark(addr + step),
-            _ => {}
+        let (_, flow) = words[((addr - range.start) / 4) as usize];
+        if !flow.is_delayed() {
+            addr += 4;
+            continue;
         }
-        addr += step;
+        if let Some(target) = direct_target(flow) {
+            mark(target);
+        }
+        addr += 8;
+        mark(addr);
     }
     (range.start..range.end)
         .step_by(4)
@@ -213,12 +205,10 @@ pub fn instrument_block_counters(image: &Image) -> Result<(Image, Vec<BlockCount
             new_text.extend_from_slice(&w.to_be_bytes());
         }
         for a in (bstart..bend).step_by(4) {
-            let Classified { word: w, kind, .. } = words[((a - text.start) / 4) as usize];
+            let (w, flow) = words[((a - text.start) / 4) as usize];
             let here = a + 16 * (b as u32 + 1);
-            let patched = match kind {
-                InsnKind::Branch { target } | InsnKind::Jump { target, .. }
-                    if text.contains(&target) =>
-                {
+            let patched = match direct_target(flow) {
+                Some(target) if text.contains(&target) => {
                     let nt = preamble(target).ok_or_else(|| {
                         EelError::Internal(format!("transfer target {target:#x} is not a leader"))
                     })?;

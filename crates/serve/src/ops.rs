@@ -638,6 +638,11 @@ mod tests {
             assert!(!one.is_empty(), "{op} produced output");
             assert_eq!(one, two, "{op} is deterministic");
         }
+        assert_eq!(
+            a.shape_builds(),
+            a.routines().len(),
+            "every op shares one build per routine"
+        );
         let stat = String::from_utf8(run_op("stat", &a).unwrap()).unwrap();
         assert!(stat.contains("machine: mips"), "{stat}");
         let disasm = String::from_utf8(run_op("disasm", &a).unwrap()).unwrap();
