@@ -20,6 +20,7 @@ use crate::cfg::{build_cfg as cfg_build, BuildEffects, Cfg, CfgShape};
 use crate::error::EelError;
 use crate::fragment::{self, FragmentMeta};
 use crate::layout::{lay_out_routine, Item, RoutineLayout, Tgt, TRANSLATOR};
+use crate::machine::{BranchCond, Flow};
 use crate::routine::Routine;
 use crate::shared::{self, Analysis, ShapeCells};
 use eel_exe::{Image, Symbol, SymbolKind};
@@ -402,24 +403,20 @@ pub(crate) fn discover_routines(image: &Image) -> Result<Discovery, EelError> {
     let ops = crate::machine::backend(image.machine)?;
 
     // Pre-scan: classify every text word once through the machine seam;
-    // collect direct-call targets (linking jumps) and branch targets
-    // (with their sources; non-linking direct jumps included, so SPARC
-    // `ba` and MIPS `j` both count as intra-routine flow).
+    // collect direct-call targets and branch targets (with their
+    // sources; always-taken branches included, so SPARC `ba` and MIPS
+    // `j` both count as intra-routine flow, and SPARC `bn`, an elaborate
+    // nop, excluded, as the pre-seam pipeline had it).
     let mut call_targets: Vec<u32> = Vec::new();
     let mut branch_edges: Vec<(u32, u32)> = Vec::new(); // (src, target)
     for (addr, word) in image.text_words() {
-        match ops.kind(word, addr) {
-            crate::machine::InsnKind::Jump {
-                target: t,
-                links: true,
-            } if t >= text.0 && t < text.1 && t % 4 == 0 => {
+        match ops.flow(word, addr) {
+            Flow::Call { target: Some(t) } if t >= text.0 && t < text.1 && t % 4 == 0 => {
                 call_targets.push(t);
             }
-            crate::machine::InsnKind::Branch { target: t }
-            | crate::machine::InsnKind::Jump {
-                target: t,
-                links: false,
-            } if t >= text.0 && t < text.1 => {
+            Flow::Branch {
+                target: t, cond, ..
+            } if cond != BranchCond::Never && t >= text.0 && t < text.1 => {
                 branch_edges.push((addr, t));
             }
             _ => {}

@@ -99,7 +99,7 @@ pub use fragment::routine_key;
 pub use generic::{
     generic_cfg, generic_liveness, instrument_block_counters, uses_generic_pipeline, BlockCounter,
 };
-pub use machine::{machine_ops, BranchCond, Convention, Flow, InsnKind, MachineOps};
+pub use machine::{machine_ops, BranchCond, Convention, Flow, MachineOps};
 pub use routine::Routine;
 pub use shared::Analysis;
 pub use snippet::{Callback, RegAssignment, Snippet};

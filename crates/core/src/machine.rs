@@ -26,42 +26,12 @@ use eel_exe::{Image, Machine};
 use eel_isa::{write_dec, write_hex, Category, Cond, JumpKind, Op, Reg, RegSet};
 use std::sync::OnceLock;
 
-/// What a machine word does to control flow, as §3.1 routine discovery
-/// and the block-counter rewriter see it. The grouping deliberately
-/// mirrors §4's spawn classes, flattened to call targets and
-/// intra-routine flow; CFG construction asks the finer [`Flow`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InsnKind {
-    /// Falls through to the next instruction (computation, load, store,
-    /// system — anything that is not a transfer).
-    Fall,
-    /// Conditional PC-relative transfer: taken edge to `target`, plus a
-    /// fall-through edge.
-    Branch {
-        /// Taken-edge target.
-        target: u32,
-    },
-    /// Unconditional direct transfer. `links` distinguishes calls
-    /// (SPARC `call`, MIPS `jal`) from plain jumps (`ba`, `j`).
-    Jump {
-        /// Transfer target.
-        target: u32,
-        /// Does the instruction save a return address?
-        links: bool,
-    },
-    /// Register-indirect transfer (SPARC `jmpl`, MIPS `jr`/`jalr`).
-    IndirectJump {
-        /// Does the instruction save a return address?
-        links: bool,
-    },
-    /// No valid decoding: data masquerading as code (§3.1's signal).
-    Invalid,
-}
-
-/// How CFG construction (§3.3) sees one word: every question the builder
-/// asks of a machine about it. Each transfer here is delayed, as every
-/// transfer is on both described machines; the builder normalizes its
-/// delay slot.
+/// How one word moves control: every question §3.1 routine discovery,
+/// CFG construction (§3.3) and the block-counter rewriter ask of a
+/// machine about it. The grouping mirrors §4's spawn classes, split
+/// where delay-slot normalization needs it. Each transfer here is
+/// delayed, as every transfer is on both described machines; the
+/// builder normalizes its delay slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flow {
     /// Not a transfer: executes and falls through.
@@ -131,10 +101,7 @@ pub trait MachineOps: Send + Sync {
     /// Which machine this implements.
     fn machine(&self) -> Machine;
 
-    /// Control-flow classification of one word, for §3.1 discovery.
-    fn kind(&self, word: u32, pc: u32) -> InsnKind;
-
-    /// How CFG construction sees one word.
+    /// How one word moves control.
     fn flow(&self, word: u32, pc: u32) -> Flow;
 
     /// §3.3's resolution of the indirect jump or call `word` at `pc`
@@ -205,38 +172,6 @@ struct SparcOps;
 impl MachineOps for SparcOps {
     fn machine(&self) -> Machine {
         Machine::Sparc
-    }
-
-    fn kind(&self, word: u32, pc: u32) -> InsnKind {
-        let insn = eel_isa::decode(word);
-        match insn.op {
-            Op::Call { disp30 } => InsnKind::Jump {
-                target: pc.wrapping_add((disp30 as u32) << 2),
-                links: true,
-            },
-            // `bn` (branch never) is an elaborate nop; `ba` is an
-            // unconditional jump. Both orderings here keep discovery's
-            // branch-edge set identical to the pre-seam pipeline.
-            Op::Branch {
-                cond: Cond::Never, ..
-            } => InsnKind::Fall,
-            Op::Branch {
-                cond: Cond::Always,
-                disp22,
-                ..
-            } => InsnKind::Jump {
-                target: pc.wrapping_add((disp22 as u32) << 2),
-                links: false,
-            },
-            Op::Branch { disp22, .. } => InsnKind::Branch {
-                target: pc.wrapping_add((disp22 as u32) << 2),
-            },
-            Op::Jmpl { rd, .. } => InsnKind::IndirectJump {
-                links: rd != Reg::G0,
-            },
-            Op::Invalid => InsnKind::Invalid,
-            _ => InsnKind::Fall,
-        }
     }
 
     fn flow(&self, word: u32, pc: u32) -> Flow {
@@ -353,35 +288,6 @@ fn mips_listing() -> &'static [usize; 5] {
 impl MachineOps for MipsOps {
     fn machine(&self) -> Machine {
         Machine::Mips
-    }
-
-    fn kind(&self, word: u32, pc: u32) -> InsnKind {
-        let m = mips_machine();
-        let Some(d) = m.decode(word) else {
-            return InsnKind::Invalid;
-        };
-        match d.spec.class {
-            eel_spawn::Class::DirectJump => match m.static_target(&d, pc) {
-                Some(target) => InsnKind::Jump {
-                    target,
-                    links: d.spec.links,
-                },
-                None => InsnKind::IndirectJump {
-                    links: d.spec.links,
-                },
-            },
-            eel_spawn::Class::Branch => match m.static_target(&d, pc) {
-                Some(target) => InsnKind::Branch { target },
-                // A branch whose target the evaluator cannot fold is a
-                // description bug, not a program property; be conservative.
-                None => InsnKind::IndirectJump { links: false },
-            },
-            eel_spawn::Class::IndirectJump => InsnKind::IndirectJump {
-                links: d.spec.links,
-            },
-            eel_spawn::Class::Invalid => InsnKind::Invalid,
-            _ => InsnKind::Fall,
-        }
     }
 
     fn flow(&self, word: u32, pc: u32) -> Flow {
@@ -530,36 +436,27 @@ mod tests {
     }
 
     #[test]
-    fn sparc_kinds_match_isa() {
+    fn sparc_flow_matches_isa() {
         let ops = machine_ops(Machine::Sparc);
         assert_eq!(ops.machine(), Machine::Sparc);
         // call .+8
         let call = eel_isa::encode(&Op::Call { disp30: 2 });
-        assert_eq!(
-            ops.kind(call, 0x1000),
-            InsnKind::Jump {
-                target: 0x1008,
-                links: true
-            }
-        );
         assert_eq!(
             ops.flow(call, 0x1000),
             Flow::Call {
                 target: Some(0x1008)
             }
         );
-        // A nop falls through and reads/writes nothing interesting.
-        assert_eq!(ops.kind(0x0100_0000, 0x1000), InsnKind::Fall);
+        // A nop falls through.
         assert_eq!(ops.flow(0x0100_0000, 0x1000), Flow::Straight);
-        // `bn` is a branch to the builder (it has a delay slot) but no
-        // flow to discovery; `ret` is a return.
+        // `bn` is a branch that never takes (it has a delay slot);
+        // `ret` is a return.
         let bn = eel_isa::encode(&Op::Branch {
             cond: Cond::Never,
             annul: false,
             disp22: 4,
             fp: false,
         });
-        assert_eq!(ops.kind(bn, 0x1000), InsnKind::Fall);
         assert_eq!(
             ops.flow(bn, 0x1000),
             Flow::Branch {
@@ -573,35 +470,13 @@ mod tests {
     }
 
     #[test]
-    fn mips_kinds_from_description() {
+    fn mips_flow_from_description() {
         let ops = machine_ops(Machine::Mips);
         assert_eq!(ops.machine(), Machine::Mips);
-        // beq $0, $0, .+4 → branch, target pc+8.
-        assert_eq!(
-            ops.kind(0x1000_0001, 0x1000),
-            InsnKind::Branch { target: 0x1008 }
-        );
-        // j 0x10000 (target26 = 0x4000)
-        assert_eq!(
-            ops.kind((2 << 26) | 0x4000, 0x1000),
-            InsnKind::Jump {
-                target: 0x10000,
-                links: false
-            }
-        );
-        // jal links, jr is an indirect jump, addu falls through.
-        assert!(matches!(
-            ops.kind((3 << 26) | 0x4000, 0x1000),
-            InsnKind::Jump { links: true, .. }
-        ));
-        assert_eq!(
-            ops.kind(0x03e0_0008, 0),
-            InsnKind::IndirectJump { links: false }
-        );
-        assert_eq!(ops.kind(0x0085_1021, 0), InsnKind::Fall);
-        // The builder's view: `beq` may go either way with no annul bit,
-        // `j` always takes, `jal` calls, `jr $31` returns, `jalr` is an
-        // indirect call and `jr $5` an indirect jump.
+        // `beq $0, $0, .+4` may go either way (to pc+8) with no annul
+        // bit, `j 0x10000` (target26 = 0x4000) always takes, `jal` calls,
+        // `jr $31` returns, `jalr` is an indirect call, `jr $5` an
+        // indirect jump and `addu` falls through.
         assert_eq!(
             ops.flow(0x1000_0001, 0x1000),
             Flow::Branch {

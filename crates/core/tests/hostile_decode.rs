@@ -62,7 +62,7 @@ fn exercise(word: u32, pc: u32) {
     );
     for machine in [Machine::Sparc, Machine::Mips] {
         let ops = machine_ops(machine);
-        let _ = (ops.kind(word, pc), ops.flow(word, pc), ops.regs(word));
+        let _ = (ops.flow(word, pc), ops.regs(word));
         ops.disasm(word, pc, &mut String::new());
     }
 }

@@ -7,9 +7,10 @@
 //! through the spawn-derived backend.
 
 use eel_core::{
-    instrument_block_counters, machine_ops, routine_key, Analysis, BlockKind, Executable, InsnKind,
+    instrument_block_counters, machine_ops, routine_key, Analysis, BlockKind, Executable, Flow,
 };
 use eel_exe::Machine;
+use eel_isa::Category;
 use std::sync::Arc;
 
 fn mips_workload() -> eel_exe::Image {
@@ -236,21 +237,22 @@ fn sparc_seam_matches_isa_on_real_image() {
     let ops = machine_ops(Machine::Sparc);
     for (addr, word) in image.text_words() {
         let insn = eel_isa::decode(word);
-        let kind = ops.kind(word, addr);
-        match insn.op {
-            eel_isa::Op::Call { .. } => {
-                assert!(matches!(kind, InsnKind::Jump { links: true, .. }))
-            }
-            eel_isa::Op::Jmpl { .. } => {
-                assert!(matches!(kind, InsnKind::IndirectJump { .. }))
-            }
-            eel_isa::Op::Invalid => assert_eq!(kind, InsnKind::Invalid),
-            _ => {}
-        }
         let flow = ops.flow(word, addr);
+        match insn.category() {
+            Category::Call => assert_eq!(
+                flow,
+                Flow::Call {
+                    target: insn.direct_target(addr)
+                }
+            ),
+            Category::IndirectCall => assert_eq!(flow, Flow::Call { target: None }),
+            Category::Return => assert_eq!(flow, Flow::Return),
+            Category::IndirectJump => assert_eq!(flow, Flow::IndirectJump),
+            Category::Branch => assert!(matches!(flow, Flow::Branch { .. })),
+            Category::Invalid => assert_eq!(flow, Flow::Invalid),
+            _ => assert_eq!(flow, Flow::Straight),
+        }
         assert_eq!(flow.is_delayed(), insn.is_delayed());
-        let invalid = insn.category() == eel_isa::Category::Invalid;
-        assert_eq!(flow == eel_core::Flow::Invalid, invalid);
     }
 }
 
