@@ -99,7 +99,7 @@ pub fn generic_cfg(image: &Arc<Image>, routine: &Routine) -> Result<CfgShape, Ee
 }
 
 /// [`Liveness::compute`] under the benchmark's `core.generic.liveness`
-/// span.
+/// span; `_image` keeps the signature the benchmark calls.
 pub fn generic_liveness(_image: &Image, cfg: &CfgShape) -> Liveness {
     let _obs = eel_obs::span("core.generic.liveness");
     Liveness::compute(cfg)
